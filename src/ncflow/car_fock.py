@@ -383,36 +383,16 @@ def counterexample_flow(L: int, table: MoebiusTable) -> CounterexampleFlows:
     tdiag = np.zeros(dim, dtype=np.int64)
     tdiag[:L] = table.mu[1 : L + 1][::-1]  # position L - k holds mu(k)
 
-    def bh_eval(n: int):
-        if not 1 <= n <= L:
-            raise ValueError(f"flow is only defined for 1 <= n <= {L}, got {n}")
-        return complex(int(tdiag[(L - n) % dim]))
-
-    def bh_values(ns):
-        ns = np.asarray(ns)
-        return tdiag[np.mod(L - ns, dim)].astype(np.complex128)
-
-    def car_eval(n: int):
-        if not 1 <= n <= L:
-            raise ValueError(f"flow is only defined for 1 <= n <= {L}, got {n}")
-        return complex((int(tdiag[(L - n) % dim]) + 1) / 2)
-
-    def car_values(ns):
-        ns = np.asarray(ns)
-        return (tdiag[np.mod(L - ns, dim)] + 1).astype(np.complex128) / 2
-
     bh = Flow(
-        evaluator=bh_eval,
+        values_at=lambda ns: tdiag[np.mod(L - ns, dim)].astype(np.complex128),
         declared_bound=1.0,
         label=f"shift_symbol(L={L})",
-        values_at=bh_values,
         valid_n=L,
     )
     car = Flow(
-        evaluator=car_eval,
+        values_at=lambda ns: (tdiag[np.mod(L - ns, dim)] + 1).astype(np.complex128) / 2,
         declared_bound=1.0,
         label=f"shift_quasifree(L={L})",
-        values_at=car_values,
         valid_n=L,
     )
     return CounterexampleFlows(bh_flow=bh, car_flow=car, valid_n=L, dim=dim)
@@ -471,8 +451,7 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) ->
         return out
 
     return Flow(
-        evaluator=lambda n: complex(batch(np.asarray([n]))[0]),
+        values_at=batch,
         declared_bound=bound + 1e-9,
         label=label or f"pure_point_flow(d={d})",
-        values_at=batch,
     )

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,49 +52,19 @@ from .matrix_dynamics import (
     trace_product_sum,
 )
 from .moebius import (
+    N_MAX_CAP,
     PolynomialPhase,
+    checked_checkpoints,
     exp_sum,
     load_or_build_table,
     mertens,
+    phase_values,
     squarefree_count,
 )
 
 SCHEMA_VERSION = 1
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# experiment -> {param name: default}; types are inferred from the defaults
-PARAM_SPECS = {
-    "sieve": {},
-    "decay": {"coeffs": [0.0, GOLDEN]},
-    "matrix-flow": {"dim": 8},
-    "trace-product": {"k": 4, "d": 2, "count": 5, "coeff_max": 7},
-    "quantize": {"dim": 8, "epsilon": 0.1},
-    "car-demo": {"d": 4, "samples": 50, "degree": 4},
-    "counterexample": {"L": 10_000},
-    "pure-point": {"d": 6},
-    "free-clt": {"q": 10, "p_max": 8},
-    "bsz-check": {"epsilon": 0.25, "M": 10_000, "flow": "golden"},
-}
-
-ALIASES = {"mertens": "sieve"}
-
-RANDOMIZED = frozenset(
-    {"matrix-flow", "trace-product", "quantize", "car-demo", "pure-point"}
-)
-
-DEFAULT_N_MAX = {
-    "sieve": 10**6,
-    "decay": 10**5,
-    "matrix-flow": 10**5,
-    "trace-product": 10**3,
-    "quantize": 10**4,
-    "car-demo": None,
-    "counterexample": None,  # follows the window parameter L
-    "pure-point": 10**5,
-    "free-clt": None,
-    "bsz-check": 10**6,
-}
 
 _TOP_KEYS = {
     "schema_version",
@@ -163,16 +133,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _canonical(name: str) -> str:
-    return ALIASES.get(name, name)
-
-
 def _validate(cfg: ExperimentConfig) -> None:
-    canon = _canonical(cfg.experiment)
-    if canon not in PARAM_SPECS:
-        known = ", ".join(sorted(set(PARAM_SPECS) | set(ALIASES)))
+    if cfg.experiment not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; expected one of {known}")
-    spec = PARAM_SPECS[canon]
+    spec = EXPERIMENTS[cfg.experiment].params
     unknown = sorted(set(cfg.params) - set(spec))
     if unknown:
         raise ConfigError(
@@ -190,21 +155,28 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"parameter {key!r} must be a string")
         if isinstance(default, list) and not isinstance(value, list):
             raise ConfigError(f"parameter {key!r} must be a list")
-    if canon in RANDOMIZED and cfg.seed is None:
+    if EXPERIMENTS[cfg.experiment].randomized and cfg.seed is None:
         raise ConfigError(f"experiment {cfg.experiment!r} is randomized; --seed is mandatory")
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Fill every default so the sidecar echo reruns identically."""
     _validate(cfg)
-    canon = _canonical(cfg.experiment)
-    params = dict(PARAM_SPECS[canon])
+    experiment = EXPERIMENTS[cfg.experiment]
+    params = dict(experiment.params)
     params.update(cfg.params)
     n_max = cfg.n_max
     if n_max is None:
-        n_max = DEFAULT_N_MAX[canon]
-        if canon == "counterexample":
+        n_max = experiment.n_max
+        if cfg.experiment == "counterexample":
             n_max = int(params["L"])
+    if n_max is not None and not 1 <= n_max <= N_MAX_CAP:
+        raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n_max}")
+    if cfg.checkpoints is not None and n_max is not None:
+        try:
+            checked_checkpoints(n_max, cfg.checkpoints)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return replace(cfg, n_max=n_max, params=params)
 
 
@@ -277,13 +249,10 @@ def _run_sieve(cfg, table, workers):
 def _run_decay(cfg, table, workers):
     coeffs = tuple(float(c) for c in cfg.params["coeffs"])
     phase = PolynomialPhase(coeffs)
-    from .moebius import phase_values
-
     flow = Flow(
-        evaluator=lambda n: complex(phase_values(coeffs, n)),
+        values_at=lambda ns: phase_values(coeffs, ns),
         declared_bound=1.0,
         label=f"poly_phase(degree={phase.degree})",
-        values_at=lambda ns: phase_values(coeffs, ns),
     )
     cps = _checkpoints(cfg, cfg.n_max)
     series = average_series(flow, table, cps, workers=workers)
@@ -546,18 +515,44 @@ def _run_bsz_check(cfg, table, workers):
     return header, rows, result
 
 
-RUNNERS = {
-    "sieve": _run_sieve,
-    "decay": _run_decay,
-    "matrix-flow": _run_matrix_flow,
-    "trace-product": _run_trace_product,
-    "quantize": _run_quantize,
-    "car-demo": _run_car_demo,
-    "counterexample": _run_counterexample,
-    "pure-point": _run_pure_point,
-    "free-clt": _run_free_clt,
-    "bsz-check": _run_bsz_check,
+@dataclass(frozen=True)
+class Experiment:
+    """One registry record.  params maps each parameter to its default (the
+    type is inferred from it); n_max is the default horizon, None for
+    experiments without a sieve (counterexample follows its window L)."""
+
+    params: dict
+    runner: Callable
+    n_max: Optional[int] = None
+    randomized: bool = False
+
+
+EXPERIMENTS = {
+    "sieve": Experiment({}, _run_sieve, n_max=10**6),
+    "decay": Experiment({"coeffs": [0.0, GOLDEN]}, _run_decay, n_max=10**5),
+    "matrix-flow": Experiment(
+        {"dim": 8}, _run_matrix_flow, n_max=10**5, randomized=True
+    ),
+    "trace-product": Experiment(
+        {"k": 4, "d": 2, "count": 5, "coeff_max": 7},
+        _run_trace_product,
+        n_max=10**3,
+        randomized=True,
+    ),
+    "quantize": Experiment(
+        {"dim": 8, "epsilon": 0.1}, _run_quantize, n_max=10**4, randomized=True
+    ),
+    "car-demo": Experiment(
+        {"d": 4, "samples": 50, "degree": 4}, _run_car_demo, randomized=True
+    ),
+    "counterexample": Experiment({"L": 10_000}, _run_counterexample),
+    "pure-point": Experiment({"d": 6}, _run_pure_point, n_max=10**5, randomized=True),
+    "free-clt": Experiment({"q": 10, "p_max": 8}, _run_free_clt),
+    "bsz-check": Experiment(
+        {"epsilon": 0.25, "M": 10_000, "flow": "golden"}, _run_bsz_check, n_max=10**6
+    ),
 }
+EXPERIMENTS["mertens"] = EXPERIMENTS["sieve"]
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +597,11 @@ def _jsonify(x):
 def run(cfg: ExperimentConfig, *, workers: int = 1) -> int:
     """Run one experiment; writes <out>/<experiment>.csv and .json."""
     cfg = resolve_config(cfg)
-    canon = _canonical(cfg.experiment)
     started = time.perf_counter()
     table = None
     if cfg.n_max is not None:
         table = load_or_build_table(cfg.n_max)
-    header, rows, result = RUNNERS[canon](cfg, table, workers)
+    header, rows, result = EXPERIMENTS[cfg.experiment].runner(cfg, table, workers)
     wall = time.perf_counter() - started
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
@@ -627,7 +621,7 @@ def run(cfg: ExperimentConfig, *, workers: int = 1) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    names = sorted(set(PARAM_SPECS) | set(ALIASES))
+    names = sorted(EXPERIMENTS)
     parser = argparse.ArgumentParser(
         prog="ncflow",
         description="Run a Moebius-average experiment and write CSV/JSON artifacts.",

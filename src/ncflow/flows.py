@@ -1,7 +1,10 @@
 """Flows n -> complex, their Moebius-weighted average series, decay fits, and
 the bilinear (Bourgain-Sarnak-Ziegler) criterion check.
 
-A Flow is a pure evaluator with a declared sup bound.  average_series walks
+A Flow is a pure vectorized map from index arrays to values with a declared
+sup bound, evaluated only through one checked call.  spectral_flow builds a
+finite-dimensional flow as a quadratic form in the eigenphase characters
+e(theta_j n).  average_series walks
 n = 1..max(checkpoints) once, in fixed blocks split at every checkpoint, and
 accumulates with the blocked pairwise scheme from ncflow.moebius, so the
 result is independent of how blocks are assigned to workers.
@@ -24,60 +27,67 @@ class FlowEvaluationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class Flow:
-    """Sequence n -> complex with |value| <= declared_bound.
+    """Sequence n -> complex with |value| <= declared_bound for 1 <= n <= valid_n.
 
-    evaluator must be pure.  block_values, when given, returns the values for
-    n in (lo, hi] as a complex array and must agree with evaluator; it exists
-    so vectorized or incrementally-computed flows stay fast under the block
-    walk.  valid_n caps the domain for truncated flows.
+    values_at maps an int64 index array to the complex values there; it must
+    be pure and vectorized.  Every consumer evaluates through the checked call
+    at() (or values() on a range), which enforces the domain, the shape,
+    finiteness and the declared bound.  evaluator(n) is the scalar view of the
+    same call.  The keyword evaluator is accepted for older call sites and
+    ignored: no value is ever computed through it.
     """
 
-    evaluator: Callable[[int], complex]
-    declared_bound: float
-    label: str
-    block_values: Optional[Callable[[int, int], np.ndarray]] = None
-    values_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    valid_n: Optional[int] = None
+    def __init__(
+        self,
+        values_at: Callable[[np.ndarray], np.ndarray],
+        declared_bound: float,
+        label: str,
+        valid_n: Optional[int] = None,
+        evaluator=None,
+    ):
+        self.values_at = values_at
+        self.declared_bound = declared_bound
+        self.label = label
+        self.valid_n = valid_n
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """Values for n in (lo, hi]."""
-        if self.valid_n is not None and hi > self.valid_n:
+    def at(self, ns) -> np.ndarray:
+        """Checked values at a 1-D int64 index array."""
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.size and ns.min() < 1:
+            raise ValueError(
+                f"flow {self.label!r} is defined for n >= 1, requested n = {ns.min()}"
+            )
+        if ns.size and self.valid_n is not None and ns.max() > self.valid_n:
             raise ValueError(
                 f"flow {self.label!r} is only defined for n <= {self.valid_n}, "
-                f"requested n = {hi}"
+                f"requested n = {ns.max()}"
             )
-        if self.block_values is not None:
-            vals = np.asarray(self.block_values(lo, hi), dtype=np.complex128)
-        elif self.values_at is not None:
-            vals = np.asarray(
-                self.values_at(np.arange(lo + 1, hi + 1, dtype=np.int64)),
-                dtype=np.complex128,
-            )
-        else:
-            vals = np.array(
-                [complex(self.evaluator(n)) for n in range(lo + 1, hi + 1)],
-                dtype=np.complex128,
-            )
-        if vals.shape != (hi - lo,):
+        vals = np.asarray(self.values_at(ns), dtype=np.complex128)
+        if vals.shape != ns.shape:
             raise FlowEvaluationError(
-                f"flow {self.label!r} returned {vals.shape} values for ({lo}, {hi}]"
+                f"flow {self.label!r} returned {vals.shape} values for {ns.size} indices"
             )
         finite = np.isfinite(vals.view(np.float64)).reshape(-1, 2).all(axis=1)
         if not finite.all():
-            n_bad = lo + 1 + int(np.argmin(finite))
             raise FlowEvaluationError(
-                f"flow {self.label!r} produced a non-finite value at n = {n_bad}"
+                f"flow {self.label!r} produced a non-finite value at "
+                f"n = {ns[np.argmin(finite)]}"
             )
         over = np.abs(vals) > self.declared_bound + 1e-9
         if over.any():
-            n_bad = lo + 1 + int(np.argmax(over))
             raise FlowEvaluationError(
                 f"flow {self.label!r} exceeded its declared bound "
-                f"{self.declared_bound:g} at n = {n_bad}"
+                f"{self.declared_bound:g} at n = {ns[np.argmax(over)]}"
             )
         return vals
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """Values for n in (lo, hi]."""
+        return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
+
+    def evaluator(self, n: int) -> complex:
+        return complex(self.at(np.asarray([n]))[0])
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ def average_series(
     The block layout depends only on (max checkpoint, checkpoint set), so a
     given call signature yields bit-identical results for any worker count.
     """
-    cps = moebius._checked_checkpoints(table, checkpoints)
+    cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]
     if flow.valid_n is not None and n_max > flow.valid_n:
         raise ValueError(
@@ -147,15 +157,9 @@ def average_series(
     else:
         sums = [block_sum(b) for b in blocks]
 
-    abs_mu = np.concatenate(
-        [[0], np.cumsum(np.abs(table.mu[1 : n_max + 1].astype(np.int64)))]
-    )
-    values = []
-    counts = []
-    for N in cps:
-        k = next(i for i, (_, hi) in enumerate(blocks) if hi == N)
-        values.append(fold_pairwise(sums[: k + 1]) / N)
-        counts.append(int(abs_mu[N]))
+    last_block = {hi: k for k, (_, hi) in enumerate(blocks)}
+    values = [fold_pairwise(sums[: last_block[N] + 1]) / N for N in cps]
+    counts = [moebius.squarefree_count(table, N) for N in cps]
     return AverageSeries(
         label=flow.label,
         declared_bound=flow.declared_bound,
@@ -188,64 +192,42 @@ def rotation_flow(theta: float, label: Optional[str] = None) -> Flow:
     """f(n) = e(theta n)."""
     coeffs = (0.0, float(theta))
     return Flow(
-        evaluator=lambda n: complex(phase_values(coeffs, np.asarray([n]))[0]),
+        values_at=lambda ns: phase_values(coeffs, ns),
         declared_bound=1.0,
         label=label or f"rotation(theta={theta!r})",
-        values_at=lambda ns: phase_values(coeffs, ns),
     )
 
 
 def constant_flow(value: complex = 1.0, label: str = "constant") -> Flow:
     value = complex(value)
-
     return Flow(
-        evaluator=lambda n: value,
+        values_at=lambda ns: np.full(ns.shape, value, dtype=np.complex128),
         declared_bound=abs(value),
         label=label,
-        values_at=lambda ns: np.full(np.asarray(ns).shape, value, dtype=np.complex128),
     )
 
 
-@dataclass(frozen=True)
-class PeriodicFlow(Flow):
-    period: int = 0
-    cycle: Optional[np.ndarray] = None
+def spectral_flow(angles, coeffs, *, declared_bound: float, label: str) -> Flow:
+    """Flow n -> z(n)^T C conj(z(n)) with z_j(n) = e(angles[j] n) and C = coeffs.
 
-
-def periodic_flow(u, rho, a, *, max_period: int = 64, label: Optional[str] = None) -> "PeriodicFlow":
-    """Flow n -> trace(rho U^n A U*^n) for a finite-order unitary U.
-
-    Finds the least q <= max_period with ||U^q - I|| <= 1e-10 and tabulates
-    one period; the evaluator is an exact lookup, q-periodic in n.
+    A finite-dimensional flow takes this form in the eigenbasis of its
+    unitary (angles in turns, C a k x k matrix).  Each phase is reduced mod 1
+    in double-double by phase_values, so the value at n carries no error
+    accumulated over earlier n and costs O(k^2) per point.
     """
-    from . import linalg
+    angles = np.asarray(angles, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if angles.ndim != 1 or coeffs.shape != (angles.size, angles.size):
+        raise ValueError(
+            f"need k angles and a k x k coefficient matrix, got {angles.shape} "
+            f"and {coeffs.shape}"
+        )
 
-    u = linalg.check_unitary(u)
-    rho = linalg.check_density(rho)
-    a = linalg.check_matrix(a)
-    dim = u.shape[0]
-    q = None
-    w = np.eye(dim, dtype=np.complex128)
-    for j in range(1, max_period + 1):
-        w = w @ u
-        if np.max(np.abs(w - np.eye(dim))) <= 1e-10:
-            q = j
-            break
-    if q is None:
-        raise ValueError(f"no period q <= {max_period} with U^q = I")
-    cycle = np.empty(q, dtype=np.complex128)
-    w = np.eye(dim, dtype=np.complex128)
-    for j in range(q):
-        cycle[j] = np.trace(rho @ w @ a @ w.conj().T)
-        w = w @ u
-    return PeriodicFlow(
-        evaluator=lambda n: complex(cycle[n % q]),
-        declared_bound=float(np.max(np.abs(cycle))),
-        label=label or f"periodic(q={q})",
-        values_at=lambda ns: cycle[np.asarray(ns) % q],
-        period=q,
-        cycle=cycle,
-    )
+    def values_at(ns):
+        z = np.stack([phase_values((0.0, th), ns) for th in angles], axis=1)
+        return ((z @ coeffs) * np.conj(z)).sum(axis=1)
+
+    return Flow(values_at=values_at, declared_bound=declared_bound, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +329,10 @@ def bsz_check(
         raise ValueError("bsz_check requires |f| <= 1 (declared_bound <= 1)")
     cap = min(math.exp(1.0 / epsilon), float(hard_prime_cap), table.n_max / M)
     cap = int(math.floor(cap))
-    primes = [int(p) for p in table.primes if p <= cap]
-    per_prime = {}
-    for p in primes:
-        ns = np.arange(1, M + 1, dtype=np.int64) * p
-        per_prime[p] = _flow_at(flow, ns)
+    primes = [int(p) for p in moebius.primes_upto(cap)]
+    per_prime = {
+        p: flow.at(np.arange(1, M + 1, dtype=np.int64) * p) for p in primes
+    }
     worst = 0.0
     pairs = 0
     for i, p1 in enumerate(primes):
@@ -360,7 +341,7 @@ def bsz_check(
             worst = max(worst, abs(corr))
             pairs += 1
     ratio = worst / (epsilon * M) if pairs else 0.0
-    mob = abs(moebius.weighted_average(table, _flow_seq(flow), N)) * N
+    mob = abs(average_series(flow, table, [N]).values[0]) * N
     bound = 2.0 * math.sqrt(epsilon * math.log(1.0 / epsilon)) * N
     return BSZReport(
         epsilon=epsilon,
@@ -374,26 +355,3 @@ def bsz_check(
         analytic_bound=bound,
     )
 
-
-def _flow_at(flow: Flow, ns: np.ndarray) -> np.ndarray:
-    """Flow values at an arbitrary ascending index array."""
-    if flow.valid_n is not None and ns.size and ns[-1] > flow.valid_n:
-        raise ValueError(
-            f"flow {flow.label!r} is only defined for n <= {flow.valid_n}"
-        )
-    if flow.values_at is not None:
-        return np.asarray(flow.values_at(ns), dtype=np.complex128)
-    if flow.block_values is not None and ns.size and ns[0] + ns.size - 1 == ns[-1]:
-        # contiguous range
-        return flow.values(int(ns[0]) - 1, int(ns[-1]))
-    return np.array([complex(flow.evaluator(int(n))) for n in ns], dtype=np.complex128)
-
-
-def _flow_seq(flow: Flow):
-    def f(ns):
-        ns = np.asarray(ns)
-        if ns.ndim == 0:
-            return complex(flow.evaluator(int(ns)))
-        return _flow_at(flow, ns)
-
-    return f

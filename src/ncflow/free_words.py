@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .flows import Flow
+from .flows import Flow, constant_flow
 from .moebius import MoebiusTable
 
 NC_ORDER_CAP = 14
@@ -145,17 +145,14 @@ def _conj(c):
 
 
 def free_shift_flow(w: ReducedWord, state_word: ReducedWord, *, label=None) -> Flow:
-    """Flow n -> tau(v^-1 alpha^n(w) v) for the index shift alpha and v = state_word."""
-    v_inv = state_word.inverse()
+    """Flow n -> tau(v^-1 alpha^n(w) v) for the index shift alpha and v = state_word.
 
-    def ev(n: int) -> complex:
-        g = v_inv * w.shift(int(n)) * state_word
-        return 1.0 + 0j if g.is_identity else 0j
-
-    return Flow(
-        evaluator=ev,
-        declared_bound=1.0,
-        label=label or "free_shift_flow",
+    The shift is an injective homomorphism, so v^-1 alpha^n(w) v is the
+    identity exactly when w is: the flow is the constant [w = e] for every n
+    and every v.
+    """
+    return constant_flow(
+        1.0 if w.is_identity else 0.0, label=label or "free_shift_flow"
     )
 
 

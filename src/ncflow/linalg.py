@@ -166,6 +166,17 @@ def _cluster_angles(angles: np.ndarray, tol: float):
     return order, sorted_angles, groups
 
 
+def schur_unitary(u):
+    """Eigenphases in turns and the orthonormal Schur vectors of a unitary.
+
+    One angle per column, unmerged and unsorted: U = sum_j e(angles[j]) q_j q_j*
+    up to rounding, however close two eigenphases are.
+    """
+    u = check_unitary(u)
+    t, q = scipy.linalg.schur(u, output="complex")
+    return (np.angle(np.diagonal(t)) / (2.0 * np.pi)) % 1.0, q
+
+
 def eig_unitary(u, *, merge_tol_turns: float = MERGE_TOL_TURNS) -> SpectralDecomp:
     """Spectral decomposition of a unitary via complex Schur.
 
@@ -173,9 +184,7 @@ def eig_unitary(u, *, merge_tol_turns: float = MERGE_TOL_TURNS) -> SpectralDecom
     merge_tol_turns (circularly) share one projection.
     """
     u = check_unitary(u)
-    t, q = scipy.linalg.schur(u, output="complex")
-    eigs = np.diagonal(t)
-    angles = (np.angle(eigs) / (2.0 * np.pi)) % 1.0
+    angles, q = schur_unitary(u)
     order, sorted_angles, groups = _cluster_angles(angles, merge_tol_turns)
     rep_angles = []
     projections = []

@@ -2,20 +2,24 @@
 product sums with an eigenphase-expansion cross-check, rank-one compressions,
 eigenphase quantization, and the finite-dimensional average bound chain.
 
-Powers of a unitary are walked incrementally (one multiply per step) with a
-polar re-unitarization every POLAR_INTERVAL steps; every block of the average
-walk is re-anchored with an exact binary power, so values do not depend on
-block assignment.
+rank_one_flow and the finite_vn state flow are spectral_flows: with
+U = sum_j e(theta_j) q_j q_j* from the Schur vectors, each is the quadratic
+form z(n)^T C conj(z(n)) in z_j(n) = e(theta_j n), with C built once, and
+values at any n are computed directly.  ad_flow still walks powers
+incrementally (one multiply per step) with a polar re-unitarization every
+POLAR_INTERVAL steps, each run of consecutive n re-anchored with an exact
+binary power, because the seed-0 matrix-flow reference in perfbench pins
+its decay-fit constant to the walk's rounding.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg, moebius
-from .flows import Flow, average_series
+from .flows import Flow, average_series, spectral_flow
 from .linalg import (
     SpectralDecomp,
     check_density,
@@ -25,12 +29,13 @@ from .linalg import (
     check_unit_vector,
     eig_unitary,
     hs_norm,
-    inner,
     normalized_trace,
     op_norm,
+    schur_unitary,
     unitary_power,
 )
-from .moebius import MoebiusTable, PolynomialPhase, fold_pairwise, phase_values, poly_phase_frac
+from .moebius import MoebiusTable, fold_pairwise, phase_values
+
 
 POLAR_INTERVAL = 10**4
 
@@ -47,25 +52,37 @@ def _power_walk(u: np.ndarray, lo: int, hi: int):
             w = linalg.polar_unitary_factor(w)
 
 
+def _sandwich_coefficients(projections, a, rho) -> np.ndarray:
+    """C_jk = tr(rho P_j A P_k), so tr(rho U^n A U*^n) = z(n)^T C conj(z(n))."""
+    p = np.stack(projections)
+    return np.einsum("jab,kba->jk", rho @ p, a @ p)
+
+
+def _schur_projections(q: np.ndarray) -> np.ndarray:
+    """Rank-one projections q_j q_j* onto the Schur columns, stacked."""
+    return np.einsum("aj,bj->jab", q, q.conj())
+
+
 def ad_flow(u, a, rho, *, label: Optional[str] = None) -> Flow:
     """Flow n -> trace(rho U^n A U*^n)."""
     u = check_unitary(u)
     a = check_matrix(a)
     rho = check_density(rho)
 
-    def block(lo, hi):
-        out = np.empty(hi - lo, dtype=np.complex128)
-        for i, w in enumerate(_power_walk(u, lo, hi)):
-            out[i] = np.trace(rho @ w @ a @ w.conj().T)
+    def values_at(ns):
+        # walk each run of consecutive n from an exact binary power at its start
+        out = np.empty(ns.shape, dtype=np.complex128)
+        starts = np.flatnonzero(np.diff(ns, prepend=ns[:1] - 2) != 1)
+        for s, e in zip(starts, [*starts[1:], ns.size]):
+            walk = _power_walk(u, int(ns[s]) - 1, int(ns[e - 1]))
+            for i, w in enumerate(walk, start=s):
+                out[i] = np.trace(rho @ w @ a @ w.conj().T)
         return out
 
     return Flow(
-        evaluator=lambda n: complex(
-            np.trace(rho @ unitary_power(u, n) @ a @ unitary_power(u, n).conj().T)
-        ),
+        values_at=values_at,
         declared_bound=op_norm(a) * (1.0 + 1e-9),
         label=label or f"ad_flow(dim={u.shape[0]})",
-        block_values=block,
     )
 
 
@@ -74,25 +91,14 @@ def rank_one_flow(u, xi, eta, *, label: Optional[str] = None) -> Flow:
     u = check_unitary(u)
     xi = check_unit_vector(xi)
     eta = check_unit_vector(eta)
-
-    def block(lo, hi):
-        out = np.empty(hi - lo, dtype=np.complex128)
-        w = unitary_power(u, lo + 1) @ eta
-        for i, n in enumerate(range(lo + 1, hi + 1)):
-            z = inner(w, xi)
-            out[i] = z * np.conj(z)
-            w = u @ w
-        return out
-
-    def ev(n):
-        z = inner(unitary_power(u, n) @ eta, xi)
-        return complex(z * np.conj(z))
-
-    return Flow(
-        evaluator=ev,
+    angles, q = schur_unitary(u)
+    # <U^n eta, xi> = sum_j e(theta_j n) <q_j q_j* eta, xi>
+    b = (xi.conj() @ q) * (q.conj().T @ eta)
+    return spectral_flow(
+        angles,
+        np.outer(b, np.conj(b)),
         declared_bound=1.0,
         label=label or f"rank_one_flow(dim={u.shape[0]})",
-        block_values=block,
     )
 
 
@@ -221,14 +227,7 @@ def _eigen_expansion_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) ->
     if ns.size == 0:
         return 0j
     k, d = spec.k, spec.d
-    import scipy.linalg
-
-    thetas = []
-    ws = []
-    for u in spec.unitaries:
-        t, q = scipy.linalg.schur(u, output="complex")
-        thetas.append((np.angle(np.diagonal(t)) / (2 * np.pi)) % 1.0)
-        ws.append(q)
+    thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
     a_tilde = [
         ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
     ]
@@ -309,6 +308,35 @@ def quantize_unitary(
 # finite-dimensional average bound chain
 
 
+def _state_flow(u, t, a):
+    """finite_vn_state_flow together with AA* and tr_k(AA*)."""
+    u = check_unitary(u)
+    t = check_square(t)
+    a = check_square(a)
+    aa = a @ a.conj().T
+    denom = normalized_trace(aa).real
+    if denom <= 0:
+        raise ValueError("A A* has zero trace; state is undefined")
+    angles, q = schur_unitary(u)
+    # tr(X U*^n T U^n) pairs conj(z_j) with P_j on the left: the transpose of
+    # the sandwich coefficients for (A, rho) = (T, X)
+    coeffs = _sandwich_coefficients(
+        _schur_projections(q), t, aa / (u.shape[0] * denom)
+    )
+    flow = spectral_flow(
+        angles,
+        coeffs.T,
+        declared_bound=op_norm(t) * op_norm(aa) / denom + 1e-9,
+        label="finite_vn_state_flow",
+    )
+    return flow, aa, denom
+
+
+def finite_vn_state_flow(u, t, a) -> Flow:
+    """Flow n -> rho(U*^n T U^n) for the state rho = tr_k(. AA*) / tr_k(AA*)."""
+    return _state_flow(u, t, a)[0]
+
+
 @dataclass(frozen=True)
 class FiniteAverageBound:
     """s_N with its two-term majorant: a quantization term plus an
@@ -349,45 +377,19 @@ def finite_vn_average_bound(
         raise ValueError(
             f"N = {N} exceeds the quantization horizon {quantized.horizon}"
         )
-    aa = a @ a.conj().T
-    denom = normalized_trace(aa).real
-    if denom <= 0:
-        raise ValueError("A A* has zero trace; state is undefined")
-
-    def block(lo, hi):
-        out = np.empty(hi - lo, dtype=np.complex128)
-        for i, w in enumerate(_power_walk(u, lo, hi)):
-            out[i] = np.trace(w.conj().T @ t @ w @ aa)
-        return out / (u.shape[0] * denom)
-
-    flow = Flow(
-        evaluator=lambda n: complex(
-            np.trace(
-                unitary_power(u, n).conj().T @ t @ unitary_power(u, n) @ aa
-            )
-        )
-        / (u.shape[0] * denom),
-        declared_bound=op_norm(t) * op_norm(aa) / denom + 1e-9,
-        label="finite_vn_state_flow",
-        block_values=block,
-    )
+    flow, aa, denom = _state_flow(u, t, a)
     s_n = complex(average_series(flow, table, [N]).values[0])
 
     angles = quantized.decomp.angles
-    projections = quantized.decomp.projections
     r = len(angles)
     s_mat = np.empty((r, r), dtype=np.complex128)
     for i in range(r):
         for j in range(r):
             theta = (angles[j] - angles[i]) % 1.0
             s_mat[i, j] = moebius.exp_sum(table, moebius.linear_phase(theta), N)
-    s_v = 0j
-    for i in range(r):
-        for j in range(r):
-            s_v += s_mat[i, j] * normalized_trace(
-                projections[i] @ t @ projections[j] @ aa
-            )
-    s_v /= denom
+    # tr_k(P_i T P_j AA*) = tr(AA* P_i T P_j) / k
+    coeffs = _sandwich_coefficients(quantized.decomp.projections, t, aa)
+    s_v = (s_mat * coeffs).sum() / (u.shape[0] * denom)
 
     eps_term = 2.0 * quantized.epsilon * op_norm(t)
     max_exp = float(np.max(np.abs(s_mat)))

@@ -21,12 +21,13 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_N_MAX = 10**6
-_N_MAX_CAP = 10**8
+N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
 _CHUNK = _SUM_BLOCK * 64  # streaming chunk; multiple of _SUM_BLOCK
@@ -37,14 +38,17 @@ CACHE_ENV_VAR = "NCFLOW_CACHE_DIR"
 
 @dataclass(frozen=True)
 class MoebiusTable:
-    """mu(n) for 1 <= n <= n_max plus the primes up to n_max.
+    """mu(n) for 1 <= n <= n_max; the primes up to n_max are sieved on first access.
 
     mu is an int8 array of length n_max + 1 with mu[0] = 0 unused.
     """
 
     n_max: int
     mu: np.ndarray
-    primes: np.ndarray
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        return primes_upto(self.n_max)
 
 
 @dataclass(frozen=True)
@@ -79,34 +83,59 @@ def linear_phase(theta: float, modulus: int = 1, residue: int = 0) -> Polynomial
     return PolynomialPhase((0.0, float(theta)), modulus, residue)
 
 
-def build_table(n_max: int = DEFAULT_N_MAX, *, hard_cap: int = _N_MAX_CAP) -> MoebiusTable:
-    """Sieve mu(1..n_max) and the primes up to n_max.
+def build_table(n_max: int = DEFAULT_N_MAX, *, hard_cap: int = N_MAX_CAP) -> MoebiusTable:
+    """Sieve mu(1..n_max).
 
-    Vectorized multiplicative sieve: an Eratosthenes pass finds the primes,
-    then mu picks up a sign per prime divisor and is zeroed on multiples of
-    squares.  O(n_max) memory.
+    Vectorized multiplicative sieve: mu picks up a sign per prime divisor and
+    is zeroed on multiples of squares.  O(n_max) memory.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > hard_cap:
         raise ValueError(f"n_max = {n_max} exceeds hard cap {hard_cap}")
-    flags = np.ones(n_max + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n_max) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.nonzero(flags)[0].astype(np.int64)
+    primes = primes_upto(n_max)
     mu = np.ones(n_max + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes:
         mu[p::p] *= -1
     for p in primes[primes <= math.isqrt(n_max)]:
         mu[p * p :: p * p] = 0
-    return MoebiusTable(n_max=n_max, mu=mu, primes=primes)
+    return MoebiusTable(n_max=n_max, mu=mu)
+
+
+def primes_upto(n: int) -> np.ndarray:
+    """Primes p <= n by the sieve of Eratosthenes, as int64."""
+    flags = np.ones(max(n, 1) + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.nonzero(flags)[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # deterministic blocked pairwise summation
+
+
+def _block_sums(values: np.ndarray) -> list:
+    """np.add.reduce over each consecutive _SUM_BLOCK-element block."""
+    return [
+        np.add.reduce(values[i : i + _SUM_BLOCK])
+        for i in range(0, values.size, _SUM_BLOCK)
+    ]
+
+
+def _streamed_sum(idx: range, terms: Callable[[np.ndarray], np.ndarray]):
+    """Blocked pairwise sum of terms(n) over n in idx, _CHUNK indices at a time.
+
+    The blocks are consecutive _SUM_BLOCK-element runs of idx, exactly as if
+    tree_sum saw the whole array.  0j when idx is empty.
+    """
+    parts = []
+    for lo in range(0, len(idx), _CHUNK):
+        r = idx[lo : lo + _CHUNK]
+        parts += _block_sums(terms(np.arange(r.start, r.stop, r.step, dtype=np.int64)))
+    return fold_pairwise(parts) if parts else 0j
 
 
 def tree_sum(values: np.ndarray):
@@ -114,11 +143,7 @@ def tree_sum(values: np.ndarray):
     values = np.asarray(values)
     if values.size == 0:
         return values.dtype.type(0)
-    parts = [
-        np.add.reduce(values[i : i + _SUM_BLOCK])
-        for i in range(0, values.size, _SUM_BLOCK)
-    ]
-    return fold_pairwise(parts)
+    return fold_pairwise(_block_sums(values))
 
 
 def fold_pairwise(parts: Sequence):
@@ -206,65 +231,35 @@ def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
     """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) e(phi(n))."""
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-    idx = _restricted_range(N, phase.modulus, phase.residue)
-    parts = []
-    for lo in range(0, len(idx), _CHUNK):
-        ns = np.asarray(idx[lo : lo + _CHUNK], dtype=np.int64)
-        if ns.size == 0:
-            break
-        z = phase_values(phase.coeffs, ns)
-        w = table.mu[ns].astype(np.float64)
-        vals = w * z
-        parts.extend(
-            np.add.reduce(vals[i : i + _SUM_BLOCK])
-            for i in range(0, vals.size, _SUM_BLOCK)
-        )
-    if not parts:
-        return 0j
-    return complex(fold_pairwise(parts)) / N
+    total = _streamed_sum(
+        _restricted_range(N, phase.modulus, phase.residue),
+        lambda ns: table.mu[ns].astype(np.float64) * phase_values(phase.coeffs, ns),
+    )
+    return complex(total) / N
 
 
 def weighted_average(table: MoebiusTable, f: Callable, N: int) -> complex:
-    """(1/N) * sum_{n<=N} mu(n) f(n) for a sequence evaluator f.
-
-    f may be vectorized over an int64 numpy array or a plain scalar callable.
-    """
+    """(1/N) * sum_{n<=N} mu(n) f(n) for f vectorized over an int64 array."""
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-    parts = []
-    for lo in range(1, N + 1, _CHUNK):
-        ns = np.arange(lo, min(lo + _CHUNK, N + 1), dtype=np.int64)
-        vals = _eval_sequence(f, ns)
-        vals = vals * table.mu[ns]
-        parts.extend(
-            np.add.reduce(vals[i : i + _SUM_BLOCK])
-            for i in range(0, vals.size, _SUM_BLOCK)
-        )
-    return complex(fold_pairwise(parts)) / N
-
-
-def _eval_sequence(f: Callable, ns: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(ns), dtype=np.complex128)
-        if vals.shape == ns.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(int(n))) for n in ns], dtype=np.complex128)
+    total = _streamed_sum(
+        range(1, N + 1),
+        lambda ns: np.asarray(f(ns), dtype=np.complex128) * table.mu[ns],
+    )
+    return complex(total) / N
 
 
 def mertens(table: MoebiusTable, N: int) -> int:
     """M(N) = sum_{n<=N} mu(n), exact."""
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-    return int(np.add.reduce(table.mu[1 : N + 1].astype(np.int64)))
+    return int(np.add.reduce(table.mu[1 : N + 1], dtype=np.int64))
 
 
 def mertens_series(table: MoebiusTable, checkpoints: Iterable[int]):
     """[(N, M(N)/N)] at the given checkpoints; integer arithmetic before the division."""
-    cps = _checked_checkpoints(table, checkpoints)
-    cum = np.cumsum(table.mu.astype(np.int64))
-    return [(int(N), int(cum[N]) / N) for N in cps]
+    cps = checked_checkpoints(table.n_max, checkpoints)
+    return [(N, mertens(table, N) / N) for N in cps]
 
 
 def squarefree_density(table: MoebiusTable, N: int) -> float:
@@ -280,14 +275,15 @@ def squarefree_count(table: MoebiusTable, N: int) -> int:
     return int(np.count_nonzero(table.mu[1 : N + 1]))
 
 
-def _checked_checkpoints(table: MoebiusTable, checkpoints: Iterable[int]):
+def checked_checkpoints(n_max: int, checkpoints: Iterable[int]) -> list:
+    """Checkpoints as ints; nonempty, strictly ascending and inside [1, n_max]."""
     cps = [int(N) for N in checkpoints]
     if not cps:
         raise ValueError("need at least one checkpoint")
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    if cps[0] < 1 or cps[-1] > table.n_max:
-        raise ValueError(f"checkpoints must lie in [1, {table.n_max}]")
+    if cps[0] < 1 or cps[-1] > n_max:
+        raise ValueError(f"checkpoints must lie in [1, {n_max}]")
     return cps
 
 
@@ -328,14 +324,7 @@ def load_table(path) -> MoebiusTable:
     codes[3::4] = packed >> 6 & 3
     mu = np.zeros(n_max + 1, dtype=np.int8)
     mu[1:] = codes[:n_max].astype(np.int8) - 1
-    # primes are not recoverable from mu alone; re-sieve them (cheap part)
-    flags = np.ones(n_max + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n_max) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.nonzero(flags)[0].astype(np.int64)
-    table = MoebiusTable(n_max=int(n_max), mu=mu, primes=primes)
+    table = MoebiusTable(n_max=int(n_max), mu=mu)
     _spot_check(table, path)
     return table
 

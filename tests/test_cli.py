@@ -181,6 +181,48 @@ def test_unattainable_tolerance_is_a_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--n-max", "200000000"], "n_max must lie in"),
+        (["--n-max", "0"], "n_max must lie in"),
+    ],
+)
+def test_bad_n_max_is_a_usage_error(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    assert main(["sieve", "--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "checkpoints, message",
+    [
+        ([0, 100], "must lie in"),
+        ([100, 2000], "must lie in"),
+        ([500, 100], "strictly ascending"),
+        ([100, 100], "strictly ascending"),
+    ],
+)
+def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, checkpoints, message):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cps.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "experiment": "decay",
+                "n_max": 1000,
+                "checkpoints": checkpoints,
+                "out_dir": str(out),
+            }
+        )
+    )
+    assert main(["--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("NCFLOW_CACHE_DIR", str(cache))

@@ -13,12 +13,11 @@ from ncflow.flows import (
     constant_flow,
     decay_fit,
     geometric_checkpoints,
-    periodic_flow,
     rotation_flow,
 )
-from ncflow.linalg import haar_unitary, random_density
+from ncflow.linalg import random_density
 from ncflow.matrix_dynamics import ad_flow
-from ncflow.moebius import PolynomialPhase, exp_sum, squarefree_count
+from ncflow.moebius import PolynomialPhase, exp_sum, mertens, squarefree_count
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -75,23 +74,28 @@ def test_constant_flow_series_is_mertens(table_10k):
 
 
 def test_flow_declared_bound_enforced(table_10k):
-    bad = Flow(evaluator=lambda n: 2.0 + 0j, declared_bound=1.0, label="bad")
+    bad = Flow(
+        values_at=lambda ns: np.full(ns.shape, 2.0 + 0j), declared_bound=1.0, label="bad"
+    )
     with pytest.raises(FlowEvaluationError, match="bound"):
         average_series(bad, table_10k, [100])
 
 
 def test_flow_rejects_nonfinite_values(table_10k):
-    def ev(n):
-        return complex("nan") if n == 37 else 0.5
+    def vals(ns):
+        return np.where(ns == 37, complex("nan"), 0.5 + 0j)
 
-    bad = Flow(evaluator=ev, declared_bound=1.0, label="nan_at_37")
+    bad = Flow(values_at=vals, declared_bound=1.0, label="nan_at_37")
     with pytest.raises(FlowEvaluationError, match="37"):
         average_series(bad, table_10k, [100])
 
 
 def test_flow_valid_n_window(table_10k):
     flow = Flow(
-        evaluator=lambda n: 1.0 + 0j, declared_bound=1.0, label="w", valid_n=50
+        values_at=lambda ns: np.ones(ns.shape, dtype=complex),
+        declared_bound=1.0,
+        label="w",
+        valid_n=50,
     )
     with pytest.raises(ValueError, match="n <= 50"):
         average_series(flow, table_10k, [100])
@@ -99,31 +103,27 @@ def test_flow_valid_n_window(table_10k):
     assert len(series.values) == 1
 
 
-def test_block_values_path_matches_scalar_path(table_10k):
-    theta = 0.3173
-    scalar = Flow(
-        evaluator=lambda n: complex(np.exp(2j * np.pi * theta * n)),
+def test_flow_never_calls_the_evaluator_keyword(table_10k):
+    def boom(n):
+        raise AssertionError("evaluator was called")
+
+    flow = Flow(
+        evaluator=boom,
         declared_bound=1.0,
-        label="scalar",
+        label="vectorized",
+        values_at=lambda ns: np.full(ns.shape, 0.5 + 0j),
     )
-    blocked = Flow(
-        evaluator=lambda n: complex(np.exp(2j * np.pi * theta * n)),
-        declared_bound=1.0,
-        label="blocked",
-        block_values=lambda lo, hi: np.exp(
-            2j * np.pi * theta * np.arange(lo + 1, hi + 1)
-        ),
-    )
-    s1 = average_series(scalar, table_10k, [5000])
-    s2 = average_series(blocked, table_10k, [5000])
-    assert abs(s1.values[0] - s2.values[0]) < 1e-12
+    assert flow.evaluator(7) == 0.5
+    series = average_series(flow, table_10k, [100])
+    assert series.values[0] == pytest.approx(0.5 * mertens(table_10k, 100) / 100)
+    with pytest.raises(ValueError, match="n >= 1"):
+        flow.evaluator(0)
 
 
 def test_averaging_is_linear(table_10k):
     f1 = rotation_flow(0.21)
     f2 = rotation_flow(0.57)
     mix = Flow(
-        evaluator=lambda n: 0.5 * (f1.evaluator(n) + f2.evaluator(n)),
         declared_bound=1.0,
         label="mix",
         values_at=lambda ns: 0.5 * (f1.values_at(ns) + f2.values_at(ns)),
@@ -140,7 +140,6 @@ def test_nearby_flows_have_nearby_averages(table_10k):
     delta = 1e-3
     f = rotation_flow(0.41)
     g = Flow(
-        evaluator=lambda n: f.evaluator(n) * (1 - delta),
         declared_bound=1.0,
         label="shrunk",
         values_at=lambda ns: f.values_at(ns) * (1 - delta),
@@ -152,41 +151,24 @@ def test_nearby_flows_have_nearby_averages(table_10k):
     assert abs(sf - sg) <= slack + 1e-15
 
 
-def test_periodic_flow_matches_ad_flow(table_1m):
-    u = np.diag(np.exp(2j * np.pi * np.array([0.25, 0.5, 0.75, 0.0])))
-    rng = np.random.default_rng(9)
-    rho = random_density(4, rng)
-    a = hermitian_contraction(rng, 4)
-    pf = periodic_flow(u, rho, a)
-    assert pf.period == 4
-    af = ad_flow(u, a, rho)
-    n = 99991
-    s1 = average_series(pf, table_1m, [n]).values[0]
-    s2 = average_series(af, table_1m, [n]).values[0]
-    assert abs(s1 - s2) < 1e-12
-
-
 def test_periodic_flow_regrouping_identity(table_1m):
+    # U of order q = 2 makes the ad_flow q-periodic:
     # s_N = (1/N) sum_j c_j sum_{n <= N, n % q == j} mu(n)
     u = np.diag(np.exp(2j * np.pi * np.array([0.5, 0.0, 0.5])))
     rng = np.random.default_rng(11)
     rho = random_density(3, rng)
     a = hermitian_contraction(rng, 3)
-    pf = periodic_flow(u, rho, a)
-    q = pf.period
+    flow = ad_flow(u, a, rho)
+    q = 2
+    cycle = [flow.evaluator(q), flow.evaluator(1)]  # c_0, c_1
+    # the incremental walk drifts by about 2.5e-17 per step
+    assert np.max(np.abs(flow.values(0, 1000) - np.tile(cycle[::-1], 500))) < 1e-13
     n = 10**5
-    s = average_series(pf, table_1m, [n]).values[0]
+    s = average_series(flow, table_1m, [n]).values[0]
     mu = table_1m.mu[1 : n + 1].astype(np.float64)
     ns = np.arange(1, n + 1)
-    regroup = sum(pf.cycle[j] * mu[ns % q == j].sum() for j in range(q)) / n
+    regroup = sum(cycle[j] * mu[ns % q == j].sum() for j in range(q)) / n
     assert abs(s - regroup) < 1e-12
-
-
-def test_periodic_flow_requires_finite_order():
-    u = haar_unitary(3, 5)
-    rho = random_density(3, 5)
-    with pytest.raises(ValueError, match="period"):
-        periodic_flow(u, rho, np.eye(3), max_period=32)
 
 
 def test_decay_fit_recovers_synthetic_exponent():

@@ -261,6 +261,26 @@ def test_free_shift_flow_vanishes_identically(table_10k):
     assert all(v == 0 for v in series.values)
 
 
+@pytest.mark.parametrize(
+    "w, v",
+    [
+        (ReducedWord.identity(), ReducedWord.generator(1)),
+        (ReducedWord.generator(0, 2), ReducedWord.generator(1)),
+        (
+            ReducedWord.from_syllables([(-1, 1), (0, -2), (3, 1)]),
+            ReducedWord.from_syllables([(3, -1), (0, 2)]),
+        ),
+    ],
+)
+def test_free_shift_flow_closed_form_matches_word_reduction(w, v):
+    # oracle: reduce v^-1 alpha^n(w) v as a word and read off the trace
+    flow = free_shift_flow(w, v)
+    got = flow.values(0, 50)
+    for n in range(1, 51):
+        g = GroupElementSum.from_word(v.inverse() * w.shift(n) * v)
+        assert got[n - 1] == g.trace()
+
+
 def test_free_shift_flow_identity_word_recovers_mertens(table_10k):
     flow = free_shift_flow(ReducedWord.identity(), ReducedWord.generator(1))
     series = average_series(flow, table_10k, [10, 1000])

@@ -8,6 +8,7 @@ from ncflow.matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
     finite_vn_average_bound,
+    finite_vn_state_flow,
     quantize_unitary,
     rank_one_flow,
     trace_product_sum,
@@ -56,6 +57,52 @@ def test_ad_flow_long_walk_stays_anchored():
         assert abs(fl.evaluator(n) - direct) < 1e-10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_matrix_flows_match_binary_powers(seed):
+    # independent oracle: U^n by binary powering, no eigendecomposition
+    rng = np.random.default_rng(seed)
+    dim = 6
+    u = haar_unitary(dim, rng)
+    a = hermitian_contraction(rng, dim)
+    rho = random_density(dim, rng)
+    xi, eta = unit_vector(rng, dim), unit_vector(rng, dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    aa = g @ g.conj().T
+    ad = ad_flow(u, a, rho).values(0, 1000)
+    r1 = rank_one_flow(u, xi, eta).values(0, 1000)
+    state = finite_vn_state_flow(u, a, g).values(0, 1000)
+    for n in range(1, 1001):
+        w = unitary_power(u, n)
+        want_ad = np.trace(rho @ w @ a @ w.conj().T)
+        want_r1 = abs(np.vdot(xi, w @ eta)) ** 2
+        want_state = np.trace(w.conj().T @ a @ w @ aa) / np.trace(aa).real
+        assert abs(ad[n - 1] - want_ad) < 1e-12
+        assert abs(r1[n - 1] - want_r1) < 1e-12
+        assert abs(state[n - 1] - want_state) < 1e-12
+
+
+@pytest.mark.parametrize("spread", [0.0, 5e-10])
+def test_spectral_flows_near_degenerate_spectrum(spread):
+    # a cluster of eigenphases spread by 5e-10 turns would shift the value at
+    # n = 1e5 by about 3e-4 if the cluster shared one mean angle
+    v = haar_unitary(4, 8)
+    phases = np.array([0.3, 0.3 + spread, 0.3 - spread, 0.7])
+    u = v @ np.diag(np.exp(2j * np.pi * phases)) @ v.conj().T
+    rng = np.random.default_rng(8)
+    a = hermitian_contraction(rng, 4)
+    xi, eta = unit_vector(rng, 4), unit_vector(rng, 4)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    aa = g @ g.conj().T
+    ns = np.array([1, 2, 17, 500, 30001, 99991, 100000])
+    r1 = rank_one_flow(u, xi, eta).at(ns)
+    state = finite_vn_state_flow(u, a, g).at(ns)
+    for i, n in enumerate(ns):
+        w = unitary_power(u, int(n))
+        want_state = np.trace(w.conj().T @ a @ w @ aa) / np.trace(aa).real
+        assert abs(r1[i] - abs(np.vdot(xi, w @ eta)) ** 2) < 1e-10
+        assert abs(state[i] - want_state) < 1e-10
+
+
 def test_ad_flow_block_matches_evaluator():
     u = haar_unitary(5, 3)
     rng = np.random.default_rng(4)
@@ -65,6 +112,18 @@ def test_ad_flow_block_matches_evaluator():
     block = fl.values(100, 140)
     scal = np.array([fl.evaluator(n) for n in range(101, 141)])
     assert np.max(np.abs(block - scal)) < 1e-12
+
+
+def test_ad_flow_walks_each_run_of_consecutive_n():
+    u = haar_unitary(5, 3)
+    rng = np.random.default_rng(4)
+    a = hermitian_contraction(rng, 5)
+    rho = random_density(5, rng)
+    fl = ad_flow(u, a, rho)
+    ns = np.array([7, 8, 9, 40, 3, 4, 1000])
+    want = np.array([fl.evaluator(n) for n in ns])
+    assert np.max(np.abs(fl.at(ns) - want)) < 1e-12
+    assert np.array_equal(fl.at(ns[:3]), fl.values(6, 9))
 
 
 @pytest.mark.parametrize("seed", range(5))

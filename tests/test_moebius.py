@@ -191,15 +191,6 @@ def test_weighted_average_matches_exp_sum(table_10k):
     assert abs(s1 - s2) < 1e-12
 
 
-def test_weighted_average_scalar_fallback(table_10k):
-    # non-vectorized callables go through the per-element path
-    s1 = weighted_average(table_10k, lambda n: complex(n % 3), 5000)
-    s2 = weighted_average(
-        table_10k, lambda ns: (np.asarray(ns) % 3).astype(complex), 5000
-    )
-    assert s1 == s2
-
-
 def test_weighted_average_bounded_by_abs_average(table_10k):
     # |sum mu f| <= sum |mu| for |f| <= 1
     theta = 0.7312
