@@ -319,6 +319,8 @@ def _run_trace_product(cfg, table, workers):
 def _run_quantize(cfg, table, workers):
     dim = int(cfg.params["dim"])
     epsilon = float(cfg.params["epsilon"])
+    if epsilon <= 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     horizon = cfg.n_max
     rng = np.random.default_rng(cfg.seed)
     u = haar_unitary(dim, rng)
@@ -326,7 +328,7 @@ def _run_quantize(cfg, table, workers):
     rows = []
     max_drift = 0.0
     for n in _checkpoints(cfg, horizon):
-        drift = op_norm(unitary_power(u, n) - quantized.decomp.power(n))
+        drift = op_norm(unitary_power(u, n) - quantized.power(n))
         rows.append((n, drift, epsilon))
         max_drift = max(max_drift, drift)
     t = _hermitian_contraction(rng, dim)
@@ -357,7 +359,7 @@ def _run_car_demo(cfg, table, workers):
     samples = int(cfg.params["samples"])
     degree = int(cfg.params["degree"])
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise ConfigError(f"degree must be >= 1, got {degree}")
     rng = np.random.default_rng(cfg.seed)
     space = fock_space(d)
     symbol = _symbol_contraction(rng, d)

@@ -11,6 +11,7 @@ result is independent of how blocks are assigned to workers.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -151,7 +152,8 @@ def average_series(
         w = table.mu[lo + 1 : hi + 1]
         return complex(np.add.reduce(vals * w))
 
-    if workers > 1 and len(blocks) > 1:
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sums = list(pool.map(block_sum, blocks))
     else:

@@ -5,11 +5,12 @@ Matrices are plain 2-D complex128 ndarrays, validated at API boundaries.
 Inner products are linear in the first argument: inner(x, y) = sum x_i conj(y_i).
 Tensor products follow np.kron index order ((i1, i2) row-major).
 Eigenphases of unitaries are reported in turns, i.e. angles in [0, 1) with
-eigenvalue e(theta) = exp(2 pi i theta).
+eigenvalue e(theta) = exp(2 pi i theta).  schur_unitary is the package's one
+spectral decomposition: one eigenphase per Schur column, never merged, with
+the reconstruction checked on every call.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +18,6 @@ import scipy.linalg
 
 ATOL_UNITARY = 1e-10
 ATOL_STATE = 1e-10
-MERGE_TOL_TURNS = 1e-9
 RECONSTRUCT_TOL = 1e-9
 
 
@@ -122,103 +122,22 @@ def random_density(dim: int, seed) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Unitary spectral data: ascending angles in turns and orthogonal projections.
-
-    sum_k P_k = I and sum_k e(angles[k]) P_k reconstructs the unitary.
-    """
-
-    angles: np.ndarray
-    projections: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for theta, p in zip(self.angles, self.projections):
-            out += np.exp(2j * np.pi * theta) * p
-        return out
-
-    def power(self, n: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for theta, p in zip(self.angles, self.projections):
-            out += np.exp(2j * np.pi * ((theta * n) % 1.0)) * p
-        return out
-
-
-def _cluster_angles(angles: np.ndarray, tol: float):
-    """Group sorted angles (turns) whose circular gap is <= tol."""
-    order = np.argsort(angles, kind="stable")
-    sorted_angles = angles[order]
-    groups = [[0]]
-    for i in range(1, len(sorted_angles)):
-        if sorted_angles[i] - sorted_angles[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    # wrap-around: last cluster adjacent to first through 1.0
-    if len(groups) > 1 and (sorted_angles[0] + 1.0 - sorted_angles[-1]) <= tol:
-        last = groups.pop()
-        groups[0] = last + groups[0]
-    return order, sorted_angles, groups
-
-
 def schur_unitary(u):
     """Eigenphases in turns and the orthonormal Schur vectors of a unitary.
 
-    One angle per column, unmerged and unsorted: U = sum_j e(angles[j]) q_j q_j*
-    up to rounding, however close two eigenphases are.
+    One angle per column, unmerged and unsorted: U = sum_j e(angles[j]) q_j q_j*,
+    however close two eigenphases are.  Every call checks that q is unitary
+    within ATOL_UNITARY and that the sum reconstructs U within RECONSTRUCT_TOL
+    in operator norm, and raises ArithmeticError otherwise.
     """
     u = check_unitary(u)
     t, q = scipy.linalg.schur(u, output="complex")
-    return (np.angle(np.diagonal(t)) / (2.0 * np.pi)) % 1.0, q
-
-
-def eig_unitary(u, *, merge_tol_turns: float = MERGE_TOL_TURNS) -> SpectralDecomp:
-    """Spectral decomposition of a unitary via complex Schur.
-
-    Angles are in turns, ascending in [0, 1); eigenvalues closer than
-    merge_tol_turns (circularly) share one projection.
-    """
-    u = check_unitary(u)
-    angles, q = schur_unitary(u)
-    order, sorted_angles, groups = _cluster_angles(angles, merge_tol_turns)
-    rep_angles = []
-    projections = []
-    for grp in groups:
-        cols = q[:, order[np.asarray(grp)]]
-        projections.append(cols @ cols.conj().T)
-        grp_angles = sorted_angles[np.asarray(grp)]
-        if grp_angles.max() - grp_angles.min() > 0.5:  # wrapped cluster
-            grp_angles = np.where(grp_angles > 0.5, grp_angles - 1.0, grp_angles)
-        rep_angles.append(float(np.mean(grp_angles) % 1.0))
-    idx = np.argsort(rep_angles)
-    decomp = SpectralDecomp(
-        angles=np.asarray(rep_angles)[idx],
-        projections=tuple(projections[i] for i in idx),
-    )
-    _validate_decomp(decomp, u)
-    return decomp
-
-
-def _validate_decomp(decomp: SpectralDecomp, u: np.ndarray) -> None:
-    dim = u.shape[0]
-    total = sum(decomp.projections)
-    if np.max(np.abs(total - np.eye(dim))) > ATOL_UNITARY:
-        raise ArithmeticError("spectral projections do not resolve the identity")
-    for i, p in enumerate(decomp.projections):
-        if np.max(np.abs(p @ p - p)) > ATOL_UNITARY:
-            raise ArithmeticError(f"projection {i} is not idempotent")
-        if np.max(np.abs(p - p.conj().T)) > ATOL_UNITARY:
-            raise ArithmeticError(f"projection {i} is not Hermitian")
-        for pj in decomp.projections[i + 1 :]:
-            if np.max(np.abs(p @ pj)) > ATOL_UNITARY:
-                raise ArithmeticError("spectral projections are not orthogonal")
-    if op_norm(decomp.reconstruct() - u) > RECONSTRUCT_TOL:
+    angles = (np.angle(np.diagonal(t)) / (2.0 * np.pi)) % 1.0
+    if np.max(np.abs(q.conj().T @ q - np.eye(u.shape[0]))) > ATOL_UNITARY:
+        raise ArithmeticError("Schur vectors are not orthonormal")
+    if op_norm((q * np.exp(2j * np.pi * angles)) @ q.conj().T - u) > RECONSTRUCT_TOL:
         raise ArithmeticError("spectral reconstruction misses the unitary")
+    return angles, q
 
 
 def unitary_power(u: np.ndarray, n: int) -> np.ndarray:

@@ -9,7 +9,10 @@ values at any n are computed directly.  ad_flow still walks powers
 incrementally (one multiply per step) with a polar re-unitarization every
 POLAR_INTERVAL steps, each run of consecutive n re-anchored with an exact
 binary power, because the seed-0 matrix-flow reference in perfbench pins
-its decay-fit constant to the walk's rounding.
+its decay-fit constant to the walk's rounding.  quantize_unitary rounds the
+eigenphase of each Schur column to its grid; columns that land on the same
+grid point stay separate rank-one projections, and the bound chain sums
+exponential sums against coefficients over all column pairs.
 """
 
 import math
@@ -21,13 +24,11 @@ import numpy as np
 from . import linalg, moebius
 from .flows import Flow, average_series, spectral_flow
 from .linalg import (
-    SpectralDecomp,
     check_density,
     check_matrix,
     check_square,
     check_unitary,
     check_unit_vector,
-    eig_unitary,
     hs_norm,
     normalized_trace,
     op_norm,
@@ -253,17 +254,29 @@ def _eigen_expansion_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) ->
 
 @dataclass(frozen=True)
 class QuantizedUnitary:
-    """V sharing U's eigenprojections with eigenphases on a uniform grid.
+    """V = sum_j e(angles[j]) P_j: U's rank-one Schur projections P_j with each
+    eigenphase rounded to a uniform grid, ordered by grid point.  Columns that
+    round to the same grid point stay separate projections.
 
     grid_size m = ceil(2 pi N / eps) guarantees ||U^n - V^n|| <= eps for
     n <= horizon by the telescoping estimate ||U^n - V^n|| <= n ||U - V||.
     """
 
-    matrix: np.ndarray
-    decomp: SpectralDecomp
+    angles: np.ndarray
+    projections: np.ndarray
     epsilon: float
     horizon: int
     grid_size: int
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.power(1)
+
+    def power(self, n: int) -> np.ndarray:
+        out = np.zeros(self.projections.shape[1:], dtype=np.complex128)
+        for theta, p in zip(self.angles, self.projections):
+            out += np.exp(2j * np.pi * ((theta * n) % 1.0)) * p
+        return out
 
 
 def quantize_unitary(
@@ -280,28 +293,22 @@ def quantize_unitary(
             f"epsilon = {epsilon:g} at horizon {horizon} needs grid size m = {m}"
             f" > cap {grid_cap}; refuse to quantize"
         )
-    base = eig_unitary(u)
-    rounded = (np.round(base.angles * m) % m) / m
-    # distinct phases may collapse onto one grid point: merge projections
-    merged = {}
-    for theta, p in zip(rounded, base.projections):
-        key = round(float(theta) * m)
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + p)
-        else:
-            merged[key] = (float(theta), p.copy())
-    angles = np.array([merged[key][0] for key in sorted(merged)])
-    projections = tuple(merged[key][1] for key in sorted(merged))
-    decomp = SpectralDecomp(angles=angles, projections=projections)
-    v = decomp.reconstruct()
+    angles, q = schur_unitary(u)
+    keys = np.round(angles * m) % m
+    order = np.argsort(keys, kind="stable")
+    quantized = QuantizedUnitary(
+        angles=keys[order] / m,
+        projections=_schur_projections(q[:, order]),
+        epsilon=float(epsilon),
+        horizon=int(horizon),
+        grid_size=m,
+    )
     for n in {1, max(1, horizon // 2), horizon}:
-        if op_norm(unitary_power(u, n) - decomp.power(n)) > epsilon:
+        if op_norm(unitary_power(u, n) - quantized.power(n)) > epsilon:
             raise ArithmeticError(
                 f"quantized power drifted past epsilon at n = {n}"
             )
-    return QuantizedUnitary(
-        matrix=v, decomp=decomp, epsilon=float(epsilon), horizon=int(horizon), grid_size=m
-    )
+    return quantized
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +372,7 @@ def finite_vn_average_bound(
     """Bound (1/N) sum mu(n) rho(U*^n T U^n) for the state rho = tr_k(. AA*)/tr_k(AA*).
 
     The chain replaces U by its quantized companion V (cost 2 eps ||T||) and
-    expands the V-flow over eigenprojections, bounding it by
+    expands the V-flow over V's rank-one projections, bounding it by
     max |exp_sum| * ||T||_2 ||AA*||_2 / tr_k(AA*).
     """
     u = check_unitary(u)
@@ -380,7 +387,7 @@ def finite_vn_average_bound(
     flow, aa, denom = _state_flow(u, t, a)
     s_n = complex(average_series(flow, table, [N]).values[0])
 
-    angles = quantized.decomp.angles
+    angles = quantized.angles
     r = len(angles)
     s_mat = np.empty((r, r), dtype=np.complex128)
     for i in range(r):
@@ -388,7 +395,7 @@ def finite_vn_average_bound(
             theta = (angles[j] - angles[i]) % 1.0
             s_mat[i, j] = moebius.exp_sum(table, moebius.linear_phase(theta), N)
     # tr_k(P_i T P_j AA*) = tr(AA* P_i T P_j) / k
-    coeffs = _sandwich_coefficients(quantized.decomp.projections, t, aa)
+    coeffs = _sandwich_coefficients(quantized.projections, t, aa)
     s_v = (s_mat * coeffs).sum() / (u.shape[0] * denom)
 
     eps_term = 2.0 * quantized.epsilon * op_norm(t)

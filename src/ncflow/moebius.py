@@ -20,6 +20,7 @@ exact for integer arguments.  The residual error grows like
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -32,7 +33,8 @@ N_MAX_CAP = 10**8
 _SUM_BLOCK = 4096
 _CHUNK = _SUM_BLOCK * 64  # streaming chunk; multiple of _SUM_BLOCK
 
-_CACHE_MAGIC = b"NCF1"
+_CACHE_MAGIC = b"NCF2"
+_CACHE_HEADER = struct.Struct("<4sQI")  # magic, n_max, crc32 of the payload
 CACHE_ENV_VAR = "NCFLOW_CACHE_DIR"
 
 
@@ -288,35 +290,52 @@ def checked_checkpoints(n_max: int, checkpoints: Iterable[int]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sieve cache file: magic "NCF1", little-endian uint64 n_max, 2-bit codes
-# (mu + 1) for n = 1..n_max packed four per byte, low bits first.
+# sieve cache file: magic "NCF2", little-endian uint64 n_max, uint32
+# zlib.crc32 of the payload, then the payload: 2-bit codes (mu + 1) for
+# n = 1..n_max packed four per byte, low bits first.
 
 
 def save_table(table: MoebiusTable, path) -> None:
+    """Write the table to a temporary file beside path, then rename it over
+    path, so path holds either its old content or the whole new file."""
     codes = (table.mu[1:].astype(np.int16) + 1).astype(np.uint8)
     pad = (-codes.size) % 4
     if pad:
         codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
     codes = codes.reshape(-1, 4)
     packed = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4 | codes[:, 3] << 6
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.n_max))
-        fh.write(packed.tobytes())
+    payload = packed.tobytes()
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, table.n_max, zlib.crc32(payload)))
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_table(path) -> MoebiusTable:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"bad sieve cache magic {magic!r} in {path}")
-        (n_max,) = struct.unpack("<Q", fh.read(8))
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    expect = (n_max + 3) // 4
-    if packed.size != expect:
+        header = fh.read(_CACHE_HEADER.size)
+        payload = fh.read()
+    if header[:4] == b"NCF1":
         raise ValueError(
-            f"sieve cache {path} truncated: {packed.size} payload bytes, expected {expect}"
+            f"sieve cache {path} has the old format NCF1, which carries no"
+            " checksum; delete it to rebuild"
         )
+    if len(header) != _CACHE_HEADER.size or header[:4] != _CACHE_MAGIC:
+        raise ValueError(f"bad sieve cache header {header[:4]!r} in {path}")
+    _, n_max, crc = _CACHE_HEADER.unpack(header)
+    expect = (n_max + 3) // 4
+    if len(payload) != expect:
+        raise ValueError(
+            f"sieve cache {path} truncated: {len(payload)} payload bytes, expected {expect}"
+        )
+    if zlib.crc32(payload) != crc:
+        raise ValueError(f"sieve cache {path} fails its payload checksum")
+    packed = np.frombuffer(payload, dtype=np.uint8)
     codes = np.empty(expect * 4, dtype=np.uint8)
     codes[0::4] = packed & 3
     codes[1::4] = packed >> 2 & 3

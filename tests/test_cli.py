@@ -223,6 +223,34 @@ def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, checkpoints, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, params, message",
+    [
+        ("car-demo", {"degree": 0}, "degree must be >= 1"),
+        ("quantize", {"epsilon": 0.0}, "epsilon must be positive"),
+        ("quantize", {"epsilon": -0.1}, "epsilon must be positive"),
+    ],
+)
+def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, message):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "params.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "experiment": experiment,
+                "seed": 0,
+                "n_max": 100,
+                "params": params,
+                "out_dir": str(out),
+            }
+        )
+    )
+    assert main(["--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("NCFLOW_CACHE_DIR", str(cache))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hermitian_contraction
+from ncflow import flows
 from ncflow.flows import (
     AverageSeries,
     Flow,
@@ -52,6 +53,34 @@ def test_series_worker_count_does_not_change_bits(table_1m):
     s4 = average_series(flow, table_1m, cps, workers=4)
     assert np.array_equal(s1.values, s4.values)
     assert s1.abs_mu_counts == s4.abs_mu_counts
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(4, 3), (2, 2), (None, None)])
+def test_series_worker_count_is_clamped(table_10k, monkeypatch, cpus, pool_size):
+    # three blocks: the pool never gets more threads than blocks or CPUs,
+    # and a clamp to one thread starts no pool at all
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(flows, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(flows.os, "cpu_count", lambda: cpus)
+    flow = rotation_flow(GOLDEN)
+    serial = average_series(flow, table_10k, [9000])
+    clamped = average_series(flow, table_10k, [9000], workers=100_000)
+    assert pools == ([] if pool_size is None else [pool_size])
+    assert np.array_equal(serial.values, clamped.values)
 
 
 def test_series_abs_mu_counts_and_bounds(table_10k):

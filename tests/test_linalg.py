@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import hermitian_contraction, unit_vector
 from ncflow.linalg import (
     check_density,
     check_unitary,
     direct_sum,
-    eig_unitary,
     haar_unitary,
     hs_norm,
     inner,
@@ -14,6 +14,7 @@ from ncflow.linalg import (
     op_norm,
     polar_unitary_factor,
     random_density,
+    schur_unitary,
     tensor,
     unitary_power,
 )
@@ -64,47 +65,52 @@ def test_check_unitary_rejects_nonunitary():
         check_unitary(np.diag([1.0, 2.0]))
 
 
+def schur_projections(q):
+    return [np.outer(q[:, j], q[:, j].conj()) for j in range(q.shape[1])]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_eig_unitary_invariants(seed):
+    # the rank-one projections onto the Schur columns resolve the identity
+    # and reconstruct U; the angles are U's eigenphases, one per column
     u = haar_unitary(7, seed)
-    dec = eig_unitary(u)
-    total = sum(dec.projections)
-    assert op_norm(total - np.eye(7)) < 1e-10
-    for p in dec.projections:
+    angles, q = schur_unitary(u)
+    projections = schur_projections(q)
+    assert op_norm(sum(projections) - np.eye(7)) < 1e-10
+    for p in projections:
         assert op_norm(p @ p - p) < 1e-10
         assert op_norm(p - p.conj().T) < 1e-10
-    for i, p in enumerate(dec.projections):
-        for q in dec.projections[i + 1 :]:
-            assert op_norm(p @ q) < 1e-10
-    assert op_norm(dec.reconstruct() - u) < 1e-9
-    assert all(0.0 <= a < 1.0 for a in dec.angles)
-    assert list(dec.angles) == sorted(dec.angles)
+    for i, p in enumerate(projections):
+        for r in projections[i + 1 :]:
+            assert op_norm(p @ r) < 1e-10
+    v = sum(np.exp(2j * np.pi * a) * p for a, p in zip(angles, projections))
+    assert op_norm(v - u) < 1e-9
+    assert all(0.0 <= a < 1.0 for a in angles)
+    want = np.sort(np.angle(np.linalg.eigvals(u)) / (2 * np.pi) % 1.0)
+    assert np.max(np.abs(np.sort(angles) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 123, -5])
 def test_spectral_power_matches_binary_power(n):
     u = haar_unitary(5, 11)
-    dec = eig_unitary(u)
-    assert op_norm(dec.power(n) - unitary_power(u, n)) < 1e-9
+    angles, q = schur_unitary(u)
+    power = (q * np.exp(2j * np.pi * ((angles * n) % 1.0))) @ q.conj().T
+    assert op_norm(power - unitary_power(u, n)) < 1e-9
 
 
-def test_eig_unitary_merges_degenerate_eigenvalues():
-    u = np.diag([1.0, -1.0, -1.0]).astype(complex)
-    dec = eig_unitary(u)
-    assert len(dec.projections) == 2
-    assert dec.angles == pytest.approx((0.0, 0.5))
-    ranks = [int(round(np.trace(p).real)) for p in dec.projections]
-    assert ranks == [1, 2]
-
-
-def test_eig_unitary_merges_across_angle_wraparound():
-    u = np.diag(
-        [np.exp(2j * np.pi * 0.9999999999995), np.exp(2j * np.pi * 5e-13)]
-    )
-    dec = eig_unitary(u)
-    assert len(dec.projections) == 1
-    assert op_norm(dec.projections[0] - np.eye(2)) < 1e-12
-    assert op_norm(dec.reconstruct() - u) < 1e-9
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda t, q: (t, 1.01 * q), "not orthonormal"),
+        (lambda t, q: (t * np.exp(2e-8j), q), "reconstruction misses"),
+    ],
+    ids=["scaled-vectors", "shifted-phases"],
+)
+def test_schur_unitary_checks_every_decomposition(monkeypatch, corrupt, message):
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: corrupt(*schur(*a, **k)))
+    with pytest.raises(ArithmeticError, match=message):
+        schur_unitary(haar_unitary(5, 2))
 
 
 def test_spectral_pythagoras_partitions_hs_norm():
@@ -112,10 +118,8 @@ def test_spectral_pythagoras_partitions_hs_norm():
     rng = np.random.default_rng(5)
     u = haar_unitary(6, rng)
     t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    dec = eig_unitary(u)
-    total = sum(
-        hs_norm(p @ t @ q) ** 2 for p in dec.projections for q in dec.projections
-    )
+    projections = schur_projections(schur_unitary(u)[1])
+    total = sum(hs_norm(p @ t @ q) ** 2 for p in projections for q in projections)
     assert total == pytest.approx(hs_norm(t) ** 2, rel=1e-10)
 
 

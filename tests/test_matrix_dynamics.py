@@ -266,7 +266,7 @@ def test_quantize_drift_within_epsilon(epsilon):
     u = haar_unitary(8, 17)
     q = quantize_unitary(u, epsilon, 100)
     for n in range(1, 101):
-        drift = op_norm(unitary_power(u, n) - q.decomp.power(n))
+        drift = op_norm(unitary_power(u, n) - q.power(n))
         assert drift <= epsilon + 1e-12
     assert q.grid_size == int(np.ceil(2 * np.pi * 100 / epsilon))
 
@@ -281,10 +281,40 @@ def test_quantize_on_grid_unitary_is_exact():
     assert op_norm(q.matrix - u) < 1e-12
 
 
-def test_quantize_merges_grid_collisions():
-    u = np.diag([np.exp(2j * np.pi * 0.0), np.exp(2j * np.pi * 1e-15)])
-    q = quantize_unitary(u, 0.1, 10)
-    assert len(q.decomp.projections) == 1
+def test_quantize_near_degenerate_cluster():
+    # a cluster spread by 5e-10 turns: merging it at its mean angle missed the
+    # reconstruction tolerance and raised ArithmeticError
+    v = haar_unitary(4, 8)
+    phases = np.array([0.3, 0.3 + 5e-10, 0.7, 0.05])
+    u = v @ np.diag(np.exp(2j * np.pi * phases)) @ v.conj().T
+    q = quantize_unitary(u, 0.1, 100)
+    for n in range(1, 101):
+        assert op_norm(unitary_power(u, n) - q.power(n)) <= 0.1
+
+
+def test_quantize_keeps_grid_collisions_separate(table_10k):
+    # 0.2 and 0.2 + 1/(4m) round to one grid point: both columns keep their
+    # own projection and get the same grid angle
+    horizon, eps = 100, 0.1
+    m = int(np.ceil(2 * np.pi * horizon / eps))
+    phases = np.array([0.2, 0.2 + 0.25 / m, 0.6, 0.9])
+    w = haar_unitary(4, 3)
+    u = w @ np.diag(np.exp(2j * np.pi * phases)) @ w.conj().T
+    q = quantize_unitary(u, eps, horizon)
+    assert len(q.projections) == 4
+    assert np.count_nonzero(q.angles == round(0.2 * m) / m) == 2
+    assert op_norm(sum(q.projections) - np.eye(4)) < 1e-12
+    grid = np.round(phases * m) / m
+    want_v = w @ np.diag(np.exp(2j * np.pi * grid)) @ w.conj().T
+    assert op_norm(q.matrix - want_v) < 1e-12
+    for n in range(1, horizon + 1):
+        assert op_norm(unitary_power(u, n) - q.power(n)) <= eps
+    rng = np.random.default_rng(3)
+    t = hermitian_contraction(rng, 4)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    fb = finite_vn_average_bound(u, q, t, a, table_10k, horizon)
+    assert abs(fb.s_n - fb.s_n_quantized) <= fb.epsilon_term + 1e-9
+    assert fb.dominates
 
 
 def test_quantize_refuses_oversized_grid():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncflow import moebius
 from ncflow.moebius import (
     PolynomialPhase,
     build_table,
@@ -244,10 +245,73 @@ def test_cache_rejects_corrupt_codes(tmp_path, table_10k):
     path = tmp_path / "mu.ncf"
     save_table(table_10k, path)
     raw = bytearray(path.read_bytes())
-    raw[12] ^= 0x55  # flip mu codes near the head
+    raw[16] ^= 0x55  # flip mu codes at the head of the payload
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_table(path)
+
+
+def test_cache_rejects_mid_file_corruption(tmp_path, table_10k):
+    # flipping byte 2000 of a 1e4 table used to load with 4 wrong mu values
+    path = tmp_path / "mu.ncf"
+    save_table(table_10k, path)
+    raw = bytearray(path.read_bytes())
+    raw[2000] ^= 0x55
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum") as err:
+        load_table(path)
+    assert str(path) in str(err.value)
+
+
+def test_cache_rejects_the_unchecksummed_format(tmp_path, table_10k):
+    path = tmp_path / "mu.ncf"
+    save_table(table_10k, path)
+    raw = path.read_bytes()
+    path.write_bytes(b"NCF1" + raw[4:12] + raw[16:])  # the old layout
+    with pytest.raises(ValueError, match="NCF1") as err:
+        load_table(path)
+    assert str(path) in str(err.value)
+
+
+class _FailingWriter:
+    """A file that writes half of any large chunk and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        if len(data) > 100:
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("had_old_file", [False, True])
+def test_cache_writer_failing_part_way_leaves_no_partial_file(
+    tmp_path, table_10k, monkeypatch, had_old_file
+):
+    path = tmp_path / "mu.ncf"
+    if had_old_file:
+        save_table(build_table(2000), path)
+    before = sorted(os.listdir(tmp_path))
+    old_bytes = path.read_bytes() if had_old_file else None
+    monkeypatch.setattr(
+        moebius, "open", lambda p, mode: _FailingWriter(open(p, mode)), raising=False
+    )
+    with pytest.raises(OSError, match="disk full"):
+        save_table(table_10k, path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == before
+    if had_old_file:
+        assert path.read_bytes() == old_bytes
+        assert load_table(path).n_max == 2000
 
 
 def test_load_or_build_uses_env_cache(tmp_path, monkeypatch):
