@@ -1,5 +1,14 @@
 """Moebius sieve, Mertens sums, and Moebius-twisted exponential sums.
 
+Sieve
+-----
+``build_table`` is a segmented sieve of Eratosthenes (Bays & Hudson 1977)
+that uses only the primes up to ``sqrt(n_max)``.  Each segment of
+``_SIEVE_SEGMENT`` integers multiplies the small prime factors of n into a
+signed cofactor; the one prime factor above ``sqrt(n_max)`` that n can have
+shows up as the cofactor falling short of n.  Memory is the ``n_max + 1``
+byte table plus one segment's int32 scratch arrays.
+
 Summation contract
 ------------------
 Every average in this package is a fixed blocked pairwise sum: numpy's
@@ -20,6 +29,7 @@ exact for integer arguments.  The residual error grows like
 import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +42,7 @@ N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
 _CHUNK = _SUM_BLOCK * 64  # streaming chunk; multiple of _SUM_BLOCK
+_SIEVE_SEGMENT = 1 << 19
 
 _CACHE_MAGIC = b"NCF2"
 _CACHE_HEADER = struct.Struct("<4sQI")  # magic, n_max, crc32 of the payload
@@ -85,23 +96,35 @@ def linear_phase(theta: float, modulus: int = 1, residue: int = 0) -> Polynomial
     return PolynomialPhase((0.0, float(theta)), modulus, residue)
 
 
-def build_table(n_max: int = DEFAULT_N_MAX, *, hard_cap: int = N_MAX_CAP) -> MoebiusTable:
-    """Sieve mu(1..n_max).
+def build_table(n_max: int = DEFAULT_N_MAX) -> MoebiusTable:
+    """Sieve mu(1..n_max) segment by segment with the primes up to sqrt(n_max).
 
-    Vectorized multiplicative sieve: mu picks up a sign per prime divisor and
-    is zeroed on multiples of squares.  O(n_max) memory.
+    Each segment of _SIEVE_SEGMENT integers keeps an int32 cofactor array
+    that every small prime p dividing n multiplies by -p, and that is zeroed
+    on multiples of p^2.  Its sign is then mu of the small-prime part of n,
+    and where its absolute value falls short of n the remaining cofactor is
+    exactly one prime above sqrt(n_max), which flips the sign once more.
+    Memory is the n_max + 1 byte table plus one segment.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > hard_cap:
-        raise ValueError(f"n_max = {n_max} exceeds hard cap {hard_cap}")
-    primes = primes_upto(n_max)
-    mu = np.ones(n_max + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-    for p in primes[primes <= math.isqrt(n_max)]:
-        mu[p * p :: p * p] = 0
+    if n_max > N_MAX_CAP:
+        raise ValueError(f"n_max = {n_max} exceeds hard cap {N_MAX_CAP}")
+    small = primes_upto(math.isqrt(n_max)).tolist()
+    mu = np.zeros(n_max + 1, dtype=np.int8)
+    # |cofactor| divides n <= N_MAX_CAP < 2^31, so int32 cannot overflow.
+    cofactor = np.empty(min(_SIEVE_SEGMENT, n_max), dtype=np.int32)
+    for lo in range(1, n_max + 1, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, n_max + 1)
+        seg = mu[lo:hi]
+        cof = cofactor[: hi - lo]
+        cof.fill(1)
+        for p in small:
+            cof[-lo % p :: p] *= -p
+            cof[-lo % (p * p) :: p * p] = 0
+        np.sign(cof, out=seg, casting="unsafe")
+        np.abs(cof, out=cof)
+        np.negative(seg, out=seg, where=cof != np.arange(lo, hi, dtype=np.int32))
     return MoebiusTable(n_max=n_max, mu=mu)
 
 
@@ -229,10 +252,14 @@ def _restricted_range(N: int, modulus: int, residue: int) -> range:
     return range(start, N + 1, modulus)
 
 
-def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
-    """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) e(phi(n))."""
+def _check_N(table: MoebiusTable, N: int) -> None:
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+
+
+def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
+    """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) e(phi(n))."""
+    _check_N(table, N)
     total = _streamed_sum(
         _restricted_range(N, phase.modulus, phase.residue),
         lambda ns: table.mu[ns].astype(np.float64) * phase_values(phase.coeffs, ns),
@@ -242,8 +269,7 @@ def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
 
 def weighted_average(table: MoebiusTable, f: Callable, N: int) -> complex:
     """(1/N) * sum_{n<=N} mu(n) f(n) for f vectorized over an int64 array."""
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+    _check_N(table, N)
     total = _streamed_sum(
         range(1, N + 1),
         lambda ns: np.asarray(f(ns), dtype=np.complex128) * table.mu[ns],
@@ -253,8 +279,7 @@ def weighted_average(table: MoebiusTable, f: Callable, N: int) -> complex:
 
 def mertens(table: MoebiusTable, N: int) -> int:
     """M(N) = sum_{n<=N} mu(n), exact."""
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+    _check_N(table, N)
     return int(np.add.reduce(table.mu[1 : N + 1], dtype=np.int64))
 
 
@@ -266,14 +291,11 @@ def mertens_series(table: MoebiusTable, checkpoints: Iterable[int]):
 
 def squarefree_density(table: MoebiusTable, N: int) -> float:
     """Fraction of n <= N with mu(n) != 0; exact count before the division."""
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-    return int(np.count_nonzero(table.mu[1 : N + 1])) / N
+    return squarefree_count(table, N) / N
 
 
 def squarefree_count(table: MoebiusTable, N: int) -> int:
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+    _check_N(table, N)
     return int(np.count_nonzero(table.mu[1 : N + 1]))
 
 
@@ -298,17 +320,19 @@ def checked_checkpoints(n_max: int, checkpoints: Iterable[int]) -> list:
 def save_table(table: MoebiusTable, path) -> None:
     """Write the table to a temporary file beside path, then rename it over
     path, so path holds either its old content or the whole new file."""
-    codes = (table.mu[1:].astype(np.int16) + 1).astype(np.uint8)
-    pad = (-codes.size) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    codes = codes.reshape(-1, 4)
-    packed = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4 | codes[:, 3] << 6
-    payload = packed.tobytes()
+    n_max = table.n_max
+    codes = np.zeros(4 * ((n_max + 3) // 4), dtype=np.uint8)
+    # mu + 1 in uint8 arithmetic: the int8 -1 reads as 255 and wraps to 0
+    np.add(table.mu[1:].view(np.uint8), 1, out=codes[:n_max])
+    payload = codes[0::4].copy()
+    for k in (1, 2, 3):
+        col = codes[k::4]
+        np.left_shift(col, 2 * k, out=col)
+        np.bitwise_or(payload, col, out=payload)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, table.n_max, zlib.crc32(payload)))
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, n_max, zlib.crc32(payload)))
             fh.write(payload)
         os.replace(tmp, path)
     finally:
@@ -360,14 +384,20 @@ def cache_path(cache_dir, n_max: int) -> str:
 
 
 def load_or_build_table(n_max: int = DEFAULT_N_MAX, cache_dir=None) -> MoebiusTable:
-    """Build a table, going through the cache directory when one is given."""
+    """Build a table, going through the cache directory when one is given.
+
+    A cache file that load_table rejects is reported on stderr and rebuilt.
+    """
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         return build_table(n_max)
     path = cache_path(cache_dir, n_max)
     if os.path.exists(path):
-        return load_table(path)
+        try:
+            return load_table(path)
+        except ValueError as exc:
+            print(f"ncflow: rebuilding sieve cache {path}: {exc}", file=sys.stderr)
     table = build_table(n_max)
     os.makedirs(cache_dir, exist_ok=True)
     save_table(table, path)

@@ -11,7 +11,7 @@ from ncflow.cli import (
     main,
     resolve_config,
 )
-from ncflow.moebius import build_table, squarefree_count
+from ncflow.moebius import build_table, load_table, squarefree_count
 
 
 def read_csv(path):
@@ -263,6 +263,37 @@ def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
     assert main(["sieve", "--out", str(out2), "--n-max", "30000"]) == 0
     assert cached.stat().st_mtime_ns == stamp  # reused, not rebuilt
     assert (out / "sieve.csv").read_bytes() == (out2 / "sieve.csv").read_bytes()
+
+
+def _old_format(raw):
+    return b"NCF1" + raw[4:12] + raw[16:]  # no checksum field
+
+
+def _flip_payload_byte(raw):
+    raw = bytearray(raw)
+    raw[1000] ^= 0x55
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("spoil", [_old_format, _flip_payload_byte])
+def test_rejected_sieve_cache_is_rebuilt(tmp_path, monkeypatch, capsys, spoil):
+    monkeypatch.delenv("NCFLOW_CACHE_DIR", raising=False)
+    fresh = tmp_path / "fresh"
+    assert main(["sieve", "--out", str(fresh), "--n-max", "30000"]) == 0
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("NCFLOW_CACHE_DIR", str(cache))
+    assert main(["sieve", "--out", str(tmp_path / "seed"), "--n-max", "30000"]) == 0
+    cached = cache / "moebius_30000.ncf"
+    good = cached.read_bytes()
+    cached.write_bytes(spoil(good))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["sieve", "--out", str(out), "--n-max", "30000"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(cached) in err
+    assert (out / "sieve.csv").read_bytes() == (fresh / "sieve.csv").read_bytes()
+    assert cached.read_bytes() == good
+    assert load_table(cached).n_max == 30000
 
 
 def test_bsz_check_experiment(tmp_path):

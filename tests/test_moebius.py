@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,42 @@ def mu_trial(n: int) -> int:
 def test_sieve_matches_trial_division(table_1m):
     for n in range(1, 3000):
         assert int(table_1m.mu[n]) == mu_trial(n), n
+
+
+def test_sieve_matches_trial_division_on_random_sample(table_1m):
+    rng = np.random.default_rng(11)
+    for n in rng.integers(1, table_1m.n_max + 1, size=2000).tolist():
+        assert int(table_1m.mu[n]) == mu_trial(n), n
+
+
+def test_sieve_matches_trial_division_at_segment_boundaries(table_1m):
+    seg = moebius._SIEVE_SEGMENT
+    boundaries = list(range(1 + seg, table_1m.n_max + 1, seg)) + [table_1m.n_max]
+    assert len(boundaries) >= 2
+    for b in boundaries:
+        for n in range(max(1, b - 50), min(table_1m.n_max, b + 50) + 1):
+            assert int(table_1m.mu[n]) == mu_trial(n), n
+
+
+def test_sieve_with_short_segments_matches_trial_division(monkeypatch):
+    # segments of 97 put primes, prime squares and products p * q with
+    # q > sqrt(n_max) on both sides of many segment boundaries
+    monkeypatch.setattr(moebius, "_SIEVE_SEGMENT", 97)
+    for n_max in range(1, 301):
+        mu = build_table(n_max).mu
+        assert mu[0] == 0
+        assert mu[1:].tolist() == [mu_trial(n) for n in range(1, n_max + 1)], n_max
+
+
+def test_sieve_memory_is_the_table_plus_one_segment():
+    n_max = 8 * 10**6
+    tracemalloc.start()
+    try:
+        build_table(n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_max + 1 + 12 * moebius._SIEVE_SEGMENT, peak
 
 
 def test_sieve_multiplicative_on_coprime_pairs(table_1m):
@@ -229,6 +266,17 @@ def test_cache_round_trip(tmp_path, table_10k):
     assert loaded.n_max == table_10k.n_max
     assert np.array_equal(loaded.mu, table_10k.mu)
     assert np.array_equal(loaded.primes, table_10k.primes)
+
+
+def test_cache_payload_is_the_two_bit_packing(tmp_path):
+    table = build_table(10**4 + 3)  # not a multiple of 4: the last byte is padded
+    codes = (table.mu[1:].astype(np.int16) + 1).astype(np.uint8)
+    codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)]).reshape(-1, 4)
+    packed = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4 | codes[:, 3] << 6
+    assert packed.size == (table.n_max + 3) // 4
+    path = tmp_path / "mu.ncf"
+    save_table(table, path)
+    assert path.read_bytes()[16:] == packed.tobytes()
 
 
 def test_cache_rejects_bad_magic(tmp_path, table_10k):
