@@ -14,7 +14,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 ATOL_UNITARY = 1e-10
 ATOL_STATE = 1e-10
@@ -97,9 +96,12 @@ def tensor(a, b) -> np.ndarray:
 
 
 def direct_sum(a, b) -> np.ndarray:
-    return scipy.linalg.block_diag(check_matrix(a), check_matrix(b)).astype(
-        np.complex128
-    )
+    a, b = check_matrix(a), check_matrix(b)
+    (r, c), (s, t) = a.shape, b.shape
+    out = np.zeros((r + s, c + t), dtype=np.complex128)
+    out[:r, :c] = a
+    out[r:, c:] = b
+    return out
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -130,6 +132,8 @@ def schur_unitary(u):
     within ATOL_UNITARY and that the sum reconstructs U within RECONSTRUCT_TOL
     in operator norm, and raises ArithmeticError otherwise.
     """
+    import scipy.linalg  # imported on first use: most experiments never need scipy
+
     u = check_unitary(u)
     t, q = scipy.linalg.schur(u, output="complex")
     angles = (np.angle(np.diagonal(t)) / (2.0 * np.pi)) % 1.0
@@ -150,5 +154,7 @@ def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
 
 def polar_unitary_factor(a: np.ndarray) -> np.ndarray:
     """Nearest unitary (polar factor) of a nonsingular matrix."""
+    import scipy.linalg
+
     w, _ = scipy.linalg.polar(a)
     return w

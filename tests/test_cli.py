@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import ncflow
 from ncflow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -294,6 +299,36 @@ def test_rejected_sieve_cache_is_rebuilt(tmp_path, monkeypatch, capsys, spoil):
     assert (out / "sieve.csv").read_bytes() == (fresh / "sieve.csv").read_bytes()
     assert cached.read_bytes() == good
     assert load_table(cached).n_max == 30000
+
+
+def test_sieve_cache_for_another_n_max_is_rebuilt(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("NCFLOW_CACHE_DIR", raising=False)
+    fresh = tmp_path / "fresh"
+    assert main(["sieve", "--out", str(fresh), "--n-max", "2000"]) == 0
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("NCFLOW_CACHE_DIR", str(cache))
+    assert main(["sieve", "--out", str(tmp_path / "seed"), "--n-max", "1000"]) == 0
+    cached = cache / "moebius_2000.ncf"
+    cached.write_bytes((cache / "moebius_1000.ncf").read_bytes())  # valid, but for 1000
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["sieve", "--out", str(out), "--n-max", "2000"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ncflow: rebuilding sieve cache {cached}: ")
+    assert (out / "sieve.csv").read_bytes() == (fresh / "sieve.csv").read_bytes()
+    assert np.array_equal(load_table(cached).mu, build_table(2000).mu)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(ncflow.__file__))
+    code = "import sys, ncflow.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_bsz_check_experiment(tmp_path):

@@ -43,6 +43,7 @@ def test_tensor_and_direct_sum():
     assert op_norm(tensor(a, b)) == pytest.approx(op_norm(a) * op_norm(b))
     s = direct_sum(a, b)
     assert s.shape == (7, 7)
+    assert np.array_equal(s, np.block([[a, np.zeros((3, 4))], [np.zeros((4, 3)), b]]))
     assert op_norm(s) == pytest.approx(max(op_norm(a), op_norm(b)))
 
 

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncflow import moebius
 from ncflow.moebius import (
+    N_MAX_CAP,
     PolynomialPhase,
     build_table,
     cache_path,
@@ -137,16 +140,42 @@ def test_polynomial_phase_validation():
     assert linear_phase(0.25).degree == 1
 
 
+def _frac_error(coeffs, n, got) -> float:
+    """Distance mod 1 between got and the exact rational phase at n."""
+    exact = sum(Fraction(c) * n**k for k, c in enumerate(coeffs)) % 1
+    err = abs(Fraction(float(got)) - exact)
+    return float(min(err, 1 - err))
+
+
 def test_poly_phase_frac_matches_fraction_oracle():
+    # coefficients on the 2^-53 grid, as random.random() draws them, are
+    # evaluated within 1e-12 at every n up to the cap
     rng = np.random.default_rng(0)
-    for _ in range(40):
-        deg = int(rng.integers(1, 5))
-        coeffs = [float(rng.random()) for _ in range(deg + 1)]
-        n = int(rng.integers(1, 10**6))
-        got = float(poly_phase_frac(coeffs, n))
-        exact = float(sum(Fraction(c) * n**k for k, c in enumerate(coeffs)) % 1)
-        err = abs(got - exact)
-        assert min(err, 1.0 - err) < 1e-12
+    for deg in range(1, 5):
+        for _ in range(10):
+            coeffs = [float(rng.random()) for _ in range(deg + 1)]
+            ns = [1, N_MAX_CAP] + [int(10 ** rng.uniform(k, k + 1)) for k in range(8)]
+            got = poly_phase_frac(coeffs, np.array(ns))
+            for n, g in zip(ns, got):
+                assert _frac_error(coeffs, n, g) < 1e-12, (deg, coeffs, n)
+
+
+def test_poly_phase_frac_error_model_for_general_coefficients():
+    # off the 2^-53 grid the error grows like n^d 2^-106 (the documented
+    # model); below 1e-12 for d <= 2 up to the cap, d = 3 up to 1e6 and
+    # d = 4 up to 5e4
+    rng = np.random.default_rng(1)
+    for deg in range(1, 5):
+        for _ in range(10):
+            scales = 2.0 ** -rng.integers(0, 40, size=deg + 1)
+            coeffs = [float(c) for c in rng.random(deg + 1) * scales]
+            ns = [1, N_MAX_CAP] + [int(10 ** rng.uniform(k, k + 1)) for k in range(8)]
+            got = poly_phase_frac(coeffs, np.array(ns))
+            for n, g in zip(ns, got):
+                bound = 2.0**-53 + 4.0 * float(n) ** deg * 2.0**-106
+                assert _frac_error(coeffs, n, g) <= bound, (deg, coeffs, n)
+                if deg <= 2 or n <= (10**6 if deg == 3 else 5 * 10**4):
+                    assert _frac_error(coeffs, n, g) < 1e-12, (deg, coeffs, n)
 
 
 def test_poly_phase_frac_vectorized_agrees_with_scalar():
@@ -160,6 +189,97 @@ def test_poly_phase_frac_vectorized_agrees_with_scalar():
 def test_phase_values_unit_modulus():
     vals = phase_values((0.0, 0.31), np.arange(1, 50))
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-15
+
+
+# The phase kernel as whole-array expressions, the form it had before it was
+# tiled and run in place; the kernel must reproduce it bit for bit.
+_SPLITTER = 134217729.0
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _fast_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ah = _SPLITTER * a
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = _SPLITTER * b
+    bh = bh - (bh - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def expression_phase_frac(coeffs, n):
+    n = np.asarray(n, dtype=np.float64)
+    red = [float(c) - math.floor(float(c)) for c in coeffs]
+    hi = np.full(n.shape, red[-1], dtype=np.float64)
+    lo = np.zeros(n.shape, dtype=np.float64)
+    for a in reversed(red[:-1]):
+        ph, pl = _two_prod(hi, n)
+        pl = pl + lo * n
+        sh, se = _two_sum(ph, a)
+        hi, lo = _fast_two_sum(sh, se + pl)
+        hi = hi - np.floor(hi)
+    out = hi + lo
+    return out - np.floor(out)
+
+
+def _same_bits(got, want):
+    return (
+        type(got) is type(want)
+        and np.shape(got) == np.shape(want)
+        and np.array_equal(
+            np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64)
+        )
+    )
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_phase_kernel_is_bit_identical_to_the_expression_form(degree):
+    rng = np.random.default_rng(degree)
+    coeffs = [float(c) for c in rng.random(degree + 1) * 7.0 - 3.0]
+    tile = moebius._PHASE_TILE
+    inputs = [np.array(987654), 987654, np.arange(1, 61).reshape(6, 10)]
+    inputs += [np.arange(0), np.zeros((3, 0))]
+    for m in (tile - 1, tile, tile + 1, 3 * tile + 7):
+        inputs.append(rng.integers(1, N_MAX_CAP + 1, size=m))
+    for n in inputs:
+        want = expression_phase_frac(coeffs, n)
+        assert _same_bits(poly_phase_frac(coeffs, n), want), np.shape(n)
+        assert _same_bits(phase_values(coeffs, n), np.exp(2j * np.pi * want)), np.shape(n)
+
+
+def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
+    coeffs = (0.0, 0.37, 0.123, 0.0071)
+    N = 10**5 + 3
+    ns = np.arange(1, N + 1)
+    whole = tree_sum(table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns))
+    got = exp_sum(table_1m, PolynomialPhase(coeffs), N)
+    assert _same_bits(got, complex(whole) / N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.integers(1, 12),
+    N=st.integers(1, 3 * 10**5),
+    coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_exp_sum_residue_classes_add_up(table_1m, q, N, coeffs):
+    # raw sums, so the tolerance is 1e-12 * N
+    full = exp_sum(table_1m, PolynomialPhase(tuple(coeffs)), N) * N
+    parts = sum(
+        exp_sum(table_1m, PolynomialPhase(tuple(coeffs), q, r), N) * N for r in range(q)
+    )
+    assert abs(parts - full) <= 1e-12 * N
 
 
 def test_exp_sum_half_phase(table_1m):
