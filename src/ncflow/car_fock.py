@@ -28,7 +28,7 @@ import numpy as np
 
 from .flows import Flow
 from .linalg import check_square, check_unitary, inner, unitary_power
-from .moebius import MoebiusTable, phase_values
+from .moebius import MoebiusTable, characters
 
 _SYMBOL_ATOL = 1e-10
 
@@ -437,7 +437,7 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) ->
 
     def batch(ns):
         ns = np.asarray(ns, dtype=np.int64)
-        z = np.stack([phase_values((0.0, th), ns) for th in theta], axis=1)
+        z = characters(theta, ns)
         out = np.full(ns.shape, const, dtype=np.complex128)
         for scalar, plains, gs in terms:
             n_deg = len(gs)

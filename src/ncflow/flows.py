@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import moebius
-from .moebius import MoebiusTable, fold_pairwise, phase_values
+from .moebius import MoebiusTable, characters, fold_pairwise, phase_values
 
 _BLOCK = 4096
 
@@ -135,6 +135,7 @@ def average_series(
 
     The block layout depends only on (max checkpoint, checkpoint set), so a
     given call signature yields bit-identical results for any worker count.
+    Each worker thread sums one contiguous run of blocks.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]
@@ -154,8 +155,11 @@ def average_series(
 
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers > 1:
+        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+        runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, blocks))
+            parts = pool.map(lambda run: [block_sum(b) for b in run], runs)
+            sums = [s for run in parts for s in run]
     else:
         sums = [block_sum(b) for b in blocks]
 
@@ -213,9 +217,10 @@ def spectral_flow(angles, coeffs, *, declared_bound: float, label: str) -> Flow:
     """Flow n -> z(n)^T C conj(z(n)) with z_j(n) = e(angles[j] n) and C = coeffs.
 
     A finite-dimensional flow takes this form in the eigenbasis of its
-    unitary (angles in turns, C a k x k matrix).  Each phase is reduced mod 1
-    in double-double by phase_values, so the value at n carries no error
-    accumulated over earlier n and costs O(k^2) per point.
+    unitary (angles in turns, C a k x k matrix).  The characters come from
+    moebius.characters, each phase theta_j n reduced exactly mod 1, so the
+    value at n carries no error accumulated over earlier n and costs O(k^2)
+    per point.
     """
     angles = np.asarray(angles, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -226,7 +231,7 @@ def spectral_flow(angles, coeffs, *, declared_bound: float, label: str) -> Flow:
         )
 
     def values_at(ns):
-        z = np.stack([phase_values((0.0, th), ns) for th in angles], axis=1)
+        z = characters(angles, ns)
         return ((z @ coeffs) * np.conj(z)).sum(axis=1)
 
     return Flow(values_at=values_at, declared_bound=declared_bound, label=label)

@@ -35,7 +35,7 @@ from .linalg import (
     schur_unitary,
     unitary_power,
 )
-from .moebius import MoebiusTable, fold_pairwise, phase_values
+from .moebius import MoebiusTable, characters, fold_pairwise
 
 
 POLAR_INTERVAL = 10**4
@@ -232,14 +232,12 @@ def _eigen_expansion_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) ->
     a_tilde = [
         ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
     ]
-    # E_j[n, t] = e(theta_t * phi_j(n)), phases reduced mod 1 per eigenvalue
-    es = []
-    for j in range(d):
-        cols = [
-            phase_values([c * th for c in spec.phase_polys[j]], ns)
-            for th in thetas[j]
-        ]
-        es.append(np.stack(cols, axis=1))
+    # E_j[n, t] = e(theta_t phi_j(n)) at the integer phi_j(n); an int64
+    # wraparound of phi_j is a multiple of 2^64, which the exact 2^-64-grid
+    # part of theta_t turns into whole turns
+    es = [
+        characters(thetas[j], _phi_values(spec.phase_polys[j], ns)) for j in range(d)
+    ]
     chain = es[0][:, :, None] * a_tilde[0][None, :, :]
     for j in range(1, d):
         chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
@@ -273,10 +271,8 @@ class QuantizedUnitary:
         return self.power(1)
 
     def power(self, n: int) -> np.ndarray:
-        out = np.zeros(self.projections.shape[1:], dtype=np.complex128)
-        for theta, p in zip(self.angles, self.projections):
-            out += np.exp(2j * np.pi * ((theta * n) % 1.0)) * p
-        return out
+        z = characters(self.angles, [n])[0]
+        return np.einsum("j,jab->ab", z, self.projections)
 
 
 def quantize_unitary(

@@ -22,17 +22,18 @@ temporary stays in L2.
 
 Phase evaluation
 ----------------
-Polynomial phases ``a_d n^d + ... + a_0`` are evaluated mod 1 with
-double-double Horner steps (two_sum / two_prod compensation) and a mod-1
-reduction after every step.  Coefficients are pre-reduced mod 1, which is
-exact for integer arguments.  One kernel does this in place, ``_PHASE_TILE``
-elements at a time, in scratch arrays allocated once per call; phase_values
-exponentiates each tile in place.  Coefficients on the 2^-53 grid (what
-``random.random()`` draws) come out within 1e-12 for degree <= 4 at every
-n up to ``N_MAX_CAP``.  For other coefficients the error grows like
-``n^d * 2^-106``: below 1e-12 for degree <= 2 up to the cap, degree 3 up to
-n = 1e6 and degree 4 up to n = 5e4, but about 1e-8 for degree 3 and no
-correct digit for degree 4 at n = 1e8.  The tests check this against an
+Polynomial phases ``a_d n^d + ... + a_0`` are evaluated mod 1 at integer n.
+Each coefficient splits exactly into ``M 2^-64 + lo`` with
+``M = floor(a 2^64) mod 2^64`` and ``0 <= lo < 2^-64``.  Horner's rule on
+the M runs in wrapping uint64 arithmetic, exact mod 2^64 (one turn), and
+one rounding converts the result to a float in [0, 1).  So coefficients on
+the 2^-64 grid (every |a| >= 2^-12 of either sign, and everything
+``random.random()`` draws) come out within 2^-54 at every n.  When some lo
+is nonzero, a float Horner of the lo parts, reduced mod 1, is added to the
+integer accumulator in units of 2^-64, and the error stays within
+``2^-53 + 2^-50 * sum_i lo_i |n|^i``.  One kernel does this ``_PHASE_TILE``
+elements at a time, and characters evaluates many linear phases
+e(theta_k n) in one broadcast.  The tests check both bounds against an
 exact rational oracle.
 """
 
@@ -52,7 +53,7 @@ N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
 _CHUNK = _SUM_BLOCK * 2  # streaming chunk, a multiple of _SUM_BLOCK that stays in L2
-_PHASE_TILE = 8192  # phase kernel tile: eight float64 scratch arrays of 64 KiB
+_PHASE_TILE = 8192  # phase kernel tile: 64 KiB per uint64 or float64 temporary
 _SIEVE_SEGMENT = 1 << 19
 
 _CACHE_MAGIC = b"NCF2"
@@ -198,99 +199,91 @@ def fold_pairwise(parts: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# polynomial phases: double-double Horner in cache-sized tiles
+# polynomial phases: exact Horner mod 2^64 in cache-sized tiles
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split into two 26-bit halves
 _TWO_PI = 2.0 * math.pi
 
 
-def _phase_tiles(coeffs: Sequence[float], n: np.ndarray):
-    """Yield (tile, frac): frac(phi(n)) for each _PHASE_TILE run of n.ravel().
+def _split(coeffs):
+    """Exact split of each coefficient c = M 2^-64 + lo (mod 1).
 
-    frac is a scratch view that the next tile overwrites.  Each Horner step
-    is Dekker's two_prod(hi, n) with lo * n added to its error, Knuth's
-    two_sum with the next coefficient, a fast_two_sum renormalization and
-    hi mod 1 (exact: hi < 2**53), computed in place in eight scratch arrays;
-    the Veltkamp split of n is the same in every step and is taken once.
+    M = floor(c 2^64) mod 2^64 as uint64 and lo in [0, 2^-64) as float64,
+    computed in Python ints from c.as_integer_ratio(), so lo is exact.
     """
-    red = [float(c) - math.floor(float(c)) for c in coeffs]
-    flat = n.ravel()
-    scratch = np.empty((8, min(flat.size, _PHASE_TILE)))
-    for start in range(0, flat.size, _PHASE_TILE):
-        x = flat[start : start + _PHASE_TILE]
-        hi, lo, nh, nl, p, s, t, u = scratch[:, : x.size]
-        np.multiply(x, _SPLITTER, out=nh)
-        np.subtract(nh, x, out=t)
-        np.subtract(nh, t, out=nh)
-        np.subtract(x, nh, out=nl)
-        hi.fill(red[-1])
-        lo.fill(0.0)
-        for a in reversed(red[:-1]):
-            # two_prod: p + t = hi * n exactly (s, hi: the split of hi); t += lo * n
-            np.multiply(hi, x, out=p)
-            np.multiply(hi, _SPLITTER, out=s)
-            np.subtract(s, hi, out=t)
-            np.subtract(s, t, out=s)
-            np.subtract(hi, s, out=hi)
-            np.multiply(s, nh, out=t)
-            np.subtract(t, p, out=t)
-            np.multiply(s, nl, out=s)
-            np.add(t, s, out=t)
-            np.multiply(hi, nh, out=s)
-            np.add(t, s, out=t)
-            np.multiply(hi, nl, out=s)
-            np.add(t, s, out=t)
-            np.multiply(lo, x, out=lo)
-            np.add(t, lo, out=t)
-            # two_sum: s + hi = p + a exactly; then t = hi + t
-            np.add(p, a, out=s)
-            np.subtract(s, p, out=u)
-            np.subtract(s, u, out=hi)
-            np.subtract(p, hi, out=hi)
-            np.subtract(a, u, out=u)
-            np.add(hi, u, out=hi)
-            np.add(hi, t, out=t)
-            # fast_two_sum (|s| >= |t|), then hi mod 1
-            np.add(s, t, out=hi)
-            np.subtract(hi, s, out=u)
-            np.subtract(t, u, out=lo)
-            np.floor(hi, out=u)
-            np.subtract(hi, u, out=hi)
-        np.add(hi, lo, out=t)
-        np.floor(t, out=u)
-        np.subtract(t, u, out=t)
-        yield slice(start, start + x.size), t
+    ms, los = [], []
+    for c in np.asarray(coeffs, dtype=np.float64).ravel().tolist():
+        num, den = c.as_integer_ratio()
+        top, rest = divmod(num << 64, den)
+        ms.append(top % (1 << 64))
+        los.append(rest / (den << 64))
+    return np.array(ms, dtype=np.uint64), np.array(los)
+
+
+def _horner(coeffs, x) -> np.ndarray:
+    """sum_i coeffs[i] x^i in the dtype of x; zero coefficients are not added."""
+    out = np.empty(np.broadcast_shapes(x.shape, np.shape(coeffs[-1])), x.dtype)
+    out[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        np.multiply(out, x, out=out)
+        if np.any(c):
+            np.add(out, c, out=out)
+    return out
+
+
+def _phase_frac(ms, los, n) -> np.ndarray:
+    """(sum_i (ms[i] 2^-64 + los[i]) n^i) mod 1, in [0, 1), for int64 n.
+
+    The M Horner wraps mod 2^64, one turn, so it is exact; n is viewed as
+    uint64 because uint64 * int64 would go to float64.  When some lo is
+    nonzero, its float Horner reduced mod 1 is added in units of 2^-64.
+    """
+    acc = _horner(ms, n.view(np.uint64))
+    if any(np.any(lo) for lo in los):
+        low = _horner(los, n.astype(np.float64))
+        low -= np.floor(low)
+        acc += (low * 2.0**64).astype(np.uint64)
+    frac = acc * 2.0**-64
+    frac -= np.floor(frac)
+    return frac
+
+
+def _exp_turns(frac: np.ndarray) -> np.ndarray:
+    """e(frac), written as 0 + 2 pi frac i and exponentiated in place."""
+    z = np.zeros(frac.shape, dtype=np.complex128)
+    np.multiply(frac, _TWO_PI, out=z.imag)
+    return np.exp(z, out=z)
 
 
 def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:
-    """Fractional part of sum_i coeffs[i] * n^i for integer n, vectorized.
-
-    Coefficients are reduced mod 1 first (integer parts only add whole turns
-    for integer n), then a compensated Horner loop reduces mod 1 per step.
-    """
-    n = np.asarray(n, dtype=np.float64)
+    """Fractional part of sum_i coeffs[i] * n^i for integer n, vectorized,
+    _PHASE_TILE elements at a time."""
+    ms, los = _split(coeffs)
+    n = np.asarray(n, dtype=np.int64)
     out = np.empty(n.shape)
-    flat = out.reshape(-1)
-    for tile, frac in _phase_tiles(coeffs, n):
-        flat[tile] = frac
+    flat, flat_n = out.reshape(-1), n.reshape(-1)
+    for start in range(0, flat.size, _PHASE_TILE):
+        tile = slice(start, start + _PHASE_TILE)
+        flat[tile] = _phase_frac(ms, los, flat_n[tile])
     return out[()]  # a numpy scalar for 0-d n, as from a ufunc
 
 
 def phase_values(coeffs: Sequence[float], n) -> np.ndarray:
     """e(phi(n)) = exp(2 pi i phi(n)) with phi evaluated mod 1.
 
-    Each tile is written as 0 + 2 pi frac i and exponentiated in place, the
-    same bits as np.exp(2j * np.pi * poly_phase_frac(coeffs, n)).
+    The same bits as np.exp(2j * np.pi * poly_phase_frac(coeffs, n)).
     """
-    n = np.asarray(n, dtype=np.float64)
-    out = np.empty(n.shape, dtype=np.complex128)
-    flat = out.reshape(-1)
-    for tile, frac in _phase_tiles(coeffs, n):
-        z = flat[tile]
-        z.real = 0.0
-        np.multiply(frac, _TWO_PI, out=z.imag)
-        np.exp(z, out=z)
-    return out[()]
+    return _exp_turns(np.asarray(poly_phase_frac(coeffs, n)))[()]
+
+
+def characters(angles, ns) -> np.ndarray:
+    """The (len(ns), len(angles)) matrix e(angles[k] * ns[i]).
+
+    Column k has the same bits as phase_values of the linear phase
+    (0, angles[k]) at ns.
+    """
+    ms, los = _split(angles)
+    ns = np.asarray(ns, dtype=np.int64)
+    return _exp_turns(_phase_frac((0, ms), (0.0, los), ns[:, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,21 @@ def test_series_prefix_consistency(table_1m):
     assert np.array_equal(full.values[:3], part.values)
 
 
-def test_series_worker_count_does_not_change_bits(table_1m):
+def test_series_worker_count_does_not_change_bits(table_1m, monkeypatch):
     cps = geometric_checkpoints(10**5)
     flow = rotation_flow(GOLDEN)
     s1 = average_series(flow, table_1m, cps, workers=1)
     s4 = average_series(flow, table_1m, cps, workers=4)
     assert np.array_equal(s1.values, s4.values)
     assert s1.abs_mu_counts == s4.abs_mu_counts
+    # three threads, each summing one contiguous run of blocks, with
+    # checkpoints that cut blocks short at uneven places inside the runs
+    monkeypatch.setattr(flows.os, "cpu_count", lambda: 3)
+    cps = sorted({*cps, 4097, 8191, 12289, 50001, 77777})
+    s1 = average_series(flow, table_1m, cps, workers=1)
+    s3 = average_series(flow, table_1m, cps, workers=3)
+    assert np.array_equal(s1.values, s3.values)
+    assert s1.abs_mu_counts == s3.abs_mu_counts
 
 
 @pytest.mark.parametrize("cpus, pool_size", [(4, 3), (2, 2), (None, None)])

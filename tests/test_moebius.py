@@ -14,6 +14,7 @@ from ncflow.moebius import (
     PolynomialPhase,
     build_table,
     cache_path,
+    characters,
     exp_sum,
     fold_pairwise,
     linear_phase,
@@ -160,22 +161,47 @@ def test_poly_phase_frac_matches_fraction_oracle():
                 assert _frac_error(coeffs, n, g) < 1e-12, (deg, coeffs, n)
 
 
+def _model_bound(coeffs, n) -> float:
+    """The documented error bound: 2^-54 when every coefficient lies on the
+    2^-64 grid, else 2^-53 + 2^-50 sum_i lo_i |n|^i with lo_i = c_i mod 2^-64."""
+    los = [Fraction(c) % Fraction(1, 2**64) for c in coeffs]
+    if not any(los):
+        return 2.0**-54
+    off_grid = sum(lo * abs(n) ** i for i, lo in enumerate(los))
+    return 2.0**-53 + 2.0**-50 * float(off_grid)
+
+
 def test_poly_phase_frac_error_model_for_general_coefficients():
-    # off the 2^-53 grid the error grows like n^d 2^-106 (the documented
-    # model); below 1e-12 for d <= 2 up to the cap, d = 3 up to 1e6 and
-    # d = 4 up to 5e4
+    # signs +-, scales 2^-0 .. 2^-39, degrees 1 - 4 and |n| up to the cap:
+    # both branches of the documented model hold against the exact oracle
     rng = np.random.default_rng(1)
+    on_grid = off_grid = 0
     for deg in range(1, 5):
-        for _ in range(10):
+        for _ in range(25):
             scales = 2.0 ** -rng.integers(0, 40, size=deg + 1)
-            coeffs = [float(c) for c in rng.random(deg + 1) * scales]
-            ns = [1, N_MAX_CAP] + [int(10 ** rng.uniform(k, k + 1)) for k in range(8)]
+            signs = rng.choice([-1.0, 1.0], size=deg + 1)
+            coeffs = [float(c) for c in rng.random(deg + 1) * scales * signs]
+            ns = [1, N_MAX_CAP, -N_MAX_CAP] + [
+                int(10 ** rng.uniform(k, k + 1)) for k in range(8)
+            ]
             got = poly_phase_frac(coeffs, np.array(ns))
             for n, g in zip(ns, got):
-                bound = 2.0**-53 + 4.0 * float(n) ** deg * 2.0**-106
+                bound = _model_bound(coeffs, n)
+                assert 0.0 <= g < 1.0
                 assert _frac_error(coeffs, n, g) <= bound, (deg, coeffs, n)
-                if deg <= 2 or n <= (10**6 if deg == 3 else 5 * 10**4):
-                    assert _frac_error(coeffs, n, g) < 1e-12, (deg, coeffs, n)
+                on_grid += bound == 2.0**-54
+                off_grid += bound != 2.0**-54
+    assert on_grid and off_grid
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [((0.0, -0.3), 99_999_989), ((0.0, 0.0, -1e-7), 10**8), ((0.0, 1.0 / 3.0), 3)],
+)
+def test_poly_phase_frac_reduces_negative_and_rounding_coefficients_exactly(coeffs, n):
+    got = poly_phase_frac(coeffs, n)
+    assert 0.0 <= got < 1.0
+    assert _frac_error(coeffs, n, got) <= _model_bound(coeffs, n)
 
 
 def test_poly_phase_frac_vectorized_agrees_with_scalar():
@@ -256,6 +282,16 @@ def test_phase_kernel_is_bit_identical_to_the_expression_form(degree):
         want = expression_phase_frac(coeffs, n)
         assert _same_bits(poly_phase_frac(coeffs, n), want), np.shape(n)
         assert _same_bits(phase_values(coeffs, n), np.exp(2j * np.pi * want)), np.shape(n)
+
+
+def test_characters_match_stacked_phase_values():
+    rng = np.random.default_rng(7)
+    angles = np.concatenate([rng.random(5), [0.0, 1e-9, -3e-7, 2.5, -0.75]])
+    ns = np.concatenate([np.arange(1, 3000), rng.integers(1, N_MAX_CAP + 1, size=500)])
+    want = np.stack([phase_values((0.0, th), ns) for th in angles], axis=1)
+    got = characters(angles, ns)
+    assert got.shape == (ns.size, angles.size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
