@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -33,6 +33,7 @@ from .car_fock import (
 )
 from .flows import (
     CSV_COLUMNS,
+    BSZReport,
     Flow,
     FlowEvaluationError,
     average_series,
@@ -91,17 +92,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "checkpoints": list(self.checkpoints)
-            if self.checkpoints is not None
-            else None,
-            "out_dir": self.out_dir,
-            "params": dict(self.params),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -201,14 +192,7 @@ def _series_payload(series, fit=None) -> dict:
         "final_im": final.imag,
     }
     if fit is not None:
-        out["fit"] = {
-            "C": fit.C,
-            "h": fit.h,
-            "r_squared": fit.r_squared,
-            "n_used": fit.n_used,
-            "n_zero_dropped": fit.n_zero_dropped,
-            "exact_zero": fit.exact_zero,
-        }
+        out["fit"] = asdict(fit)
     return out
 
 
@@ -479,42 +463,11 @@ def _run_bsz_check(cfg, table, workers):
     report = bsz_check(flow, table, epsilon, M, cfg.n_max)
     result = {
         "flow": flow.label,
-        "epsilon": report.epsilon,
-        "M": report.M,
-        "N": report.N,
-        "prime_cap": report.prime_cap,
-        "prime_pairs_checked": report.prime_pairs_checked,
-        "hypothesis_holds": report.hypothesis_holds,
-        "max_correlation_ratio": report.max_correlation_ratio,
-        "mobius_sum_abs": report.mobius_sum_abs,
-        "analytic_bound": report.analytic_bound,
+        **asdict(report),
         "within_analytic_bound": report.within_analytic_bound,
     }
-    header = (
-        "epsilon",
-        "M",
-        "N",
-        "prime_cap",
-        "prime_pairs_checked",
-        "hypothesis_holds",
-        "max_correlation_ratio",
-        "mobius_sum_abs",
-        "analytic_bound",
-    )
-    rows = [
-        (
-            report.epsilon,
-            report.M,
-            report.N,
-            report.prime_cap,
-            report.prime_pairs_checked,
-            report.hypothesis_holds,
-            report.max_correlation_ratio,
-            report.mobius_sum_abs,
-            report.analytic_bound,
-        )
-    ]
-    return header, rows, result
+    header = tuple(f.name for f in fields(BSZReport))
+    return header, [astuple(report)], result
 
 
 @dataclass(frozen=True)

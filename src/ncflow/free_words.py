@@ -2,6 +2,11 @@
 with exact coefficients, the canonical trace, non-crossing partitions, free
 moment-cumulant transforms, and block-sum norm estimates.
 
+The moment-cumulant transforms use the recursion that groups NC(n) by the
+block of 1, one power series convolution per block size, so their cost is
+polynomial in the order.  The enumeration of NC(n) stays as the oracle the
+tests check the recursion against.
+
 Words are stored run-length compressed as (generator index, signed power)
 syllables with adjacent indices distinct; reduction is a stack pass.  The
 canonical trace tau picks the coefficient of the empty word.  Everything here
@@ -17,7 +22,7 @@ from typing import Optional, Sequence
 from .flows import Flow, constant_flow
 from .moebius import MoebiusTable
 
-NC_ORDER_CAP = 14
+NC_ORDER_CAP = 14  # bounds nc_partitions and the transforms, whose order can come from the CLI
 
 
 @dataclass(frozen=True)
@@ -228,39 +233,50 @@ class CumulantTable:
         return len(self.kappa)
 
 
+def _multi_block_sum(kappa: Sequence, moments: Sequence, n: int):
+    """Sum over pi in NC(n) with at least two blocks of prod_V kappa_{|V|}.
+
+    Let V be the block of 1 and s = |V|.  The other n - s points fall into
+    the s gaps that follow the elements of V, and a non-crossing pi splits
+    into one partition per gap, so the gaps contribute m_{i_1}...m_{i_s}
+    summed over i_1 + ... + i_s = n - s.  That is [z^{n-s}] M(z)^s with
+    M(z) = 1 + sum_i m_i z^i (Nica & Speicher, Lectures on the Combinatorics
+    of Free Probability, 2006), and s = n is the one-block partition left
+    out.  Only kappa_1..kappa_{n-1} and m_1..m_{n-1} are read.
+    """
+    series = (1, *moments[: n - 1])
+    power = [1] + [0] * (n - 1)  # M(z)^0, truncated at z^(n-1)
+    total = 0
+    for s in range(1, n):
+        power = [
+            sum(power[j] * series[i - j] for j in range(i + 1))
+            for i in range(n - s + 1)
+        ]
+        total += kappa[s - 1] * power[n - s]
+    return total
+
+
 def cumulants_to_moments(kappa: Sequence) -> CumulantTable:
-    """m_n = sum over pi in NC(n) of prod over blocks of kappa_{|V|}."""
+    """m_n = sum over pi in NC(n) of prod over blocks of kappa_{|V|}, order by
+    order: kappa_n for the one-block partition plus _multi_block_sum."""
     kappa = tuple(kappa)
     if not 1 <= len(kappa) <= NC_ORDER_CAP:
         raise ValueError(f"order must lie in [1, {NC_ORDER_CAP}]")
     moments = []
     for n in range(1, len(kappa) + 1):
-        total = 0
-        for pi in nc_partitions(n):
-            prod = 1
-            for block in pi.blocks:
-                prod *= kappa[len(block) - 1]
-            total += prod
-        moments.append(total)
+        moments.append(kappa[n - 1] + _multi_block_sum(kappa, moments, n))
     return CumulantTable(kappa=kappa, moments=tuple(moments))
 
 
 def moments_to_cumulants(moments: Sequence) -> CumulantTable:
-    """Invert the moment formula order by order (the full block is kappa_n)."""
+    """Invert the moment formula order by order: kappa_n is m_n less the
+    partitions with at least two blocks."""
     moments = tuple(moments)
     if not 1 <= len(moments) <= NC_ORDER_CAP:
         raise ValueError(f"order must lie in [1, {NC_ORDER_CAP}]")
     kappa = []
     for n in range(1, len(moments) + 1):
-        partial = 0
-        for pi in nc_partitions(n):
-            if len(pi.blocks) == 1:
-                continue
-            prod = 1
-            for block in pi.blocks:
-                prod *= kappa[len(block) - 1]
-            partial += prod
-        kappa.append(moments[n - 1] - partial)
+        kappa.append(moments[n - 1] - _multi_block_sum(kappa, moments, n))
     return CumulantTable(kappa=tuple(kappa), moments=moments)
 
 

@@ -182,19 +182,28 @@ def trace_product_sum(
     The direct path multiplies binary powers of each U_j.  The eigen path
     diagonalizes each U_j once and sums scalar phase products against the
     transformed contractions; when two_path is set the two values must agree
-    to agree_tol or an ArithmeticError is raised.
+    to agree_tol or an ArithmeticError is raised.  Both paths take phi_j(n)
+    in int64, so every phase polynomial must have sum_i |c_i| N^i < 2^63,
+    or a ValueError is raised.
     """
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+    for coeffs in spec.phase_polys:
+        reach = sum(abs(c) * N**i for i, c in enumerate(coeffs))
+        if reach >= 2**63:
+            raise ValueError(
+                f"phase polynomial {coeffs} reaches sum |c_i| N^i = {reach}"
+                f" >= 2^63 at N = {N}; its int64 values would wrap"
+            )
     ns = np.asarray(
         moebius._restricted_range(N, spec.modulus, spec.residue), dtype=np.int64
     )
     ns = ns[table.mu[ns] != 0]
+    phis = [_phi_values(c, ns) for c in spec.phase_polys]
     k = spec.k
     if ns.size == 0:
         direct = 0j
     else:
-        phis = [_phi_values(c, ns) for c in spec.phase_polys]
         parts = []
         for i, n in enumerate(ns):
             m = np.eye(k, dtype=np.complex128)
@@ -205,7 +214,7 @@ def trace_product_sum(
         direct = complex(fold_pairwise(parts)) / N
     if not two_path:
         return TraceProductResult(value=direct)
-    eigen = _eigen_expansion_sum(spec, table, N)
+    eigen = _eigen_expansion_sum(spec, table.mu[ns], phis) / N
     gap = abs(direct - eigen)
     if gap > agree_tol:
         raise ArithmeticError(
@@ -214,36 +223,27 @@ def trace_product_sum(
     return TraceProductResult(value=direct, eigen_value=eigen, discrepancy=gap)
 
 
-def _eigen_expansion_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> complex:
-    """Eigen path: tr_k(prod U_j^{phi_j} A_j) expanded over joint eigenphases.
+def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> complex:
+    """Eigen path: sum_n mu[n] tr_k(prod U_j^{phis[j][n]} A_j), expanded over
+    joint eigenphases.
 
     With U_j = W_j D_j W_j*, the trace is the chain product of
     A~_j = W_j* A_j W_{j+1} against phase factors e(theta^{(j)}_t phi_j(n)),
     summed over one eigenindex per factor and divided by k.
     """
-    ns = np.asarray(
-        moebius._restricted_range(N, spec.modulus, spec.residue), dtype=np.int64
-    )
-    ns = ns[table.mu[ns] != 0]
-    if ns.size == 0:
+    if mu.size == 0:
         return 0j
     k, d = spec.k, spec.d
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
     a_tilde = [
         ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
     ]
-    # E_j[n, t] = e(theta_t phi_j(n)) at the integer phi_j(n); an int64
-    # wraparound of phi_j is a multiple of 2^64, which the exact 2^-64-grid
-    # part of theta_t turns into whole turns
-    es = [
-        characters(thetas[j], _phi_values(spec.phase_polys[j], ns)) for j in range(d)
-    ]
+    es = [characters(thetas[j], phis[j]) for j in range(d)]
     chain = es[0][:, :, None] * a_tilde[0][None, :, :]
     for j in range(1, d):
         chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
     vals = np.einsum("naa->n", chain) / k
-    w = table.mu[ns].astype(np.float64)
-    return complex(moebius.tree_sum(vals * w)) / N
+    return complex(moebius.tree_sum(vals * mu.astype(np.float64)))
 
 
 # ---------------------------------------------------------------------------

@@ -310,16 +310,6 @@ def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
     return complex(total) / N
 
 
-def weighted_average(table: MoebiusTable, f: Callable, N: int) -> complex:
-    """(1/N) * sum_{n<=N} mu(n) f(n) for f vectorized over an int64 array."""
-    _check_N(table, N)
-    total = _streamed_sum(
-        range(1, N + 1),
-        lambda ns: np.asarray(f(ns), dtype=np.complex128) * table.mu[ns],
-    )
-    return complex(total) / N
-
-
 def mertens(table: MoebiusTable, N: int) -> int:
     """M(N) = sum_{n<=N} mu(n), exact."""
     _check_N(table, N)

@@ -1,10 +1,17 @@
+import collections
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncflow import free_words
 from ncflow.flows import average_series, geometric_checkpoints
 from ncflow.free_words import (
+    NC_ORDER_CAP,
     GroupElementSum,
     NonCrossingPartition,
     ReducedWord,
@@ -168,6 +175,64 @@ def test_cumulant_round_trip_floats():
     assert np.allclose(table.kappa, [0.0, 0.5, 0.0, -0.125], atol=1e-12)
     back = cumulants_to_moments(table.kappa).moments
     assert np.allclose(back, [0.0, 0.5, 0.0, 0.375], atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _nc_block_types(n):
+    """How many pi in NC(n) have each sorted tuple of block sizes."""
+    return collections.Counter(
+        tuple(sorted(len(block) for block in pi.blocks)) for pi in nc_partitions(n)
+    )
+
+
+def _nc_sum(kappa, n, min_blocks=1):
+    """sum over pi in NC(n) with at least min_blocks blocks of prod kappa_{|V|}."""
+    return sum(
+        count * math.prod(kappa[size - 1] for size in sizes)
+        for sizes, count in _nc_block_types(n).items()
+        if len(sizes) >= min_blocks
+    )
+
+
+def oracle_cumulants_to_moments(kappa):
+    return tuple(_nc_sum(kappa, n) for n in range(1, len(kappa) + 1))
+
+
+def oracle_moments_to_cumulants(moments):
+    kappa = []
+    for n in range(1, len(moments) + 1):
+        kappa.append(moments[n - 1] - _nc_sum(kappa, n, min_blocks=2))
+    return tuple(kappa)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=9),
+        min_size=1,
+        max_size=9,
+    )
+)
+def test_cumulant_recursion_matches_nc_sum_oracle(seq):
+    assert cumulants_to_moments(seq).moments == oracle_cumulants_to_moments(seq)
+    assert moments_to_cumulants(seq).kappa == oracle_moments_to_cumulants(seq)
+
+
+def test_cumulant_transforms_do_not_enumerate(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the transforms must not enumerate NC(n)")
+
+    monkeypatch.setattr(free_words, "nc_partitions", refuse)
+    moments = free_clt_moments(10, NC_ORDER_CAP)
+    assert len(moments) == NC_ORDER_CAP
+    assert moments[3] == Fraction(39, 80)  # (4q - 1) / (8q) at q = 10
+
+
+@pytest.mark.parametrize("transform", [cumulants_to_moments, moments_to_cumulants])
+@pytest.mark.parametrize("order", [0, NC_ORDER_CAP + 1])
+def test_cumulant_transforms_keep_the_order_cap(transform, order):
+    with pytest.raises(ValueError, match=f"order must lie in \\[1, {NC_ORDER_CAP}\\]"):
+        transform([Fraction(1)] * order)
 
 
 def test_semicircle_is_free_cumulant_delta():

@@ -220,7 +220,28 @@ def test_trace_product_quadratic_phase_two_paths(table_10k):
     assert res.discrepancy < 1e-9
 
 
-def test_trace_product_d1_matches_weighted_average(table_10k):
+def test_trace_product_rejects_phases_past_int64(table_10k):
+    # phi(n) = n^5 passes 2^63 before n = 10^4, where int64 would wrap
+    base = make_spec(np.random.default_rng(8), 3, 1)
+    spec = TraceProductSpec(
+        unitaries=base.unitaries,
+        contractions=base.contractions,
+        phase_polys=((0, 0, 0, 0, 0, 1),),
+    )
+    with pytest.raises(ValueError, match=r"\(0, 0, 0, 0, 0, 1\).*2\^63 at N = 10000"):
+        trace_product_sum(spec, table_10k, 10**4)
+    # the bound is sum |c_i| N^i < 2^63: 2^62 n is accepted at N = 1 only
+    spec = TraceProductSpec(
+        unitaries=base.unitaries,
+        contractions=base.contractions,
+        phase_polys=((0, 2**62),),
+    )
+    trace_product_sum(spec, table_10k, 1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        trace_product_sum(spec, table_10k, 2)
+
+
+def test_trace_product_d1_matches_direct_sum(table_10k):
     # single factor: (1/N) sum mu(n) tr(U^{c n} A)/k computed directly
     rng = np.random.default_rng(5)
     spec = make_spec(rng, 3, 1)

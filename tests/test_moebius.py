@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncflow import moebius
+from ncflow.flows import Flow, average_series
 from ncflow.moebius import (
     N_MAX_CAP,
     PolynomialPhase,
@@ -28,7 +29,6 @@ from ncflow.moebius import (
     squarefree_count,
     squarefree_density,
     tree_sum,
-    weighted_average,
 )
 
 
@@ -377,20 +377,35 @@ def test_exp_sum_rejects_bad_range(table_10k):
         exp_sum(table_10k, PolynomialPhase((0.0, 0.5)), 10**5)
 
 
-def test_weighted_average_matches_exp_sum(table_10k):
+def _mu_average(table, f, N):
+    """(1/N) sum_{n<=N} mu(n) f(n) through average_series."""
+    flow = Flow(values_at=f, declared_bound=1.0, label="test_flow")
+    return complex(average_series(flow, table, [N]).values[0])
+
+
+def test_average_series_matches_exp_sum(table_10k):
     theta = 0.137
     f = lambda ns: np.exp(2j * np.pi * theta * np.asarray(ns))
-    s1 = weighted_average(table_10k, f, 9973)
+    s1 = _mu_average(table_10k, f, 9973)
     s2 = exp_sum(table_10k, PolynomialPhase((0.0, theta)), 9973)
     assert abs(s1 - s2) < 1e-12
 
 
-def test_weighted_average_bounded_by_abs_average(table_10k):
+def test_average_series_bounded_by_abs_average(table_10k):
     # |sum mu f| <= sum |mu| for |f| <= 1
     theta = 0.7312
     N = 9000
-    s = weighted_average(table_10k, lambda ns: np.exp(2j * np.pi * theta * ns), N)
+    s = _mu_average(table_10k, lambda ns: np.exp(2j * np.pi * theta * ns), N)
     assert abs(s) <= squarefree_count(table_10k, N) / N + 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 9973, 12289, 10**6])
+@pytest.mark.parametrize("coeffs", [(0.0, 0.137), (0.25, 0.7312, 0.1)])
+def test_average_series_of_a_phase_is_exp_sum_bitwise(table_1m, coeffs, N):
+    # both sum mu(n) e(phi(n)) in the same blocks and fold, so the bits agree
+    s = _mu_average(table_1m, lambda ns: phase_values(coeffs, ns), N)
+    ref = exp_sum(table_1m, PolynomialPhase(coeffs), N)
+    assert np.complex128(s).tobytes() == np.complex128(ref).tobytes()
 
 
 def test_tree_sum_matches_fsum():
