@@ -67,15 +67,9 @@ SCHEMA_VERSION = 1
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-_TOP_KEYS = {
-    "schema_version",
-    "experiment",
-    "seed",
-    "n_max",
-    "checkpoints",
-    "out_dir",
-    "params",
-}
+# at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
+_MAX_DIM = 32
+_MATRIX_DIMS = {"matrix-flow": "dim", "trace-product": "k", "quantize": "dim", "pure-point": "d"}
 
 
 class ConfigError(ValueError):
@@ -93,6 +87,9 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+
+
+_TOP_KEYS = {"schema_version", *(f.name for f in fields(ExperimentConfig))}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -146,6 +143,16 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"parameter {key!r} must be a string")
         if isinstance(default, list) and not isinstance(value, list):
             raise ConfigError(f"parameter {key!r} must be a list")
+        if isinstance(default, int) and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+        if key == _MATRIX_DIMS.get(cfg.experiment) and value > _MAX_DIM:
+            raise ConfigError(f"{key} must be <= {_MAX_DIM}, got {value}")
+        if key == "coeffs" and not (
+            value and all(type(c) in (int, float) and math.isfinite(c) for c in value)
+        ):
+            raise ConfigError("coeffs must be a non-empty list of finite numbers")
+        if (cfg.experiment, key) == ("bsz-check", "epsilon") and not 0.0 < value < 1.0:
+            raise ConfigError(f"epsilon must lie in (0, 1), got {value}")
     if EXPERIMENTS[cfg.experiment].randomized and cfg.seed is None:
         raise ConfigError(f"experiment {cfg.experiment!r} is randomized; --seed is mandatory")
 
@@ -311,8 +318,9 @@ def _run_quantize(cfg, table, workers):
     quantized = quantize_unitary(u, epsilon, horizon)
     rows = []
     max_drift = 0.0
-    for n in _checkpoints(cfg, horizon):
-        drift = op_norm(unitary_power(u, n) - quantized.power(n))
+    cps = _checkpoints(cfg, horizon)
+    for n, power in zip(cps, unitary_power(u, cps)):
+        drift = op_norm(power - quantized.power(n))
         rows.append((n, drift, epsilon))
         max_drift = max(max_drift, drift)
     t = _hermitian_contraction(rng, dim)
@@ -342,8 +350,6 @@ def _run_car_demo(cfg, table, workers):
     d = int(cfg.params["d"])
     samples = int(cfg.params["samples"])
     degree = int(cfg.params["degree"])
-    if degree < 1:
-        raise ConfigError(f"degree must be >= 1, got {degree}")
     rng = np.random.default_rng(cfg.seed)
     space = fock_space(d)
     symbol = _symbol_contraction(rng, d)

@@ -7,11 +7,11 @@ Tensor products follow np.kron index order ((i1, i2) row-major).
 Eigenphases of unitaries are reported in turns, i.e. angles in [0, 1) with
 eigenvalue e(theta) = exp(2 pi i theta).  schur_unitary is the package's one
 spectral decomposition: one eigenphase per Schur column, never merged, with
-the reconstruction checked on every call.
+the reconstruction checked on every call.  unitary_power is the one exact
+power path, bit for bit np.linalg.matrix_power for each n of an index array.
 """
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -144,17 +144,27 @@ def schur_unitary(u):
     return angles, q
 
 
-def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n by binary powering; negative n through the adjoint."""
+def unitary_power(u: np.ndarray, n) -> np.ndarray:
+    """U^n for an int n, or the stack of U^n for an int64 array of n.
+
+    Each matrix has the bits np.linalg.matrix_power gives for its n alone:
+    the base is squared once per bit for the whole batch, a row copies the
+    power at its lowest set bit and multiplies in the later ones from the
+    right, and n == 3 is (U U) U.  Negative n are powers of the adjoint.
+    """
     u = np.asarray(u, dtype=np.complex128)
-    if n < 0:
-        return np.linalg.matrix_power(u.conj().T, -n)
-    return np.linalg.matrix_power(u, n)
-
-
-def polar_unitary_factor(a: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor) of a nonsingular matrix."""
-    import scipy.linalg
-
-    w, _ = scipy.linalg.polar(a)
-    return w
+    ns = np.asarray(n, dtype=np.int64)
+    out = np.empty(ns.shape + u.shape, dtype=np.complex128)
+    out[...] = np.eye(u.shape[0])
+    for a, e in ((u, np.maximum(ns, 0)), (u.conj().T, np.maximum(-ns, 0))):
+        low = e & -e  # lowest set bit, 0 for e == 0
+        z = a
+        for b in range(int(e.max(initial=0)).bit_length()):
+            if b:
+                z = z @ z
+            out[low == 1 << b] = z
+            more = (low < 1 << b) & ((e >> b) & 1 == 1) & (e != 3)
+            out[more] = out[more] @ z
+        if (e == 3).any():
+            out[e == 3] = (a @ a) @ a
+    return out

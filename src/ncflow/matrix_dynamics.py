@@ -6,10 +6,10 @@ rank_one_flow and the finite_vn state flow are spectral_flows: with
 U = sum_j e(theta_j) q_j q_j* from the Schur vectors, each is the quadratic
 form z(n)^T C conj(z(n)) in z_j(n) = e(theta_j n), with C built once, and
 values at any n are computed directly.  ad_flow still walks powers
-incrementally (one multiply per step) with a polar re-unitarization every
-POLAR_INTERVAL steps, each run of consecutive n re-anchored with an exact
-binary power, because the seed-0 matrix-flow reference in perfbench pins
-its decay-fit constant to the walk's rounding.  quantize_unitary rounds the
+incrementally (one multiply per step) from exact binary powers, because the
+seed-0 matrix-flow reference in perfbench pins its decay-fit constant to
+the walk's rounding.  Exact powers come in batches from unitary_power, here
+and in the trace-product direct path.  quantize_unitary rounds the
 eigenphase of each Schur column to its grid; columns that land on the same
 grid point stay separate rank-one projections, and the bound chain sums
 exponential sums against coefficients over all column pairs.
@@ -17,11 +17,11 @@ exponential sums against coefficients over all column pairs.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import linalg, moebius
+from . import moebius
 from .flows import Flow, average_series, spectral_flow
 from .linalg import (
     check_density,
@@ -36,21 +36,6 @@ from .linalg import (
     unitary_power,
 )
 from .moebius import MoebiusTable, characters, fold_pairwise
-
-
-POLAR_INTERVAL = 10**4
-
-
-def _power_walk(u: np.ndarray, lo: int, hi: int):
-    """Yield U^n for n = lo+1 .. hi, re-unitarizing every POLAR_INTERVAL steps."""
-    w = unitary_power(u, lo + 1)
-    steps = 0
-    for n in range(lo + 1, hi + 1):
-        yield w
-        w = u @ w
-        steps += 1
-        if steps % POLAR_INTERVAL == 0:
-            w = linalg.polar_unitary_factor(w)
 
 
 def _sandwich_coefficients(projections, a, rho) -> np.ndarray:
@@ -71,13 +56,17 @@ def ad_flow(u, a, rho, *, label: Optional[str] = None) -> Flow:
     rho = check_density(rho)
 
     def values_at(ns):
-        # walk each run of consecutive n from an exact binary power at its start
+        # walk each run of consecutive n in a tile from an exact binary power
         out = np.empty(ns.shape, dtype=np.complex128)
-        starts = np.flatnonzero(np.diff(ns, prepend=ns[:1] - 2) != 1)
-        for s, e in zip(starts, [*starts[1:], ns.size]):
-            walk = _power_walk(u, int(ns[s]) - 1, int(ns[e - 1]))
-            for i, w in enumerate(walk, start=s):
-                out[i] = np.trace(rho @ w @ a @ w.conj().T)
+        for lo in range(0, ns.size, moebius._SUM_BLOCK):
+            tile = ns[lo : lo + moebius._SUM_BLOCK]
+            restart = np.diff(tile, prepend=tile[0] - 2) != 1
+            anchors = iter(unitary_power(u, tile[restart]))
+            ws = np.empty(tile.shape + u.shape, dtype=np.complex128)
+            for i, fresh in enumerate(restart):
+                ws[i] = next(anchors) if fresh else u @ ws[i - 1]
+            wa = rho @ ws @ a @ ws.conj().transpose(0, 2, 1)
+            out[lo : lo + tile.size] = np.trace(wa, axis1=1, axis2=2)
         return out
 
     return Flow(
@@ -162,13 +151,6 @@ class TraceProductResult:
     discrepancy: Optional[float] = None
 
 
-def _phi_values(coeffs: Sequence[int], ns: np.ndarray) -> np.ndarray:
-    out = np.zeros(ns.shape, dtype=np.int64)
-    for c in reversed(coeffs):
-        out = out * ns + c
-    return out
-
-
 def trace_product_sum(
     spec: TraceProductSpec,
     table: MoebiusTable,
@@ -179,7 +161,8 @@ def trace_product_sum(
 ) -> TraceProductResult:
     """Moebius-weighted trace product average, optionally cross-checked.
 
-    The direct path multiplies binary powers of each U_j.  The eigen path
+    The direct path multiplies binary powers of each U_j, batched over
+    _SUM_BLOCK indices at a time, and folds the per-n terms.  The eigen path
     diagonalizes each U_j once and sums scalar phase products against the
     transformed contractions; when two_path is set the two values must agree
     to agree_tol or an ArithmeticError is raised.  Both paths take phi_j(n)
@@ -199,22 +182,19 @@ def trace_product_sum(
         moebius._restricted_range(N, spec.modulus, spec.residue), dtype=np.int64
     )
     ns = ns[table.mu[ns] != 0]
-    phis = [_phi_values(c, ns) for c in spec.phase_polys]
-    k = spec.k
-    if ns.size == 0:
-        direct = 0j
-    else:
-        parts = []
-        for i, n in enumerate(ns):
-            m = np.eye(k, dtype=np.complex128)
-            for j in range(spec.d):
-                m = m @ unitary_power(spec.unitaries[j], int(phis[j][i]))
-                m = m @ spec.contractions[j]
-            parts.append(int(table.mu[n]) * np.trace(m) / k)
-        direct = complex(fold_pairwise(parts)) / N
+    mu = table.mu[ns]
+    phis = [moebius._horner(np.array(c, dtype=np.int64), ns) for c in spec.phase_polys]
+    traces = np.empty(ns.shape, dtype=np.complex128)
+    for lo in range(0, ns.size, moebius._SUM_BLOCK):
+        tile = slice(lo, lo + moebius._SUM_BLOCK)
+        m = np.eye(spec.k, dtype=np.complex128)
+        for u, a, phi in zip(spec.unitaries, spec.contractions, phis):
+            m = m @ unitary_power(u, phi[tile]) @ a
+        traces[tile] = np.trace(m, axis1=1, axis2=2)
+    direct = complex(fold_pairwise(mu * traces / spec.k)) / N if ns.size else 0j
     if not two_path:
         return TraceProductResult(value=direct)
-    eigen = _eigen_expansion_sum(spec, table.mu[ns], phis) / N
+    eigen = _eigen_expansion_sum(spec, mu, phis) / N
     gap = abs(direct - eigen)
     if gap > agree_tol:
         raise ArithmeticError(
@@ -229,21 +209,23 @@ def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> comple
 
     With U_j = W_j D_j W_j*, the trace is the chain product of
     A~_j = W_j* A_j W_{j+1} against phase factors e(theta^{(j)}_t phi_j(n)),
-    summed over one eigenindex per factor and divided by k.
+    summed over one eigenindex per factor and divided by k, in tree_sum's blocks.
     """
-    if mu.size == 0:
-        return 0j
     k, d = spec.k, spec.d
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
     a_tilde = [
         ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
     ]
-    es = [characters(thetas[j], phis[j]) for j in range(d)]
-    chain = es[0][:, :, None] * a_tilde[0][None, :, :]
-    for j in range(1, d):
-        chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
-    vals = np.einsum("naa->n", chain) / k
-    return complex(moebius.tree_sum(vals * mu.astype(np.float64)))
+
+    def terms(pos):
+        es = [characters(thetas[j], phis[j][pos]) for j in range(d)]
+        chain = es[0][:, :, None] * a_tilde[0][None, :, :]
+        for j in range(1, d):
+            chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
+        vals = np.einsum("naa->n", chain) / k
+        return vals * mu[pos].astype(np.float64)
+
+    return complex(moebius._streamed_sum(range(mu.size), terms))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +281,9 @@ def quantize_unitary(
         horizon=int(horizon),
         grid_size=m,
     )
-    for n in {1, max(1, horizon // 2), horizon}:
-        if op_norm(unitary_power(u, n) - quantized.power(n)) > epsilon:
+    checks = sorted({1, max(1, horizon // 2), horizon})
+    for n, power in zip(checks, unitary_power(u, checks)):
+        if op_norm(power - quantized.power(n)) > epsilon:
             raise ArithmeticError(
                 f"quantized power drifted past epsilon at n = {n}"
             )

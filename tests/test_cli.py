@@ -234,6 +234,22 @@ def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, checkpoints, messag
         ("car-demo", {"degree": 0}, "degree must be >= 1"),
         ("quantize", {"epsilon": 0.0}, "epsilon must be positive"),
         ("quantize", {"epsilon": -0.1}, "epsilon must be positive"),
+        ("matrix-flow", {"dim": 0}, "dim must be >= 1"),
+        ("trace-product", {"k": 0}, "k must be >= 1"),
+        ("trace-product", {"count": -1}, "count must be >= 1"),
+        ("pure-point", {"d": 0}, "d must be >= 1"),
+        ("free-clt", {"q": 0}, "q must be >= 1"),
+        ("bsz-check", {"M": 0}, "M must be >= 1"),
+        ("matrix-flow", {"dim": 33}, "dim must be <= 32"),
+        ("trace-product", {"k": 33}, "k must be <= 32"),
+        ("quantize", {"dim": 10**6}, "dim must be <= 32"),
+        ("pure-point", {"d": 33}, "d must be <= 32"),
+        ("bsz-check", {"epsilon": 0.0}, "epsilon must lie in (0, 1)"),
+        ("bsz-check", {"epsilon": 1.0}, "epsilon must lie in (0, 1)"),
+        ("decay", {"coeffs": ["a"]}, "coeffs must be a non-empty list"),
+        ("decay", {"coeffs": []}, "coeffs must be a non-empty list"),
+        ("decay", {"coeffs": [0, float("nan")]}, "coeffs must be a non-empty list"),
+        ("decay", {"coeffs": [0, True]}, "coeffs must be a non-empty list"),
     ],
 )
 def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, message):

@@ -12,7 +12,6 @@ from ncflow.linalg import (
     inner,
     normalized_trace,
     op_norm,
-    polar_unitary_factor,
     random_density,
     schur_unitary,
     tensor,
@@ -130,14 +129,21 @@ def test_unitary_power_negative_is_adjoint_power():
     assert op_norm(unitary_power(u, 0) - np.eye(4)) < 1e-15
 
 
-def test_polar_unitary_factor():
-    rng = np.random.default_rng(13)
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    w = polar_unitary_factor(g)
-    assert op_norm(w @ w.conj().T - np.eye(5)) < 1e-12
-    u = haar_unitary(5, 1)
-    # a unitary is its own unitary polar factor
-    assert op_norm(polar_unitary_factor(u) - u) < 1e-12
+@pytest.mark.parametrize("k", [4, 8])
+def test_unitary_power_batch_matches_matrix_power(k):
+    # one batched call has, row by row, the bits of one matrix_power call per
+    # n; negative n are the powers of the adjoint
+    u = haar_unitary(k, k)
+    rng = np.random.default_rng(k)
+    ns = np.concatenate([np.arange(-50, 3001), rng.integers(-10**5, 10**5, 300)])
+    got = unitary_power(u, ns)
+    assert got.shape == (ns.size, k, k)
+    for n, power in zip(ns.tolist(), got):
+        base = u if n >= 0 else u.conj().T
+        assert power.tobytes() == np.linalg.matrix_power(base, abs(n)).tobytes(), n
+    for i in (0, 50, 53, ns.size - 1):  # n = -50, 0, 3 and a draw, one at a time
+        assert unitary_power(u, int(ns[i])).shape == (k, k)
+        assert unitary_power(u, int(ns[i])).tobytes() == got[i].tobytes()
 
 
 def test_hermitian_contraction_helper():

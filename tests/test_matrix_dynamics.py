@@ -3,7 +3,14 @@ import pytest
 
 from conftest import hermitian_contraction, unit_vector
 from ncflow.flows import average_series, rotation_flow
-from ncflow.linalg import haar_unitary, op_norm, random_density, tensor, unitary_power
+from ncflow.linalg import (
+    haar_unitary,
+    op_norm,
+    random_density,
+    schur_unitary,
+    tensor,
+    unitary_power,
+)
 from ncflow.matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
@@ -13,6 +20,7 @@ from ncflow.matrix_dynamics import (
     rank_one_flow,
     trace_product_sum,
 )
+from ncflow.moebius import build_table, characters, fold_pairwise, tree_sum
 
 
 def random_contraction(rng, k):
@@ -44,17 +52,35 @@ def test_ad_flow_diagonal_equals_rotation(table_10k):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_ad_flow_long_walk_stays_anchored():
-    # incremental powers with periodic re-unitarization vs direct binary powers
+def test_ad_flow_long_run_restarts_from_exact_powers():
+    # one run of 30001 n is walked in pieces of at most 4096 steps, each from
+    # an exact binary power, so the walk error never builds up past one piece
     u = haar_unitary(8, 1)
     rng = np.random.default_rng(2)
     a = hermitian_contraction(rng, 8)
     rho = random_density(8, rng)
-    fl = ad_flow(u, a, rho)
-    for n in (1, 9999, 30000, 30001):
+    vals = ad_flow(u, a, rho).values(0, 30001)
+    for n in (1, 4096, 4097, 9999, 30000, 30001):
         w = unitary_power(u, n)
         direct = np.trace(rho @ w @ a @ w.conj().T)
-        assert abs(fl.evaluator(n) - direct) < 1e-10
+        assert abs(vals[n - 1] - direct) < 1e-10
+
+
+def test_ad_flow_block_is_the_plain_walk():
+    # the 4096-point blocks average_series asks for: bit for bit the walk
+    # w -> u @ w from matrix_power(u, lo + 1), one trace per step
+    u = haar_unitary(8, 5)
+    rng = np.random.default_rng(6)
+    a = hermitian_contraction(rng, 8)
+    rho = random_density(8, rng)
+    lo = 3 * 4096
+    w = np.linalg.matrix_power(u, lo + 1)
+    want = []
+    for _ in range(4096):
+        want.append(np.trace(rho @ w @ a @ w.conj().T))
+        w = u @ w
+    got = ad_flow(u, a, rho).values(lo, lo + 4096)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -239,6 +265,76 @@ def test_trace_product_rejects_phases_past_int64(table_10k):
     trace_product_sum(spec, table_10k, 1)
     with pytest.raises(ValueError, match="2\\^63"):
         trace_product_sum(spec, table_10k, 2)
+
+
+def per_n_direct_sum(spec, table, N):
+    """The direct path as one matrix_power chain per squarefree n, folded."""
+    parts = []
+    for n in range(spec.residue or spec.modulus, N + 1, spec.modulus):
+        if table.mu[n]:
+            m = np.eye(spec.k, dtype=np.complex128)
+            for u, a, coeffs in zip(spec.unitaries, spec.contractions, spec.phase_polys):
+                phi = sum(c * n**i for i, c in enumerate(coeffs))
+                m = m @ np.linalg.matrix_power(u if phi >= 0 else u.conj().T, abs(phi))
+                m = m @ a
+            parts.append(int(table.mu[n]) * np.trace(m) / spec.k)
+    return complex(fold_pairwise(parts)) / N if parts else 0j
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_product_direct_path_is_the_per_n_loop(seed, table_10k):
+    # the CLI's specs (k = 4, d = 2, five per seed): tiled batched powers give
+    # the bits of one power chain per n
+    rng = np.random.default_rng(seed)
+    for spec in [make_spec(rng, 4, 2) for _ in range(5)]:
+        for N in (1000, 3000):
+            got = trace_product_sum(spec, table_10k, N).value
+            assert complex(got) == per_n_direct_sum(spec, table_10k, N)
+
+
+def test_trace_product_direct_path_negative_phase_and_congruence(table_10k):
+    base = make_spec(np.random.default_rng(9), 3, 2, degree=2)
+    specs = [
+        TraceProductSpec(
+            unitaries=base.unitaries,
+            contractions=base.contractions,
+            phase_polys=((2, -5), (0, 3, -1)),
+        ),
+        TraceProductSpec(
+            unitaries=base.unitaries,
+            contractions=base.contractions,
+            phase_polys=base.phase_polys,
+            modulus=2,
+            residue=1,
+        ),
+    ]
+    for spec in specs:
+        got = trace_product_sum(spec, table_10k, 2000).value
+        assert complex(got) == per_n_direct_sum(spec, table_10k, 2000)
+
+
+def test_trace_product_eigen_path_is_one_tree_sum():
+    # past 8192 squarefree n the eigen path streams its terms in chunks; the
+    # sum keeps the bits of tree_sum over the whole term array
+    N = 20000
+    table = build_table(N)
+    spec = make_spec(np.random.default_rng(11), 4, 3)
+    ns = np.arange(1, N + 1)
+    ns = ns[table.mu[ns] != 0]
+    assert ns.size > 8192
+    thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
+    d = spec.d
+    a_tilde = [
+        ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
+    ]
+    es = [characters(thetas[j], spec.phase_polys[j][1] * ns) for j in range(d)]
+    chain = es[0][:, :, None] * a_tilde[0][None, :, :]
+    for j in range(1, d):
+        chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
+    vals = np.einsum("naa->n", chain) / spec.k
+    want = complex(tree_sum(vals * table.mu[ns].astype(np.float64))) / N
+    got = trace_product_sum(spec, table, N, two_path=True).eigen_value
+    assert got == want
 
 
 def test_trace_product_d1_matches_direct_sum(table_10k):
