@@ -31,6 +31,7 @@ from .linalg import check_square, check_unitary, inner, unitary_power
 from .moebius import MoebiusTable, characters
 
 _SYMBOL_ATOL = 1e-10
+MAX_MODES = 12  # the dense Fock oracle holds 2^d x 2^d matrices: 256 MiB each at d = 12
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,10 @@ class FockSpace:
     def dim(self) -> int:
         return 1 << self.d
 
-    def occupations(self, mask: int) -> tuple:
-        return tuple(j + 1 for j in range(self.d) if mask >> j & 1)
-
 
 def fock_space(d: int) -> FockSpace:
-    if not 1 <= d <= 12:
-        raise ValueError(f"d must lie in [1, 12], got {d}")
+    if not 1 <= d <= MAX_MODES:
+        raise ValueError(f"d must lie in [1, {MAX_MODES}], got {d}")
     masks = sorted(range(1 << d), key=lambda m: (bin(m).count("1"), _mask_tuple(m)))
     return FockSpace(d=d, basis=tuple(masks), index={m: i for i, m in enumerate(masks)})
 
@@ -294,6 +292,17 @@ def check_symbol(t) -> np.ndarray:
     return t
 
 
+def _balanced_terms(p: CARPolynomial) -> list:
+    """(scalar, [f_i], [g_j]) for each balanced monomial of normal_order(p),
+    in its order, with g_1 the innermost (rightmost) starred vector; the
+    constant is the term with no vectors.  Unbalanced monomials are dropped."""
+    return [
+        (m.scalar, m.plain, m.starred[::-1])
+        for m in normal_order(p).monomials
+        if len(m.starred) == len(m.plain)
+    ]
+
+
 def quasifree_eval(t, p: CARPolynomial) -> complex:
     """Quasi-free state with symbol T on a CAR polynomial.
 
@@ -303,22 +312,17 @@ def quasifree_eval(t, p: CARPolynomial) -> complex:
     """
     t = check_symbol(t)
     total = 0j
-    for m in normal_order(p).monomials:
-        stars = m.starred
-        plains = m.plain
-        if len(stars) != len(plains):
+    for scalar, plains, gs in _balanced_terms(p):
+        if not gs:
+            total += scalar
             continue
-        if not stars:
-            total += m.scalar
-            continue
-        gs = stars[::-1]  # g_1 is the innermost (rightmost) starred factor
         n = len(gs)
         gram = np.empty((n, n), dtype=np.complex128)
         for i, f in enumerate(plains):
             tf = t @ f
             for j, g in enumerate(gs):
                 gram[i, j] = inner(tf, g)
-        total += m.scalar * np.linalg.det(gram)
+        total += scalar * np.linalg.det(gram)
     return complex(total)
 
 
@@ -416,22 +420,17 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) ->
     t = check_symbol(symbol)
     if t.shape != (d, d):
         raise ValueError(f"symbol must be {d} x {d}")
-    ordered = normal_order(observable)
-    terms = []  # (scalar, [f_i], [g_j]) for balanced monomials
+    terms = []  # the balanced terms other than the constant
     const = 0j
     bound = 0.0
-    for m in ordered.monomials:
-        stars, plains = m.starred, m.plain
-        if len(stars) != len(plains):
+    for scalar, plains, gs in _balanced_terms(observable):
+        if not gs:
+            const += scalar
+            bound += abs(scalar)
             continue
-        if not stars:
-            const += m.scalar
-            bound += abs(m.scalar)
-            continue
-        gs = stars[::-1]
-        terms.append((m.scalar, plains, gs))
+        terms.append((scalar, plains, gs))
         g_sq = sum(float(np.linalg.norm(g)) ** 2 for g in gs)
-        bound += abs(m.scalar) * math.prod(
+        bound += abs(scalar) * math.prod(
             float(np.linalg.norm(f)) for f in plains
         ) * g_sq ** (len(gs) / 2.0)
 

@@ -4,7 +4,7 @@ reproducible experiments that emit a results CSV plus a JSON sidecar.
 Outputs are deterministic given (config, seed): CSV floats are printed with 17
 significant digits, the sidecar echoes the fully resolved config, and worker
 count never changes a single output byte (see the summation contract in
-flows).  The only run-dependent sidecar fields are timestamp and wall_time_s.
+moebius).  The only run-dependent sidecar fields are timestamp and wall_time_s.
 """
 
 import argparse
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .car_fock import (
+    MAX_MODES,
     annihilation,
     counterexample_flow,
     creation,
@@ -49,6 +50,7 @@ from .matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
     finite_vn_average_bound,
+    quantize_grid_size,
     quantize_unitary,
     trace_product_sum,
 )
@@ -70,6 +72,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
 _MAX_DIM = 32
 _MATRIX_DIMS = {"matrix-flow": "dim", "trace-product": "k", "quantize": "dim", "pure-point": "d"}
+_SIZE_CAPS = {**{pair: _MAX_DIM for pair in _MATRIX_DIMS.items()}, ("car-demo", "d"): MAX_MODES}
 
 
 class ConfigError(ValueError):
@@ -145,8 +148,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"parameter {key!r} must be a list")
         if isinstance(default, int) and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
-        if key == _MATRIX_DIMS.get(cfg.experiment) and value > _MAX_DIM:
-            raise ConfigError(f"{key} must be <= {_MAX_DIM}, got {value}")
+        cap = _SIZE_CAPS.get((cfg.experiment, key))
+        if cap is not None and value > cap:
+            raise ConfigError(f"{key} must be <= {cap}, got {value}")
         if key == "coeffs" and not (
             value and all(type(c) in (int, float) and math.isfinite(c) for c in value)
         ):
@@ -170,11 +174,13 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
             n_max = int(params["L"])
     if n_max is not None and not 1 <= n_max <= N_MAX_CAP:
         raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n_max}")
-    if cfg.checkpoints is not None and n_max is not None:
-        try:
+    try:
+        if cfg.checkpoints is not None and n_max is not None:
             checked_checkpoints(n_max, cfg.checkpoints)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if cfg.experiment == "quantize":
+            quantize_grid_size(float(params["epsilon"]), n_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return replace(cfg, n_max=n_max, params=params)
 
 
@@ -186,6 +192,14 @@ def _checkpoints(cfg: ExperimentConfig, horizon: int):
     if cfg.checkpoints is not None:
         return cfg.checkpoints
     return geometric_checkpoints(horizon)
+
+
+def _fitted_series(cfg, table, workers, flow, **extra):
+    """CSV and sidecar result of a flow's series at the config's checkpoints,
+    with its decay fit and the extra result keys."""
+    series = average_series(flow, table, _checkpoints(cfg, cfg.n_max), workers=workers)
+    result = {**_series_payload(series, decay_fit(series)), **extra}
+    return CSV_COLUMNS, list(series.csv_rows()), result
 
 
 def _series_payload(series, fit=None) -> dict:
@@ -228,10 +242,11 @@ def _run_sieve(cfg, table, workers):
         q = squarefree_count(table, n)
         rows.append((n, m, m / n, q / n))
     header = ("N", "mertens", "mertens_over_N", "abs_mu_avg")
+    m_max = mertens(table, cfg.n_max)
     result = {
         "n_max": cfg.n_max,
-        "mertens_at_n_max": mertens(table, cfg.n_max),
-        "mertens_over_n_max": mertens(table, cfg.n_max) / cfg.n_max,
+        "mertens_at_n_max": m_max,
+        "mertens_over_n_max": m_max / cfg.n_max,
         "squarefree_density": squarefree_count(table, cfg.n_max) / cfg.n_max,
     }
     return header, rows, result
@@ -245,12 +260,10 @@ def _run_decay(cfg, table, workers):
         declared_bound=1.0,
         label=f"poly_phase(degree={phase.degree})",
     )
-    cps = _checkpoints(cfg, cfg.n_max)
-    series = average_series(flow, table, cps, workers=workers)
-    fit = decay_fit(series)
-    result = _series_payload(series, fit)
-    result["exp_sum_abs_at_n_max"] = abs(exp_sum(table, phase, cfg.n_max))
-    return CSV_COLUMNS, list(series.csv_rows()), result
+    return _fitted_series(
+        cfg, table, workers, flow,
+        exp_sum_abs_at_n_max=abs(exp_sum(table, phase, cfg.n_max)),
+    )
 
 
 def _run_matrix_flow(cfg, table, workers):
@@ -259,13 +272,7 @@ def _run_matrix_flow(cfg, table, workers):
     u = haar_unitary(dim, rng)
     rho = random_density(dim, rng)
     a = _hermitian_contraction(rng, dim)
-    flow = ad_flow(u, a, rho)
-    cps = _checkpoints(cfg, cfg.n_max)
-    series = average_series(flow, table, cps, workers=workers)
-    fit = decay_fit(series)
-    result = _series_payload(series, fit)
-    result["dim"] = dim
-    return CSV_COLUMNS, list(series.csv_rows()), result
+    return _fitted_series(cfg, table, workers, ad_flow(u, a, rho), dim=dim)
 
 
 def _run_trace_product(cfg, table, workers):
@@ -310,8 +317,6 @@ def _run_trace_product(cfg, table, workers):
 def _run_quantize(cfg, table, workers):
     dim = int(cfg.params["dim"])
     epsilon = float(cfg.params["epsilon"])
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     horizon = cfg.n_max
     rng = np.random.default_rng(cfg.seed)
     u = haar_unitary(dim, rng)
@@ -425,12 +430,7 @@ def _run_pure_point(cfg, table, workers):
         + creation(v[4]) * annihilation(v[5])
     )
     flow = pure_point_flow(angles, observable, symbol)
-    cps = _checkpoints(cfg, cfg.n_max)
-    series = average_series(flow, table, cps, workers=workers)
-    fit = decay_fit(series)
-    result = _series_payload(series, fit)
-    result["d"] = d
-    return CSV_COLUMNS, list(series.csv_rows()), result
+    return _fitted_series(cfg, table, workers, flow, d=d)
 
 
 def _run_free_clt(cfg, table, workers):

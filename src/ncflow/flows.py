@@ -4,24 +4,21 @@ the bilinear (Bourgain-Sarnak-Ziegler) criterion check.
 A Flow is a pure vectorized map from index arrays to values with a declared
 sup bound, evaluated only through one checked call.  spectral_flow builds a
 finite-dimensional flow as a quadratic form in the eigenphase characters
-e(theta_j n).  average_series walks
-n = 1..max(checkpoints) once, in fixed blocks split at every checkpoint, and
-accumulates with the blocked pairwise scheme from ncflow.moebius, so the
-result is independent of how blocks are assigned to workers.
+e(theta_j n).  average_series walks n = 1..max(checkpoints) once through
+moebius.blocked_sums, with the checkpoints as stops, so the result is
+independent of how blocks are assigned to workers.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import moebius
-from .moebius import MoebiusTable, characters, fold_pairwise, phase_values
+from .moebius import MoebiusTable, characters, phase_values
 
-_BLOCK = 4096
+BSZ_PRIME_CAP = 200  # 46 primes, 1035 pair correlations: enough to screen the hypothesis
 
 
 class FlowEvaluationError(RuntimeError):
@@ -117,13 +114,6 @@ class AverageSeries:
 CSV_COLUMNS = ("N", "re", "im", "abs", "running_bound")
 
 
-def _block_edges(n_max: int, checkpoints: Sequence[int]):
-    edges = set(range(0, n_max + 1, _BLOCK))
-    edges.add(n_max)
-    edges.update(checkpoints)
-    return sorted(edges)
-
-
 def average_series(
     flow: Flow,
     table: MoebiusTable,
@@ -133,9 +123,8 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    The block layout depends only on (max checkpoint, checkpoint set), so a
-    given call signature yields bit-identical results for any worker count.
-    Each worker thread sums one contiguous run of blocks.
+    Each block of moebius.blocked_sums is evaluated through flow.values, so
+    a given call signature yields bit-identical results for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]
@@ -144,27 +133,13 @@ def average_series(
             f"flow {flow.label!r} is only defined for n <= {flow.valid_n}, "
             f"requested series up to N = {n_max}"
         )
-    edges = _block_edges(n_max, cps)
-    blocks = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-    def block_sum(bounds):
-        lo, hi = bounds
-        vals = flow.values(lo, hi)
-        w = table.mu[lo + 1 : hi + 1]
-        return complex(np.add.reduce(vals * w))
-
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    if workers > 1:
-        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-        runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda run: [block_sum(b) for b in run], runs)
-            sums = [s for run in parts for s in run]
-    else:
-        sums = [block_sum(b) for b in blocks]
-
-    last_block = {hi: k for k, (_, hi) in enumerate(blocks)}
-    values = [fold_pairwise(sums[: last_block[N] + 1]) / N for N in cps]
+    sums = moebius.blocked_sums(
+        range(1, n_max + 1),
+        lambda r: flow.values(r.start - 1, r.stop - 1) * table.mu[r.start : r.stop],
+        cps,
+        workers=workers,
+    )
+    values = [complex(s) / N for N, s in zip(cps, sums)]
     counts = [moebius.squarefree_count(table, N) for N in cps]
     return AverageSeries(
         label=flow.label,
@@ -320,13 +295,11 @@ def bsz_check(
     epsilon: float,
     M: int,
     N: int,
-    *,
-    hard_prime_cap: int = 200,
 ) -> BSZReport:
     """Check the bilinear hypothesis for a bounded flow and report the
     Moebius-sum bound it buys.
 
-    Primes are capped at min(e^(1/eps), hard_prime_cap, table.n_max / M).
+    Primes are capped at min(e^(1/eps), BSZ_PRIME_CAP, table.n_max / M).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -334,7 +307,7 @@ def bsz_check(
         raise ValueError("need M >= 1 and 1 <= N <= table.n_max")
     if flow.declared_bound > 1.0 + 1e-12:
         raise ValueError("bsz_check requires |f| <= 1 (declared_bound <= 1)")
-    cap = min(math.exp(1.0 / epsilon), float(hard_prime_cap), table.n_max / M)
+    cap = min(math.exp(1.0 / epsilon), float(BSZ_PRIME_CAP), table.n_max / M)
     cap = int(math.floor(cap))
     primes = [int(p) for p in moebius.primes_upto(cap)]
     per_prime = {

@@ -37,6 +37,9 @@ from .linalg import (
 )
 from .moebius import MoebiusTable, characters, fold_pairwise
 
+TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
+QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
+
 
 def _sandwich_coefficients(projections, a, rho) -> np.ndarray:
     """C_jk = tr(rho P_j A P_k), so tr(rho U^n A U*^n) = z(n)^T C conj(z(n))."""
@@ -157,7 +160,6 @@ def trace_product_sum(
     N: int,
     *,
     two_path: bool = False,
-    agree_tol: float = 1e-9,
 ) -> TraceProductResult:
     """Moebius-weighted trace product average, optionally cross-checked.
 
@@ -165,7 +167,7 @@ def trace_product_sum(
     _SUM_BLOCK indices at a time, and folds the per-n terms.  The eigen path
     diagonalizes each U_j once and sums scalar phase products against the
     transformed contractions; when two_path is set the two values must agree
-    to agree_tol or an ArithmeticError is raised.  Both paths take phi_j(n)
+    to TRACE_AGREE_TOL or an ArithmeticError is raised.  Both paths take phi_j(n)
     in int64, so every phase polynomial must have sum_i |c_i| N^i < 2^63,
     or a ValueError is raised.
     """
@@ -196,9 +198,9 @@ def trace_product_sum(
         return TraceProductResult(value=direct)
     eigen = _eigen_expansion_sum(spec, mu, phis) / N
     gap = abs(direct - eigen)
-    if gap > agree_tol:
+    if gap > TRACE_AGREE_TOL:
         raise ArithmeticError(
-            f"trace product paths disagree by {gap:.3e} > {agree_tol:g}"
+            f"trace product paths disagree by {gap:.3e} > {TRACE_AGREE_TOL:g}"
         )
     return TraceProductResult(value=direct, eigen_value=eigen, discrepancy=gap)
 
@@ -209,7 +211,8 @@ def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> comple
 
     With U_j = W_j D_j W_j*, the trace is the chain product of
     A~_j = W_j* A_j W_{j+1} against phase factors e(theta^{(j)}_t phi_j(n)),
-    summed over one eigenindex per factor and divided by k, in tree_sum's blocks.
+    summed over one eigenindex per factor and divided by k, then summed over
+    the positions of mu by moebius.blocked_sums.
     """
     k, d = spec.k, spec.d
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
@@ -217,7 +220,8 @@ def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> comple
         ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
     ]
 
-    def terms(pos):
+    def terms(r):
+        pos = np.arange(r.start, r.stop, dtype=np.int64)
         es = [characters(thetas[j], phis[j][pos]) for j in range(d)]
         chain = es[0][:, :, None] * a_tilde[0][None, :, :]
         for j in range(1, d):
@@ -225,7 +229,7 @@ def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> comple
         vals = np.einsum("naa->n", chain) / k
         return vals * mu[pos].astype(np.float64)
 
-    return complex(moebius._streamed_sum(range(mu.size), terms))
+    return complex(moebius.blocked_sums(range(mu.size), terms)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +261,25 @@ class QuantizedUnitary:
         return np.einsum("j,jab->ab", z, self.projections)
 
 
-def quantize_unitary(
-    u, epsilon: float, horizon: int, *, grid_cap: int = 10**8
-) -> QuantizedUnitary:
+def quantize_grid_size(epsilon: float, horizon: int) -> int:
+    """Grid size m = ceil(2 pi horizon / epsilon); a ValueError when the
+    arguments are out of range or m passes QUANTIZE_GRID_CAP."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    u = check_unitary(u)
     m = math.ceil(2.0 * math.pi * horizon / epsilon)
-    if m > grid_cap:
+    if m > QUANTIZE_GRID_CAP:
         raise ValueError(
             f"epsilon = {epsilon:g} at horizon {horizon} needs grid size m = {m}"
-            f" > cap {grid_cap}; refuse to quantize"
+            f" > cap {QUANTIZE_GRID_CAP}; refuse to quantize"
         )
+    return m
+
+
+def quantize_unitary(u, epsilon: float, horizon: int) -> QuantizedUnitary:
+    m = quantize_grid_size(epsilon, horizon)
+    u = check_unitary(u)
     angles, q = schur_unitary(u)
     keys = np.round(angles * m) % m
     order = np.argsort(keys, kind="stable")

@@ -11,14 +11,13 @@ byte table plus one segment's int32 scratch arrays.
 
 Summation contract
 ------------------
-Every average in this package is a fixed blocked pairwise sum: numpy's
-(deterministic) pairwise reduction inside ``_SUM_BLOCK``-element blocks,
-followed by a balanced binary fold over the block subtotals.  The tree shape
-depends only on the index range, never on how the work was partitioned, so
-serial and worker-parallel runs agree bit for bit.
-
-Sums stream their index range ``_CHUNK`` (two blocks) at a time, so every
-temporary stays in L2.
+Every Moebius average sums through ``blocked_sums`` (the trace-product
+direct path, an independent oracle, folds its per-n terms itself): numpy's
+pairwise reduction inside blocks of at most ``_SUM_BLOCK`` consecutive
+indices, also cut at each stop, then a balanced binary fold of the block
+sums up to each stop.  The layout depends only on the index range and the
+stops, never on the worker count, and the terms are evaluated one block at
+a time, so every temporary stays in L2.
 
 Phase evaluation
 ----------------
@@ -42,6 +41,7 @@ import os
 import struct
 import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -52,7 +52,6 @@ DEFAULT_N_MAX = 10**6
 N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
-_CHUNK = _SUM_BLOCK * 2  # streaming chunk, a multiple of _SUM_BLOCK that stays in L2
 _PHASE_TILE = 8192  # phase kernel tile: 64 KiB per uint64 or float64 temporary
 _SIEVE_SEGMENT = 1 << 19
 
@@ -154,33 +153,49 @@ def primes_upto(n: int) -> np.ndarray:
 # deterministic blocked pairwise summation
 
 
-def _block_sums(values: np.ndarray) -> list:
-    """np.add.reduce over each consecutive _SUM_BLOCK-element block."""
-    return [
-        np.add.reduce(values[i : i + _SUM_BLOCK])
-        for i in range(0, values.size, _SUM_BLOCK)
-    ]
+def blocked_sums(
+    idx: range, terms: Callable, stops: Sequence[int] = (), *, workers: int = 1
+) -> list:
+    """Blocked pairwise sums of terms over idx, up to each stop and to the end.
 
-
-def _streamed_sum(idx: range, terms: Callable[[np.ndarray], np.ndarray]):
-    """Blocked pairwise sum of terms(n) over n in idx, _CHUNK indices at a time.
-
-    The blocks are consecutive _SUM_BLOCK-element runs of idx, exactly as if
-    tree_sum saw the whole array.  0j when idx is empty.
+    The positions of idx are cut into consecutive _SUM_BLOCK runs and at each
+    stop (a count of leading positions).  terms(r) maps each block, a
+    sub-range r of idx, to a 1-D contiguous array.  Returns fold_pairwise of
+    the block sums up to each stop and then up to len(idx), 0j for none.
+    With workers > 1 each thread sums one contiguous run of blocks.
     """
-    parts = []
-    for lo in range(0, len(idx), _CHUNK):
-        r = idx[lo : lo + _CHUNK]
-        parts += _block_sums(terms(np.arange(r.start, r.stop, r.step, dtype=np.int64)))
-    return fold_pairwise(parts) if parts else 0j
+    size = len(idx)
+    if any(not 0 <= s <= size for s in stops):
+        raise ValueError(f"stops must lie in [0, {size}]")
+    edges = sorted({*range(0, size, _SUM_BLOCK), *stops, size})
+    blocks = list(zip(edges, edges[1:]))
+
+    def run(part):
+        return [np.add.reduce(terms(idx[lo:hi])) for lo, hi in part]
+
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(run, [blocks[a:b] for a, b in zip(cuts, cuts[1:])])
+            sums = [s for part in parts for s in part]
+    else:
+        sums = run(blocks)
+    ends = {0: 0, **{hi: k + 1 for k, (_, hi) in enumerate(blocks)}}
+    counts = [ends[s] for s in (*stops, size)]
+    folds = {k: fold_pairwise(sums[:k]) if k else 0j for k in set(counts)}
+    return [folds[k] for k in counts]
 
 
 def tree_sum(values: np.ndarray):
-    """Sum a 1-D array with the fixed blocked pairwise scheme."""
+    """Sum a whole 1-D array with the fixed blocked pairwise scheme; the
+    oracle that the tests hold blocked_sums to."""
     values = np.asarray(values)
     if values.size == 0:
         return values.dtype.type(0)
-    return fold_pairwise(_block_sums(values))
+    return fold_pairwise(
+        [np.add.reduce(values[i : i + _SUM_BLOCK]) for i in range(0, values.size, _SUM_BLOCK)]
+    )
 
 
 def fold_pairwise(parts: Sequence):
@@ -225,7 +240,7 @@ def _horner(coeffs, x) -> np.ndarray:
     out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
         np.multiply(out, x, out=out)
-        if np.any(c):
+        if np.count_nonzero(c):
             np.add(out, c, out=out)
     return out
 
@@ -238,7 +253,7 @@ def _phase_frac(ms, los, n) -> np.ndarray:
     nonzero, its float Horner reduced mod 1 is added in units of 2^-64.
     """
     acc = _horner(ms, n.view(np.uint64))
-    if any(np.any(lo) for lo in los):
+    if any(np.count_nonzero(lo) for lo in los):
         low = _horner(los, n.astype(np.float64))
         low -= np.floor(low)
         acc += (low * 2.0**64).astype(np.uint64)
@@ -303,11 +318,13 @@ def _check_N(table: MoebiusTable, N: int) -> None:
 def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
     """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) e(phi(n))."""
     _check_N(table, N)
-    total = _streamed_sum(
-        _restricted_range(N, phase.modulus, phase.residue),
-        lambda ns: table.mu[ns].astype(np.float64) * phase_values(phase.coeffs, ns),
-    )
-    return complex(total) / N
+
+    def terms(r):
+        ns = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+        return table.mu[ns].astype(np.float64) * phase_values(phase.coeffs, ns)
+
+    idx = _restricted_range(N, phase.modulus, phase.residue)
+    return complex(blocked_sums(idx, terms)[0]) / N
 
 
 def mertens(table: MoebiusTable, N: int) -> int:

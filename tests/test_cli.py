@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ncflow
+from ncflow import cli
 from ncflow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -167,23 +168,32 @@ def test_cli_flag_conflicting_with_config_fails(tmp_path, capsys):
     assert main(["sieve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 
 
-def test_unattainable_tolerance_is_a_numeric_failure(tmp_path, capsys):
-    cfg_path = tmp_path / "tiny.json"
-    cfg_path.write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "experiment": "quantize",
-                "seed": 5,
-                "n_max": 100,
-                "params": {"epsilon": 1e-9},
-                "out_dir": str(tmp_path / "out"),
-            }
-        )
-    )
-    assert main(["--config", str(cfg_path)]) == 1
-    assert "numeric failure" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"experiment": "car-demo", "seed": 0, "params": {"d": 13}}, "d must be <= 12"),
+        ({"experiment": "quantize", "seed": 0, "params": {"epsilon": 1e-9}}, "grid size"),
+        (
+            {"experiment": "quantize", "seed": 5, "n_max": 100, "params": {"epsilon": 1e-9}},
+            "grid size",
+        ),
+    ],
+    ids=["car-demo-d", "quantize-grid", "quantize-grid-n100"],
+)
+def test_configs_past_a_hard_cap_fail_before_the_sieve(
+    tmp_path, capsys, monkeypatch, config, message
+):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    monkeypatch.setattr(cli, "fock_space", no_table)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cap.json"
+    cfg_path.write_text(json.dumps({**config, "out_dir": str(out)}))
+    assert main(["--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hermitian_contraction
-from ncflow import flows
+from ncflow import moebius
 from ncflow.flows import (
     AverageSeries,
     Flow,
@@ -55,12 +57,31 @@ def test_series_worker_count_does_not_change_bits(table_1m, monkeypatch):
     assert s1.abs_mu_counts == s4.abs_mu_counts
     # three threads, each summing one contiguous run of blocks, with
     # checkpoints that cut blocks short at uneven places inside the runs
-    monkeypatch.setattr(flows.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(moebius.os, "cpu_count", lambda: 3)
     cps = sorted({*cps, 4097, 8191, 12289, 50001, 77777})
     s1 = average_series(flow, table_1m, cps, workers=1)
     s3 = average_series(flow, table_1m, cps, workers=3)
     assert np.array_equal(s1.values, s3.values)
     assert s1.abs_mu_counts == s3.abs_mu_counts
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cps=st.lists(st.integers(1, 60_000), min_size=1, max_size=8, unique=True),
+    keep=st.integers(1, 8),
+    theta=st.floats(0.0, 1.0),
+)
+def test_series_bits_ignore_workers_and_dropped_checkpoints(table_1m, cps, keep, theta):
+    cps = sorted(cps)
+    flow = rotation_flow(theta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moebius.os, "cpu_count", lambda: 3)
+        runs = [average_series(flow, table_1m, cps, workers=w) for w in (1, 2, 3)]
+    for series in runs[1:]:
+        assert series.values.tobytes() == runs[0].values.tobytes()
+    # dropping trailing checkpoints keeps every block below the last one kept
+    kept = average_series(flow, table_1m, cps[:keep])
+    assert kept.values.tobytes() == runs[0].values[:keep].tobytes()
 
 
 @pytest.mark.parametrize("cpus, pool_size", [(4, 3), (2, 2), (None, None)])
@@ -82,8 +103,8 @@ def test_series_worker_count_is_clamped(table_10k, monkeypatch, cpus, pool_size)
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(flows, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(flows.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(moebius, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(moebius.os, "cpu_count", lambda: cpus)
     flow = rotation_flow(GOLDEN)
     serial = average_series(flow, table_10k, [9000])
     clamped = average_series(flow, table_10k, [9000], workers=100_000)

@@ -13,6 +13,7 @@ from ncflow.flows import Flow, average_series
 from ncflow.moebius import (
     N_MAX_CAP,
     PolynomialPhase,
+    blocked_sums,
     build_table,
     cache_path,
     characters,
@@ -301,6 +302,65 @@ def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
     whole = tree_sum(table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns))
     got = exp_sum(table_1m, PolynomialPhase(coeffs), N)
     assert _same_bits(got, complex(whole) / N)
+
+
+def _gather(x):
+    """terms for blocked_sums: the entries of x at a sub-range, as a fresh 1-D array."""
+    return lambda r: x[np.arange(r.start, r.stop, r.step)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.integers(0, 40),
+    step=st.integers(1, 3),
+    size=st.integers(0, 5 * 4096 + 100),
+    raw_stops=st.lists(st.integers(0, 10**6), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_sums_are_worker_invariant_and_match_tree_sum(
+    start, step, size, raw_stops, seed
+):
+    rng = np.random.default_rng(seed)
+    idx = range(start, start + step * size, step)
+    x = rng.standard_normal(idx.stop + 1) * 10.0 ** rng.integers(-6, 6, idx.stop + 1)
+    x = x + 1j * rng.standard_normal(x.size)
+    stops = [s % (size + 1) for s in raw_stops]  # uneven cuts anywhere in [0, size]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moebius.os, "cpu_count", lambda: 3)
+        runs = [blocked_sums(idx, _gather(x), stops, workers=w) for w in (1, 2, 3)]
+    assert len(runs[0]) == len(stops) + 1
+    for run in runs[1:]:
+        assert all(_same_bits(complex(a), complex(b)) for a, b in zip(run, runs[0]))
+    # without stops the blocks are tree_sum's blocks over the whole term array
+    ns = np.arange(idx.start, idx.stop, idx.step)
+    (total,) = blocked_sums(idx, _gather(x))
+    assert _same_bits(complex(total), complex(tree_sum(x[ns])))
+    # the first stop cuts only the block it falls in, so its prefix is tree_sum's
+    if stops:
+        first = min(stops)
+        got = runs[0][stops.index(first)]
+        assert _same_bits(complex(got), complex(tree_sum(x[ns[:first]])))
+
+
+def test_blocked_sums_reject_stops_outside_the_range():
+    with pytest.raises(ValueError, match="stops"):
+        blocked_sums(range(10), _gather(np.ones(10)), [11])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.integers(2, 12),
+    residue=st.integers(0, 11),
+    N=st.integers(1, 3 * 10**5),
+    coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_exp_sum_in_a_residue_class_is_one_tree_sum(table_1m, q, residue, N, coeffs):
+    residue %= q
+    ns = np.arange(residue if residue else q, N + 1, q)
+    terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
+    want = complex(tree_sum(terms)) / N
+    got = exp_sum(table_1m, PolynomialPhase(tuple(coeffs), q, residue), N)
+    assert _same_bits(got, want)
 
 
 @settings(max_examples=30, deadline=None)
