@@ -172,6 +172,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         n_max = experiment.n_max
         if cfg.experiment == "counterexample":
             n_max = int(params["L"])
+    elif experiment.n_max is None and cfg.experiment != "counterexample":
+        raise ConfigError(f"experiment {cfg.experiment!r} reads no sieve table; drop n_max")
     if n_max is not None and not 1 <= n_max <= N_MAX_CAP:
         raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n_max}")
     try:
@@ -480,7 +482,8 @@ def _run_bsz_check(cfg, table, workers):
 class Experiment:
     """One registry record.  params maps each parameter to its default (the
     type is inferred from it); n_max is the default horizon, None for
-    experiments without a sieve (counterexample follows its window L)."""
+    experiments without a sieve, which refuse an n_max (counterexample
+    follows its window L)."""
 
     params: dict
     runner: Callable

@@ -66,7 +66,7 @@ class Flow:
             raise FlowEvaluationError(
                 f"flow {self.label!r} returned {vals.shape} values for {ns.size} indices"
             )
-        finite = np.isfinite(vals.view(np.float64)).reshape(-1, 2).all(axis=1)
+        finite = np.isfinite(vals)  # complex: both parts finite
         if not finite.all():
             raise FlowEvaluationError(
                 f"flow {self.label!r} produced a non-finite value at "

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,31 @@ def test_bad_n_max_is_a_usage_error(tmp_path, capsys, extra, message):
     assert main(["sieve", "--out", str(out)] + extra) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args", [["car-demo", "--seed", "0"], ["free-clt"]], ids=["car-demo", "free-clt"]
+)
+def test_n_max_for_an_experiment_without_a_sieve_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, args
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out), "--n-max", "2000000"]) == 2
+    assert "reads no sieve table" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="reads no sieve table"):
+        resolve_config(ExperimentConfig(experiment=args[0], seed=0, n_max=1000))
+    assert resolve_config(ExperimentConfig(experiment=args[0], seed=0)).n_max is None
+
+
+def test_counterexample_n_max_follows_its_window():
+    cfg = ExperimentConfig(experiment="counterexample", params={"L": 500})
+    assert resolve_config(cfg).n_max == 500
+    assert resolve_config(replace(cfg, n_max=800)).n_max == 800
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,22 @@ def test_flow_rejects_nonfinite_values(table_10k):
         average_series(bad, table_10k, [100])
 
 
+@pytest.mark.parametrize("value", [complex(0.0, math.inf), complex(1.0, math.nan)])
+def test_flow_rejects_a_value_nonfinite_only_in_its_imaginary_part(value):
+    def vals(ns):
+        return np.where(ns >= 4100, value, 0.5 + 0j)
+
+    bad = Flow(values_at=vals, declared_bound=2.0, label="imag")
+    with pytest.raises(FlowEvaluationError, match=r"non-finite value at n = 4100$"):
+        bad.values(4090, 4200)
+
+
+def test_flow_accepts_values_exactly_at_the_bound():
+    edge = np.array([1.0, -1.0, 1j, -1j, (0.6 + 0.8j)])
+    flow = Flow(values_at=lambda ns: edge[ns - 1], declared_bound=1.0, label="edge")
+    assert np.array_equal(flow.at(np.arange(1, 6)), edge)
+
+
 def test_flow_valid_n_window(table_10k):
     flow = Flow(
         values_at=lambda ns: np.ones(ns.shape, dtype=complex),

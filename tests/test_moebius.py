@@ -363,6 +363,40 @@ def test_exp_sum_in_a_residue_class_is_one_tree_sum(table_1m, q, residue, N, coe
     assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("q, residue", [(4, 0), (9, 0), (8, 4)])
+def test_exp_sum_on_a_class_without_squarefree_n_is_the_tree_sum_of_zeros(
+    table_1m, q, residue
+):
+    rng = np.random.default_rng(q)
+    for N in (q, q + 1, 2 * q, 4096 * q + 3 * q, 10**5):
+        ns = np.arange(residue if residue else q, N + 1, q)
+        assert not table_1m.mu[ns].any()
+        # every phase quadrant, so the full terms 0 * e(phi) carry zeros of both signs
+        for coeffs in [(0.0,), (0.3,), (0.6,), (0.85,)] + [tuple(rng.random(3)) for _ in range(4)]:
+            terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
+            want = complex(tree_sum(terms)) / N
+            got = exp_sum(table_1m, PolynomialPhase(coeffs, q, residue), N)
+            assert _same_bits(got, want), (N, coeffs)
+
+
+@pytest.mark.parametrize("q, residue", [(1, 0), (3, 1), (6, 5)])
+def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch, q, residue):
+    seen = []
+
+    def recording(coeffs, n):
+        seen.append(np.array(n))
+        return phase_values(coeffs, n)
+
+    monkeypatch.setattr(moebius, "phase_values", recording)
+    N = 3 * 4096 * q + 17
+    exp_sum(table_1m, PolynomialPhase((0.0, 0.37, 0.123), q, residue), N)
+    ns = np.concatenate(seen)
+    cls = np.arange(residue if residue else q, N + 1, q)
+    assert np.all(table_1m.mu[ns] != 0)
+    assert ns.size == np.count_nonzero(table_1m.mu[cls])
+    assert np.array_equal(np.sort(ns), cls[table_1m.mu[cls] != 0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     q=st.integers(1, 12),
