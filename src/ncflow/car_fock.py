@@ -22,6 +22,7 @@ other way and reads the same entry.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -46,6 +47,19 @@ class FockSpace:
     def dim(self) -> int:
         return 1 << self.d
 
+    @cached_property
+    def creation_pattern(self) -> tuple:
+        """(rows, cols, modes, signs): a(e_j) maps e_S at col to sign * e_{S+j}
+        at row, one entry for each col and each mode j not in S."""
+        masks = np.array(self.basis, dtype=np.int64)
+        position = np.empty(self.dim, dtype=np.int64)
+        position[masks] = np.arange(self.dim)
+        popcount = sum(np.arange(self.dim) >> j & 1 for j in range(self.d))
+        cols, modes = np.nonzero((masks[:, None] >> np.arange(self.d)) & 1 == 0)
+        below = masks[cols] & ((1 << modes) - 1)
+        signs = np.where(popcount[below] % 2 == 1, -1.0, 1.0)
+        return position[masks[cols] | (1 << modes)], cols, modes, signs
+
 
 def fock_space(d: int) -> FockSpace:
     if not 1 <= d <= MAX_MODES:
@@ -63,15 +77,9 @@ def creation_matrix(space: FockSpace, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (space.d,):
         raise ValueError(f"vector must have length d = {space.d}")
-    dim = space.dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for col, mask in enumerate(space.basis):
-        for j in range(space.d):
-            if mask >> j & 1:
-                continue
-            sign = -1.0 if bin(mask & ((1 << j) - 1)).count("1") % 2 else 1.0
-            row = space.index[mask | (1 << j)]
-            out[row, col] += sign * f[j]
+    rows, cols, modes, signs = space.creation_pattern
+    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    out[rows, cols] += signs * f[modes]  # each entry written once, onto a zero
     return out
 
 

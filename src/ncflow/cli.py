@@ -168,11 +168,17 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     params = dict(experiment.params)
     params.update(cfg.params)
     n_max = cfg.n_max
-    if n_max is None:
+    if cfg.experiment == "counterexample":
+        window = int(params["L"])
+        if n_max not in (None, window):
+            raise ConfigError(
+                f"counterexample reads its sieve table up to L = {window}; "
+                f"drop n_max or set it to L, got {n_max}"
+            )
+        n_max = window
+    elif n_max is None:
         n_max = experiment.n_max
-        if cfg.experiment == "counterexample":
-            n_max = int(params["L"])
-    elif experiment.n_max is None and cfg.experiment != "counterexample":
+    elif experiment.n_max is None:
         raise ConfigError(f"experiment {cfg.experiment!r} reads no sieve table; drop n_max")
     if n_max is not None and not 1 <= n_max <= N_MAX_CAP:
         raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n_max}")
@@ -483,7 +489,7 @@ class Experiment:
     """One registry record.  params maps each parameter to its default (the
     type is inferred from it); n_max is the default horizon, None for
     experiments without a sieve, which refuse an n_max (counterexample
-    follows its window L)."""
+    reads its table up to its window L and accepts no other n_max)."""
 
     params: dict
     runner: Callable
@@ -594,10 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         choices=names,
-        help="experiment to run (or use --experiment / --config)",
-    )
-    parser.add_argument(
-        "--experiment", dest="experiment_opt", choices=names, help=argparse.SUPPRESS
+        help="experiment to run (or name it in the --config file)",
     )
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--seed", type=int, help="RNG seed (mandatory for randomized experiments)")
@@ -621,7 +624,7 @@ def _merge_config(args) -> ExperimentConfig:
         cfg = config_from_dict(data)
     else:
         cfg = None
-    experiment = args.experiment_opt or args.experiment
+    experiment = args.experiment
     if experiment is not None and cfg is not None and experiment != cfg.experiment:
         raise ConfigError(
             f"experiment {experiment!r} on the command line conflicts with "
@@ -629,7 +632,7 @@ def _merge_config(args) -> ExperimentConfig:
         )
     if cfg is None:
         if experiment is None:
-            raise ConfigError("no experiment given (positional, --experiment, or --config)")
+            raise ConfigError("no experiment given (positional name or --config)")
         cfg = ExperimentConfig(experiment=experiment)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

@@ -6,9 +6,12 @@ Inner products are linear in the first argument: inner(x, y) = sum x_i conj(y_i)
 Tensor products follow np.kron index order ((i1, i2) row-major).
 Eigenphases of unitaries are reported in turns, i.e. angles in [0, 1) with
 eigenvalue e(theta) = exp(2 pi i theta).  schur_unitary is the package's one
-spectral decomposition: one eigenphase per Schur column, never merged, with
-the reconstruction checked on every call.  unitary_power is the one exact
-power path, bit for bit np.linalg.matrix_power for each n of an index array.
+spectral decomposition, in numpy alone: np.linalg.eig, the unitary polar
+factor of its eigenvector matrix from one SVD, and the eigenphases from
+diag(q* U q).  It gives one eigenphase per column, never merged, with
+orthonormality and the reconstruction checked on every call.  unitary_power
+is the one exact power path, bit for bit np.linalg.matrix_power for each n
+of an index array.
 """
 
 import math
@@ -125,20 +128,24 @@ def random_density(dim: int, seed) -> np.ndarray:
 
 
 def schur_unitary(u):
-    """Eigenphases in turns and the orthonormal Schur vectors of a unitary.
+    """Eigenphases in turns and orthonormal eigenvectors of a unitary.
 
     One angle per column, unmerged and unsorted: U = sum_j e(angles[j]) q_j q_j*,
-    however close two eigenphases are.  Every call checks that q is unitary
-    within ATOL_UNITARY and that the sum reconstructs U within RECONSTRUCT_TOL
-    in operator norm, and raises ArithmeticError otherwise.
+    however close two eigenphases are.  q is the unitary polar factor W Z* of
+    np.linalg.eig's eigenvector matrix W S Z* (Higham 1986).  It mixes only
+    vectors whose eigenphases cluster, and U is nearly scalar on a cluster,
+    so the mixing costs about machine epsilon.  The angles are the phases of
+    diag(q* U q).  Every call checks that q is unitary within ATOL_UNITARY and
+    that the sum reconstructs U within RECONSTRUCT_TOL in operator norm, and
+    raises ArithmeticError otherwise.
     """
-    import scipy.linalg  # imported on first use: most experiments never need scipy
-
     u = check_unitary(u)
-    t, q = scipy.linalg.schur(u, output="complex")
-    angles = (np.angle(np.diagonal(t)) / (2.0 * np.pi)) % 1.0
+    w, _, zh = np.linalg.svd(np.linalg.eig(u)[1])
+    q = w @ zh
+    rayleigh = np.einsum("ij,ij->j", q.conj(), u @ q)
+    angles = (np.angle(rayleigh) / (2.0 * np.pi)) % 1.0
     if np.max(np.abs(q.conj().T @ q - np.eye(u.shape[0]))) > ATOL_UNITARY:
-        raise ArithmeticError("Schur vectors are not orthonormal")
+        raise ArithmeticError("eigenvectors are not orthonormal")
     if op_norm((q * np.exp(2j * np.pi * angles)) @ q.conj().T - u) > RECONSTRUCT_TOL:
         raise ArithmeticError("spectral reconstruction misses the unitary")
     return angles, q

@@ -3,16 +3,18 @@ product sums with an eigenphase-expansion cross-check, rank-one compressions,
 eigenphase quantization, and the finite-dimensional average bound chain.
 
 rank_one_flow and the finite_vn state flow are spectral_flows: with
-U = sum_j e(theta_j) q_j q_j* from the Schur vectors, each is the quadratic
-form z(n)^T C conj(z(n)) in z_j(n) = e(theta_j n), with C built once, and
-values at any n are computed directly.  ad_flow still walks powers
-incrementally (one multiply per step) from exact binary powers, because the
-seed-0 matrix-flow reference in perfbench pins its decay-fit constant to
-the walk's rounding.  Exact powers come in batches from unitary_power, here
-and in the trace-product direct path.  quantize_unitary rounds the
-eigenphase of each Schur column to its grid; columns that land on the same
-grid point stay separate rank-one projections, and the bound chain sums
-exponential sums against coefficients over all column pairs.
+U = sum_j e(theta_j) q_j q_j* from linalg.schur_unitary (np.linalg.eig, then
+the unitary polar factor q of its eigenvectors and the phases of
+diag(q* U q)), each is the quadratic form z(n)^T C conj(z(n)) in
+z_j(n) = e(theta_j n), with C built once, and values at any n are computed
+directly.  ad_flow still walks powers incrementally (one multiply per step)
+from exact binary powers, because the seed-0 matrix-flow reference in
+perfbench pins its decay-fit constant to the walk's rounding.  Exact powers
+come in batches from unitary_power, here and in the trace-product direct
+path.  quantize_unitary rounds the eigenphase of each eigenvector column to
+its grid; columns that land on the same grid point stay separate rank-one
+projections, and the bound chain sums exponential sums against coefficients
+over all column pairs.
 """
 
 import math
@@ -251,10 +253,6 @@ class QuantizedUnitary:
     epsilon: float
     horizon: int
     grid_size: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.power(1)
 
     def power(self, n: int) -> np.ndarray:
         z = characters(self.angles, [n])[0]

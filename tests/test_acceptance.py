@@ -285,7 +285,7 @@ def test_09_quantization_bound_chain(table_1m):
             u = haar_unitary(8, rng)
             quantized = quantize_unitary(u, epsilon, 100)
             drift = max(
-                op_norm(unitary_power(u, n) - unitary_power(quantized.matrix, n))
+                op_norm(unitary_power(u, n) - unitary_power(quantized.power(1), n))
                 for n in range(1, 101)
             )
             drift_ok = drift_ok and drift <= epsilon + 1e-12

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -231,9 +232,27 @@ def test_n_max_for_an_experiment_without_a_sieve_is_a_usage_error(
 
 
 def test_counterexample_n_max_follows_its_window():
+    # n_max == L is what the sidecar echoes, so reruns keep working
     cfg = ExperimentConfig(experiment="counterexample", params={"L": 500})
     assert resolve_config(cfg).n_max == 500
-    assert resolve_config(replace(cfg, n_max=800)).n_max == 800
+    assert resolve_config(replace(cfg, n_max=500)).n_max == 500
+    with pytest.raises(ConfigError, match="L = 500"):
+        resolve_config(replace(cfg, n_max=800))
+
+
+@pytest.mark.parametrize("n_max", ["500", "20000"])
+def test_counterexample_n_max_off_its_window_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, n_max
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    out = tmp_path / "out"
+    assert main(["counterexample", "--out", str(out), "--n-max", n_max]) == 2
+    err = capsys.readouterr().err
+    assert "L = 10000" in err and n_max in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -372,15 +391,72 @@ def test_sieve_cache_for_another_n_max_is_rebuilt(tmp_path, monkeypatch, capsys)
     assert np.array_equal(load_table(cached).mu, build_table(2000).mu)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+SMALL_RUNS = {
+    "sieve": {"n_max": 1000},
+    "decay": {"n_max": 10000},
+    "matrix-flow": {"seed": 0, "n_max": 10000, "params": {"dim": 3}},
+    "trace-product": {"seed": 0, "n_max": 100, "params": {"count": 2}},
+    "quantize": {"seed": 0, "n_max": 100, "params": {"dim": 4}},
+    "car-demo": {"seed": 0, "params": {"d": 2, "samples": 3}},
+    "counterexample": {"params": {"L": 100}},
+    "pure-point": {"seed": 0, "n_max": 10000, "params": {"d": 2}},
+    "free-clt": {"params": {"p_max": 4}},
+    "bsz-check": {"n_max": 1000, "params": {"M": 10}},
+}
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # every experiment, the spectral ones (trace-product, quantize) included,
+    # runs through main in one fresh process without loading scipy
+    paths = []
+    for name, cfg in SMALL_RUNS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            json.dumps({"experiment": name, "out_dir": str(tmp_path / "out"), **cfg})
+        )
+        paths.append(str(path))
     src = os.path.dirname(os.path.dirname(ncflow.__file__))
-    code = "import sys, ncflow.cli; print('scipy' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from ncflow.cli import main\n"
+        "codes = [main(['--config', p]) for p in sys.argv[1:]]\n"
+        "print(codes, 'scipy' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("NCFLOW_CACHE_DIR", None)
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *paths],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(paths)} False", done.stderr
+    assert sorted(SMALL_RUNS) == sorted(set(cli.EXPERIMENTS) - {"mertens"})
+
+
+def test_package_source_never_imports_scipy():
+    package = os.path.dirname(ncflow.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), (name, node.lineno)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(ncflow.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 def test_bsz_check_experiment(tmp_path):

@@ -98,19 +98,74 @@ def test_spectral_power_matches_binary_power(n):
     assert op_norm(power - unitary_power(u, n)) < 1e-9
 
 
+def _rotate_first_two(w, v):
+    # a 1e-3 rad rotation within the first two eigenvectors
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    v = v.copy()
+    v[:, 0], v[:, 1] = c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]
+    return w, v
+
+
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "target, corrupt, message",
     [
-        (lambda t, q: (t, 1.01 * q), "not orthonormal"),
-        (lambda t, q: (t * np.exp(2e-8j), q), "reconstruction misses"),
+        ("svd", lambda w, s, zh: (1.01 * w, s, zh), "not orthonormal"),
+        ("eig", _rotate_first_two, "reconstruction misses"),
     ],
-    ids=["scaled-vectors", "shifted-phases"],
+    ids=["scaled-vectors", "rotated-eigenvectors"],
 )
-def test_schur_unitary_checks_every_decomposition(monkeypatch, corrupt, message):
-    schur = scipy.linalg.schur
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: corrupt(*schur(*a, **k)))
+def test_schur_unitary_checks_every_decomposition(monkeypatch, target, corrupt, message):
+    # the polar factor W Z* absorbs any column scaling of eig's vectors, so
+    # the scaled vectors come from the SVD; rotated eigenvectors no longer
+    # diagonalize U, and the Rayleigh phases cannot rebuild it
+    original = getattr(np.linalg, target)
+    monkeypatch.setattr(np.linalg, target, lambda *a, **k: corrupt(*original(*a, **k)))
     with pytest.raises(ArithmeticError, match=message):
         schur_unitary(haar_unitary(5, 2))
+
+
+def _stress_unitaries():
+    """Haar unitaries, eigenphase clusters of width 1e-12 and 1e-7, exact
+    threefold degeneracy and diagonal unitaries for k in {2, 3, 5, 8, 16, 32},
+    plus the identity, -I and the cyclic shift."""
+    for k in (2, 3, 5, 8, 16, 32):
+        for seed in range(15):
+            rng = np.random.default_rng(1000 * k + seed)
+            v = haar_unitary(k, rng)
+            yield v
+            for width in (1e-12, 1e-7, 0.0):
+                phases = rng.random(k)
+                phases[:3] = phases[0] + width * rng.random(min(k, 3))
+                yield (v * np.exp(2j * np.pi * phases)) @ v.conj().T
+            yield np.diag(np.exp(2j * np.pi * rng.random(k)))
+        yield np.eye(k, dtype=np.complex128)
+        yield -np.eye(k, dtype=np.complex128)
+        yield np.roll(np.eye(k, dtype=np.complex128), 1, axis=0)
+
+
+def _circular_sorted(angles, offset):
+    return np.sort((angles - offset) % 1.0)
+
+
+def test_schur_unitary_against_scipy_schur():
+    # scipy is the independent oracle: residuals stay far inside the checks'
+    # tolerances, and the eigenphases are scipy's up to the wrap at 0/1
+    cases = 0
+    for u in _stress_unitaries():
+        k = u.shape[0]
+        angles, q = schur_unitary(u)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-12
+        assert op_norm((q * np.exp(2j * np.pi * angles)) @ q.conj().T - u) <= 1e-12
+        t = scipy.linalg.schur(u, output="complex")[0]
+        want = np.angle(np.diagonal(t)) / (2 * np.pi) % 1.0
+        # sort both from the middle of scipy's widest gap, away from any wrap
+        ring = np.sort(want)
+        gaps = np.diff(np.append(ring, ring[0] + 1.0))
+        offset = ring[np.argmax(gaps)] + gaps.max() / 2
+        got = _circular_sorted(angles, offset)
+        assert np.max(np.abs(got - _circular_sorted(want, offset))) <= 1e-9
+        cases += 1
+    assert cases >= 400
 
 
 def test_spectral_pythagoras_partitions_hs_norm():

@@ -395,7 +395,7 @@ def test_quantize_on_grid_unitary_is_exact():
     angles = np.array([0, 10, 25]) / m
     u = np.diag(np.exp(2j * np.pi * angles))
     q = quantize_unitary(u, eps, horizon)
-    assert op_norm(q.matrix - u) < 1e-12
+    assert op_norm(q.power(1) - u) < 1e-12
 
 
 def test_quantize_near_degenerate_cluster():
@@ -423,7 +423,7 @@ def test_quantize_keeps_grid_collisions_separate(table_10k):
     assert op_norm(sum(q.projections) - np.eye(4)) < 1e-12
     grid = np.round(phases * m) / m
     want_v = w @ np.diag(np.exp(2j * np.pi * grid)) @ w.conj().T
-    assert op_norm(q.matrix - want_v) < 1e-12
+    assert op_norm(q.power(1) - want_v) < 1e-12
     for n in range(1, horizon + 1):
         assert op_norm(unitary_power(u, n) - q.power(n)) <= eps
     rng = np.random.default_rng(3)
