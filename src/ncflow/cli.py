@@ -74,13 +74,50 @@ _MAX_DIM = 32
 _MATRIX_DIMS = {"matrix-flow": "dim", "trace-product": "k", "quantize": "dim", "pure-point": "d"}
 _SIZE_CAPS = {**{pair: _MAX_DIM for pair in _MATRIX_DIMS.items()}, ("car-demo", "d"): MAX_MODES}
 
+# the bsz-check flows by name; resolve_config refuses any other name
+BSZ_FLOWS = {
+    "golden": lambda: rotation_flow(GOLDEN, label="golden_rotation"),
+    "constant": lambda: constant_flow(1.0),
+}
+
 
 class ConfigError(ValueError):
     """Malformed config or usage; maps to exit code 2."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A JSON number that float() takes without overflow."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+# the JSON type test for each Python type of a field or parameter default;
+# a bool is neither an integer nor a number
+_JSON_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_finite, "a finite number"),
+    str: (lambda x: isinstance(x, str), "a string"),
+    list: (lambda x: isinstance(x, (list, tuple)), "a list"),
+    dict: (lambda x: isinstance(x, dict), "an object"),
+}
+_FIELD_TYPES = {"schema_version": int, "experiment": str, "seed": int, "n_max": int,
+                "checkpoints": list, "out_dir": str, "params": dict}
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    is_kind, what = _JSON_TYPES[kind]
+    if not is_kind(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
+    """A config whose fields have their JSON types, checked on construction;
+    resolve_config checks the parameters."""
+
     experiment: str
     seed: Optional[int] = None
     n_max: Optional[int] = None
@@ -88,85 +125,71 @@ class ExperimentConfig:
     out_dir: str = "."
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                _check_type(f.name, value, _FIELD_TYPES[f.name])
+        if self.experiment not in EXPERIMENTS:
+            known = ", ".join(sorted(EXPERIMENTS))
+            raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {known}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoints is not None:
+            for n in self.checkpoints:
+                _check_type("each checkpoint", n, int)
+            self.checkpoints = tuple(self.checkpoints)
+
     def to_json_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
-
-
-_TOP_KEYS = {"schema_version", *(f.name for f in fields(ExperimentConfig))}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - _TOP_KEYS)
+    unknown = sorted(map(repr, set(data) - set(_FIELD_TYPES)))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     version = data.get("schema_version", SCHEMA_VERSION)
+    _check_type("schema_version", version, int)
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {version!r} (this build reads {SCHEMA_VERSION})"
         )
-    experiment = data.get("experiment")
-    if experiment is None:
-        raise ConfigError("config is missing the experiment name")
-    cps = data.get("checkpoints")
-    if cps is not None:
-        cps = tuple(int(c) for c in cps)
-    cfg = ExperimentConfig(
-        experiment=str(experiment),
-        seed=None if data.get("seed") is None else int(data["seed"]),
-        n_max=None if data.get("n_max") is None else int(data["n_max"]),
-        checkpoints=cps,
-        out_dir=str(data.get("out_dir", ".")),
-        params=dict(data.get("params", {})),
-    )
-    _validate(cfg)
-    return cfg
+    if "experiment" not in data:
+        raise ConfigError("no experiment given (positional name or the config's experiment)")
+    return ExperimentConfig(**{k: v for k, v in data.items() if k != "schema_version"})
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}; expected one of {known}")
-    spec = EXPERIMENTS[cfg.experiment].params
-    unknown = sorted(set(cfg.params) - set(spec))
+def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check the parameters and fill every default, so the sidecar echo
+    reruns identically."""
+    experiment = EXPERIMENTS[cfg.experiment]
+    unknown = sorted(map(repr, set(cfg.params) - set(experiment.params)))
     if unknown:
         raise ConfigError(
             f"unknown parameters for {cfg.experiment!r}: {', '.join(unknown)}"
         )
     for key, value in cfg.params.items():
-        default = spec[key]
-        if isinstance(default, bool) or isinstance(value, bool):
+        if isinstance(value, bool):
             raise ConfigError(f"parameter {key!r} has no boolean form")
-        if isinstance(default, int) and not isinstance(value, int):
-            raise ConfigError(f"parameter {key!r} must be an integer")
-        if isinstance(default, float) and not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter {key!r} must be a number")
-        if isinstance(default, str) and not isinstance(value, str):
-            raise ConfigError(f"parameter {key!r} must be a string")
-        if isinstance(default, list) and not isinstance(value, list):
-            raise ConfigError(f"parameter {key!r} must be a list")
+        default = experiment.params[key]
+        _check_type(f"parameter {key!r}", value, type(default))
         if isinstance(default, int) and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
         cap = _SIZE_CAPS.get((cfg.experiment, key))
         if cap is not None and value > cap:
             raise ConfigError(f"{key} must be <= {cap}, got {value}")
-        if key == "coeffs" and not (
-            value and all(type(c) in (int, float) and math.isfinite(c) for c in value)
-        ):
+        if key == "coeffs" and not (value and all(map(_is_finite, value))):
             raise ConfigError("coeffs must be a non-empty list of finite numbers")
         if (cfg.experiment, key) == ("bsz-check", "epsilon") and not 0.0 < value < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {value}")
-    if EXPERIMENTS[cfg.experiment].randomized and cfg.seed is None:
+        if (cfg.experiment, key) == ("bsz-check", "flow") and value not in BSZ_FLOWS:
+            known = ", ".join(sorted(BSZ_FLOWS))
+            raise ConfigError(f"unknown bsz-check flow {value!r}; expected one of {known}")
+    if experiment.randomized and cfg.seed is None:
         raise ConfigError(f"experiment {cfg.experiment!r} is randomized; --seed is mandatory")
-
-
-def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill every default so the sidecar echo reruns identically."""
-    _validate(cfg)
-    experiment = EXPERIMENTS[cfg.experiment]
-    params = dict(experiment.params)
-    params.update(cfg.params)
+    params = {**experiment.params, **cfg.params}
     n_max = cfg.n_max
     if cfg.experiment == "counterexample":
         window = int(params["L"])
@@ -467,13 +490,7 @@ def _run_free_clt(cfg, table, workers):
 def _run_bsz_check(cfg, table, workers):
     epsilon = float(cfg.params["epsilon"])
     M = int(cfg.params["M"])
-    name = cfg.params["flow"]
-    if name == "golden":
-        flow = rotation_flow(GOLDEN, label="golden_rotation")
-    elif name == "constant":
-        flow = constant_flow(1.0)
-    else:
-        raise ConfigError(f"unknown bsz-check flow {name!r}; expected golden or constant")
+    flow = BSZ_FLOWS[cfg.params["flow"]]()
     report = bsz_check(flow, table, epsilon, M, cfg.n_max)
     result = {
         "flow": flow.label,
@@ -546,24 +563,6 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonify(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
 def run(cfg: ExperimentConfig, *, workers: int = 1) -> int:
     """Run one experiment; writes <out>/<experiment>.csv and .json."""
     cfg = resolve_config(cfg)
@@ -580,7 +579,7 @@ def run(cfg: ExperimentConfig, *, workers: int = 1) -> int:
     sidecar = {
         "config": cfg.to_json_dict(),
         "library_version": __version__,
-        "result": _jsonify(result),
+        "result": result,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_time_s": wall,
     }
@@ -613,35 +612,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> ExperimentConfig:
+    """The config file's fields with the flags laid over them."""
+    data = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        cfg = config_from_dict(data)
-    else:
-        cfg = None
-    experiment = args.experiment
-    if experiment is not None and cfg is not None and experiment != cfg.experiment:
-        raise ConfigError(
-            f"experiment {experiment!r} on the command line conflicts with "
-            f"{cfg.experiment!r} in the config file"
-        )
-    if cfg is None:
-        if experiment is None:
-            raise ConfigError("no experiment given (positional name or --config)")
-        cfg = ExperimentConfig(experiment=experiment)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.n_max is not None:
-        cfg = replace(cfg, n_max=args.n_max)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    _validate(cfg)
-    return cfg
+    if isinstance(data, dict):  # config_from_dict refuses anything else
+        named = data.get("experiment", args.experiment)
+        if args.experiment is not None and named != args.experiment:
+            raise ConfigError(
+                f"experiment {args.experiment!r} on the command line conflicts with "
+                f"{named!r} in the config file"
+            )
+        flags = {"experiment": args.experiment, "seed": args.seed, "n_max": args.n_max,
+                 "out_dir": args.out}
+        data.update((k, v) for k, v in flags.items() if v is not None)
+    return config_from_dict(data)
 
 
 def main(argv=None) -> int:

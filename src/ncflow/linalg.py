@@ -144,6 +144,7 @@ def schur_unitary(u):
     q = w @ zh
     rayleigh = np.einsum("ij,ij->j", q.conj(), u @ q)
     angles = (np.angle(rayleigh) / (2.0 * np.pi)) % 1.0
+    angles[angles == 1.0] = 0.0  # a tiny negative angle rounds up to 1.0
     if np.max(np.abs(q.conj().T @ q - np.eye(u.shape[0]))) > ATOL_UNITARY:
         raise ArithmeticError("eigenvectors are not orthonormal")
     if op_norm((q * np.exp(2j * np.pi * angles)) @ q.conj().T - u) > RECONSTRUCT_TOL:

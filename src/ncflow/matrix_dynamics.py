@@ -266,13 +266,13 @@ def quantize_grid_size(epsilon: float, horizon: int) -> int:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    m = math.ceil(2.0 * math.pi * horizon / epsilon)
-    if m > QUANTIZE_GRID_CAP:
+    grid = 2.0 * math.pi * horizon / epsilon  # inf for a subnormal epsilon
+    if grid > QUANTIZE_GRID_CAP:
         raise ValueError(
-            f"epsilon = {epsilon:g} at horizon {horizon} needs grid size m = {m}"
+            f"epsilon = {epsilon:g} at horizon {horizon} needs grid size m = {grid:.6g}"
             f" > cap {QUANTIZE_GRID_CAP}; refuse to quantize"
         )
-    return m
+    return math.ceil(grid)
 
 
 def quantize_unitary(u, epsilon: float, horizon: int) -> QuantizedUnitary:

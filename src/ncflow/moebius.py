@@ -377,21 +377,22 @@ def checked_checkpoints(n_max: int, checkpoints: Iterable[int]) -> list:
 # ---------------------------------------------------------------------------
 # sieve cache file: magic "NCF2", little-endian uint64 n_max, uint32
 # zlib.crc32 of the payload, then the payload: 2-bit codes (mu + 1) for
-# n = 1..n_max packed four per byte, low bits first.
+# n = 1..n_max packed four per byte, low bits first; code 3 never occurs.
 
 
 def save_table(table: MoebiusTable, path) -> None:
     """Write the table to a temporary file beside path, then rename it over
     path, so path holds either its old content or the whole new file."""
     n_max = table.n_max
-    codes = np.zeros(4 * ((n_max + 3) // 4), dtype=np.uint8)
-    # mu + 1 in uint8 arithmetic: the int8 -1 reads as 255 and wraps to 0
-    np.add(table.mu[1:].view(np.uint8), 1, out=codes[:n_max])
-    payload = codes[0::4].copy()
-    for k in (1, 2, 3):
-        col = codes[k::4]
-        np.left_shift(col, 2 * k, out=col)
-        np.bitwise_or(payload, col, out=payload)
+    payload = np.zeros((n_max + 3) // 4, dtype=np.uint8)
+    lane = np.empty_like(payload)
+    for k in range(4):
+        # mu + 1 in uint8 arithmetic: the int8 -1 reads as 255 and wraps to 0
+        col = table.mu.view(np.uint8)[1 + k :: 4]
+        part = lane[: col.size]
+        np.add(col, 1, out=part)
+        np.left_shift(part, 2 * k, out=part)
+        payload[: col.size] |= part
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -423,13 +424,16 @@ def load_table(path) -> MoebiusTable:
     if zlib.crc32(payload) != crc:
         raise ValueError(f"sieve cache {path} fails its payload checksum")
     packed = np.frombuffer(payload, dtype=np.uint8)
-    codes = np.empty(expect * 4, dtype=np.uint8)
-    codes[0::4] = packed & 3
-    codes[1::4] = packed >> 2 & 3
-    codes[2::4] = packed >> 4 & 3
-    codes[3::4] = packed >> 6 & 3
+    lane = np.empty_like(packed)
     mu = np.zeros(n_max + 1, dtype=np.int8)
-    mu[1:] = codes[:n_max].astype(np.int8) - 1
+    for k in range(4):
+        np.right_shift(packed, 2 * k, out=lane)
+        np.bitwise_and(lane, 3, out=lane)
+        if lane.max(initial=0) == 3:
+            raise ValueError(f"sieve cache {path} holds the unused code 3")
+        # code - 1 in uint8 arithmetic: code 0 wraps to 255, the int8 -1
+        dest = mu.view(np.uint8)[1 + k :: 4]
+        np.subtract(lane[: dest.size], 1, out=dest)
     table = MoebiusTable(n_max=int(n_max), mu=mu)
     _spot_check(table, path)
     return table

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ncflow
 from ncflow import cli
@@ -325,6 +327,161 @@ def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, 
     assert main(["--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"experiment": "sieve", "seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"experiment": "sieve", "seed": True}, "seed must be an integer, got True"),
+        ({"experiment": "matrix-flow", "seed": True}, "seed must be an integer, got True"),
+        ({"experiment": "matrix-flow", "seed": -1}, "seed must be >= 0, got -1"),
+        ({"experiment": "sieve", "n_max": "1e5"}, "n_max must be an integer"),
+        ({"experiment": "sieve", "n_max": 1e5}, "n_max must be an integer"),
+        ({"experiment": "sieve", "params": [1, 2]}, "params must be an object"),
+        ({"experiment": "sieve", "params": None}, "params must be an object"),
+        ({"experiment": "sieve", "checkpoints": 5}, "checkpoints must be a list, got 5"),
+        (
+            {"experiment": "decay", "checkpoints": [1000.7, 5000, 100000]},
+            "each checkpoint must be an integer, got 1000.7",
+        ),
+        ({"experiment": "sieve", "out_dir": None}, "out_dir must be a string"),
+        ({"experiment": ["sieve"]}, "experiment must be a string"),
+        ({"experiment": "sieve", "schema_version": True}, "schema_version must be an integer"),
+        ({"experiment": "bsz-check", "params": {"flow": "nope"}}, "unknown bsz-check flow 'nope'"),
+        (
+            {"experiment": "quantize", "seed": 0, "params": {"epsilon": 5e-324}},
+            "grid size m = inf",
+        ),
+        (
+            {"experiment": "quantize", "seed": 0, "params": {"epsilon": 10**400}},
+            "parameter 'epsilon' must be a finite number",
+        ),
+        ({"experiment": "decay", "params": {"coeffs": [0, 10**400]}}, "coeffs must be"),
+        ({}, "no experiment given"),
+    ],
+)
+def test_malformed_fields_are_a_usage_error(tmp_path, capsys, monkeypatch, config, message):
+    # no malformed field may end in a traceback, run with a truncated or
+    # coerced value, build a table or create the out dir
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncflow: error: ") and message in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[1, 2]", b"\xff\xfe", b"[" * 100_000, b"{"],
+    ids=["not-an-object", "not-utf8", "too-deep", "truncated"],
+)
+def test_unreadable_config_files_are_a_usage_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(content)
+    assert main(["--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("ncflow: error: ")
+
+
+def test_malformed_config_leaves_no_traceback(tmp_path):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"experiment": "sieve", "checkpoints": 5}))
+    src = os.path.dirname(os.path.dirname(ncflow.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "ncflow.cli", "--config", str(cfg_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("ncflow: error: checkpoints must be a list, got 5")
+
+
+def test_library_configs_get_the_same_field_checks():
+    with pytest.raises(ConfigError, match="seed must be"):
+        ExperimentConfig(experiment="sieve", seed="abc")
+    with pytest.raises(ConfigError, match="each checkpoint must be"):
+        ExperimentConfig(experiment="decay", checkpoints=(1000.5,))
+    with pytest.raises(ConfigError, match="unknown experiment"):
+        ExperimentConfig(experiment="zeta")
+    with pytest.raises(ConfigError, match="unknown bsz-check flow"):
+        resolve_config(ExperimentConfig(experiment="bsz-check", params={"flow": "nope"}))
+    with pytest.raises(ConfigError, match="n_max must be"):
+        replace(ExperimentConfig(experiment="sieve"), n_max=True)
+    assert ExperimentConfig(experiment="decay", checkpoints=[10, 100]).checkpoints == (10, 100)
+
+
+class _Reached(Exception):
+    """Raised by the stand-in table builder and runners: the config passed."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_TOP_FIELDS = ["schema_version", "experiment", "seed", "n_max", "checkpoints", "out_dir", "params"]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_any_json_value_in_any_field_is_a_usage_error_or_runs(tmp_path, capsys, data):
+    # main either refuses the config with exit code 2 and one error line, or
+    # reaches the table builder or runner; no other exception escapes
+    name = data.draw(st.sampled_from(sorted(cli.EXPERIMENTS)), label="experiment")
+    spec = cli.EXPERIMENTS[name].params
+    where = data.draw(
+        st.sampled_from(["<config>", *_TOP_FIELDS, *spec, "unknown"]), label="field"
+    )
+    value = data.draw(_JSON, label="value")
+    config = {"experiment": name, "seed": 0, "out_dir": str(tmp_path / "out")}
+    if where == "<config>":
+        config = value
+    elif where in _TOP_FIELDS:
+        config[where] = value
+    else:
+        config["params"] = {where: value}
+    cfg_path = tmp_path / "any.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        mp.setattr(cli, "load_or_build_table", _reached)
+        for key, experiment in cli.EXPERIMENTS.items():
+            mp.setitem(cli.EXPERIMENTS, key, replace(experiment, runner=_reached))
+        try:
+            code = main(["--config", str(cfg_path)])
+        except _Reached:
+            code = None
+    err = capsys.readouterr().err
+    if code is not None:
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ncflow: error: "), err
+    assert sorted(os.listdir(tmp_path)) == ["any.json"]
+
+
+@pytest.mark.parametrize("flow, label", [("golden", "golden_rotation"), ("constant", "constant")])
+def test_bsz_check_runs_every_named_flow(tmp_path, flow, label):
+    cfg_path = tmp_path / "bsz.json"
+    cfg_path.write_text(
+        json.dumps({"experiment": "bsz-check", "n_max": 4000, "params": {"M": 100, "flow": flow}})
+    )
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    side = read_sidecar(tmp_path / "out" / "bsz-check.json")
+    assert side["result"]["flow"].startswith(label)
+    assert sorted(cli.BSZ_FLOWS) == ["constant", "golden"]
 
 
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch):

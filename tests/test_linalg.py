@@ -90,6 +90,13 @@ def test_eig_unitary_invariants(seed):
     assert np.max(np.abs(np.sort(angles) - want)) < 1e-12
 
 
+def test_schur_unitary_angle_below_zero_wraps_to_zero():
+    # -1e-18 turns is -1e-18 % 1.0 == 1.0 in floating point, outside [0, 1)
+    u = np.diag(np.exp(-2j * np.pi * np.array([1e-18, 0.25])))
+    angles, _ = schur_unitary(u)
+    assert angles.tolist() == [0.0, 0.75]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 123, -5])
 def test_spectral_power_matches_binary_power(n):
     u = haar_unitary(5, 11)

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -542,6 +543,40 @@ def test_cache_payload_is_the_two_bit_packing(tmp_path):
     path = tmp_path / "mu.ncf"
     save_table(table, path)
     assert path.read_bytes()[16:] == packed.tobytes()
+
+
+def test_cache_codec_memory_is_the_table_plus_two_lanes(tmp_path):
+    # the codec works lane by lane in place: save holds the payload and one
+    # lane buffer, load the table, the file's payload and one lane buffer
+    n_max = 8 * 10**6
+    table = build_table(n_max)
+    path = tmp_path / "mu.ncf"
+    lane = (n_max + 3) // 4
+    for step, bound in ((lambda: save_table(table, path), 2 * lane),
+                        (lambda: load_table(path), n_max + 1 + 2 * lane)):
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + 2**16, (peak, bound)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 7, 41, 10**4 + 3])
+def test_cache_rejects_the_unused_code_3(tmp_path, n_max):
+    # a code-3 lane under a valid checksum used to load as mu = 2
+    path = tmp_path / "mu.ncf"
+    save_table(build_table(n_max), path)
+    assert np.array_equal(load_table(path).mu, build_table(n_max).mu)
+    raw = bytearray(path.read_bytes())
+    k = n_max - 1  # the last lane of the payload
+    raw[16 + k // 4] |= 3 << 2 * (k % 4)
+    crc = zlib.crc32(bytes(raw[16:]))
+    path.write_bytes(bytes(raw[:12]) + crc.to_bytes(4, "little") + bytes(raw[16:]))
+    with pytest.raises(ValueError, match="code 3") as err:
+        load_table(path)
+    assert str(path) in str(err.value)
 
 
 def test_cache_rejects_bad_magic(tmp_path, table_10k):
