@@ -88,20 +88,14 @@ def gamma(space: FockSpace, u) -> np.ndarray:
     u = check_square(u)
     if u.shape != (space.d, space.d):
         raise ValueError(f"expected a {space.d} x {space.d} matrix")
-    dim = space.dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    by_size = {}
-    for i, mask in enumerate(space.basis):
-        by_size.setdefault(bin(mask).count("1"), []).append((i, _mask_tuple(mask)))
-    for size, entries in by_size.items():
-        for col, s_rows in entries:
-            for row, t_rows in entries:
-                if size == 0:
-                    out[row, col] = 1.0
-                else:
-                    out[row, col] = np.linalg.det(
-                        u[np.ix_(t_rows, s_rows)]
-                    )
+    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    start = 0
+    for size in range(space.d + 1):
+        masks = space.basis[start : start + math.comb(space.d, size)]
+        sets = np.array([_mask_tuple(m) for m in masks], dtype=np.int64)
+        block = slice(start, start + len(masks))
+        out[block, block] = np.linalg.det(u[sets[:, None, :, None], sets[None, :, None, :]])
+        start += len(masks)
     return out
 
 
@@ -311,27 +305,35 @@ def _balanced_terms(p: CARPolynomial) -> list:
     ]
 
 
+def _gram_dets(t, terms, z) -> np.ndarray:
+    """Sum over the balanced terms of scalar * det(<T(z f_i), z g_j>)_{i,j}, for
+    each row of the (n, d) array z of mode phases; the constant terms give the
+    starting value and the others are added in order."""
+    if any(v.shape != z.shape[1:] for _, fs, gs in terms for v in fs + gs):
+        raise ValueError(f"every vector must have length d = {z.shape[1]}")
+    out = np.full(len(z), sum((s for s, _, gs in terms if not gs), 0j), dtype=np.complex128)
+    for scalar, plains, gs in terms:
+        if not gs:
+            continue
+        tf = [(z * f) @ t.T for f in plains]
+        wg = [np.conj(z) * np.conj(g) for g in gs]
+        gram = np.empty((len(z), len(gs), len(gs)), dtype=np.complex128)
+        for i, tf_i in enumerate(tf):
+            for j, wg_j in enumerate(wg):
+                gram[:, i, j] = np.einsum("nk,nk->n", tf_i, wg_j)
+        out += scalar * np.linalg.det(gram)
+    return out
+
+
 def quasifree_eval(t, p: CARPolynomial) -> complex:
     """Quasi-free state with symbol T on a CAR polynomial.
 
     After normal ordering, a balanced monomial
     a(g_m)* ... a(g_1)* a(f_1) ... a(f_m) contributes det(<T f_i, g_j>)_{i,j};
-    unbalanced monomials vanish.
+    unbalanced monomials vanish.  This is _gram_dets at the phases z = 1.
     """
     t = check_symbol(t)
-    total = 0j
-    for scalar, plains, gs in _balanced_terms(p):
-        if not gs:
-            total += scalar
-            continue
-        n = len(gs)
-        gram = np.empty((n, n), dtype=np.complex128)
-        for i, f in enumerate(plains):
-            tf = t @ f
-            for j, g in enumerate(gs):
-                gram[i, j] = inner(tf, g)
-        total += scalar * np.linalg.det(gram)
-    return complex(total)
+    return complex(_gram_dets(t, _balanced_terms(p), np.ones((1, len(t))))[0])
 
 
 def quasifree_density_matrix(t, space: FockSpace) -> np.ndarray:
@@ -347,15 +349,12 @@ def quasifree_density_matrix(t, space: FockSpace) -> np.ndarray:
         raise ValueError(f"symbol must be {space.d} x {space.d}")
     lam, v = np.linalg.eigh(t)
     lam = np.clip(lam.real, 0.0, 1.0)
-    weights = np.empty(space.dim, dtype=np.float64)
-    for i, mask in enumerate(space.basis):
-        w = 1.0
-        for k in range(space.d):
-            w *= (1.0 - lam[k]) if (mask >> k & 1) else lam[k]
-        weights[i] = w
+    masks = np.array(space.basis, dtype=np.int64)
+    weights = np.ones(space.dim, dtype=np.float64)
+    for k in range(space.d):
+        weights *= np.where(masks >> k & 1, 1.0 - lam[k], lam[k])
     g = gamma(space, v)
-    rho = (g * weights) @ g.conj().T
-    return rho
+    return (g * weights) @ g.conj().T
 
 
 def bogoliubov_apply(u, p: CARPolynomial, n: int = 1) -> CARPolynomial:
@@ -417,9 +416,10 @@ def counterexample_flow(L: int, table: MoebiusTable) -> CounterexampleFlows:
 def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) -> Flow:
     """Quasi-free flow n -> phi_T(alpha_U^n(observable)) for U = diag(e(theta_k)).
 
-    Normal-orders the observable once; each balanced monomial contributes a
-    determinant whose entries are trigonometric sums over eigenphase pairs,
-    so the cost per n is polynomial in the monomial degree and d (never 2^d).
+    Normal-orders the observable once; at each n, _gram_dets evaluates the
+    balanced monomials at the mode phases z_k = e(theta_k n), since
+    U^n f = z f, so the cost per n is polynomial in the monomial degree and d
+    (never 2^d).
     """
     theta = np.asarray(angles, dtype=np.float64)
     if theta.ndim != 1 or theta.size == 0:
@@ -428,37 +428,16 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) ->
     t = check_symbol(symbol)
     if t.shape != (d, d):
         raise ValueError(f"symbol must be {d} x {d}")
-    terms = []  # the balanced terms other than the constant
-    const = 0j
+    terms = _balanced_terms(observable)
     bound = 0.0
-    for scalar, plains, gs in _balanced_terms(observable):
-        if not gs:
-            const += scalar
-            bound += abs(scalar)
-            continue
-        terms.append((scalar, plains, gs))
+    for scalar, plains, gs in terms:  # the constant is the empty product
         g_sq = sum(float(np.linalg.norm(g)) ** 2 for g in gs)
         bound += abs(scalar) * math.prod(
             float(np.linalg.norm(f)) for f in plains
         ) * g_sq ** (len(gs) / 2.0)
 
-    def batch(ns):
-        ns = np.asarray(ns, dtype=np.int64)
-        z = characters(theta, ns)
-        out = np.full(ns.shape, const, dtype=np.complex128)
-        for scalar, plains, gs in terms:
-            n_deg = len(gs)
-            tf = [(z * f[None, :]) @ t.T for f in plains]
-            wg = [np.conj(z) * np.conj(g)[None, :] for g in gs]
-            gram = np.empty((ns.size, n_deg, n_deg), dtype=np.complex128)
-            for i in range(n_deg):
-                for j in range(n_deg):
-                    gram[:, i, j] = np.einsum("nk,nk->n", tf[i], wg[j])
-            out += scalar * np.linalg.det(gram)
-        return out
-
     return Flow(
-        values_at=batch,
+        values_at=lambda ns: _gram_dets(t, terms, characters(theta, ns)),
         declared_bound=bound + 1e-9,
         label=label or f"pure_point_flow(d={d})",
     )

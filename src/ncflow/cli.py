@@ -44,7 +44,7 @@ from .flows import (
     geometric_checkpoints,
     rotation_flow,
 )
-from .free_words import free_clt_moments, semicircle_moments
+from .free_words import NC_ORDER_CAP, free_clt_moments, semicircle_moments
 from .linalg import haar_unitary, op_norm, random_density, unitary_power
 from .matrix_dynamics import (
     TraceProductSpec,
@@ -72,7 +72,12 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
 _MAX_DIM = 32
 _MATRIX_DIMS = {"matrix-flow": "dim", "trace-product": "k", "quantize": "dim", "pure-point": "d"}
-_SIZE_CAPS = {**{pair: _MAX_DIM for pair in _MATRIX_DIMS.items()}, ("car-demo", "d"): MAX_MODES}
+_SIZE_CAPS = {
+    **{pair: _MAX_DIM for pair in _MATRIX_DIMS.items()},
+    ("car-demo", "d"): MAX_MODES,
+    ("free-clt", "p_max"): NC_ORDER_CAP,  # free_clt_moments refuses higher orders
+    ("trace-product", "coeff_max"): (2**63 - 1) // N_MAX_CAP,  # phases c * n < 2^63
+}
 
 # the bsz-check flows by name; resolve_config refuses any other name
 BSZ_FLOWS = {
@@ -161,6 +166,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in data.items() if k != "schema_version"})
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse, creating nothing, an empty out dir, one the OS cannot name, or one
+    whose nearest existing ancestor is not a writable directory."""
+    try:
+        probe = os.path.abspath(path) if path and b"\0" not in os.fsencode(path) else None
+    except UnicodeEncodeError:
+        probe = None
+    while probe is not None and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if probe is None or not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"out_dir {path!r} cannot be created")
+
+
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check the parameters and fill every default, so the sidecar echo
     reruns identically."""
@@ -199,14 +217,16 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
                 f"drop n_max or set it to L, got {n_max}"
             )
         n_max = window
+    elif experiment.n_max is None and (cfg.n_max, cfg.checkpoints) != (None, None):
+        drop = "n_max" if cfg.n_max is not None else "checkpoints"
+        raise ConfigError(f"experiment {cfg.experiment!r} reads no sieve table; drop {drop}")
     elif n_max is None:
         n_max = experiment.n_max
-    elif experiment.n_max is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} reads no sieve table; drop n_max")
     if n_max is not None and not 1 <= n_max <= N_MAX_CAP:
         raise ConfigError(f"n_max must lie in [1, {N_MAX_CAP}], got {n_max}")
+    _check_out_dir(cfg.out_dir)
     try:
-        if cfg.checkpoints is not None and n_max is not None:
+        if cfg.checkpoints is not None:
             checked_checkpoints(n_max, cfg.checkpoints)
         if cfg.experiment == "quantize":
             quantize_grid_size(float(params["epsilon"]), n_max)
@@ -648,7 +668,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg, workers=args.workers)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"ncflow: error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, FlowEvaluationError, ValueError) as exc:

@@ -101,6 +101,24 @@ def test_gamma_minors_oracle():
     assert abs(g[i, j] - np.linalg.det(minor)) < 1e-12
 
 
+def gamma_per_pair(space, u):
+    """Oracle: one determinant per pair of equal-size subsets."""
+    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    subsets = [tuple(j for j in range(space.d) if m >> j & 1) for m in space.basis]
+    for col, s_modes in enumerate(subsets):
+        for row, t_modes in enumerate(subsets):
+            if len(t_modes) == len(s_modes):
+                out[row, col] = np.linalg.det(u[np.ix_(t_modes, s_modes)]) if s_modes else 1.0
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gamma_is_bit_identical_to_per_pair_determinants(d):
+    sp = fock_space(d)
+    u = haar_unitary(d, d)
+    assert np.array_equal(gamma(sp, u), gamma_per_pair(sp, u))
+
+
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_bogoliubov_covariance(d):
     sp = fock_space(d)
@@ -210,6 +228,23 @@ def test_quasifree_unbalanced_vanishes():
     assert abs(quasifree_eval(t, p)) < 1e-14
 
 
+def test_quasifree_constant_and_empty_polynomials():
+    t = symbol_contraction(np.random.default_rng(11), 3)
+    assert quasifree_eval(t, constant(2.5 - 1j)) == 2.5 - 1j
+    assert quasifree_eval(t, constant(1.0) + constant(0.5j)) == 1.0 + 0.5j
+    assert quasifree_eval(t, CARPolynomial()) == 0j
+
+
+def test_vectors_of_another_length_than_d_are_refused():
+    # a length-1 vector would broadcast against the d phases of each row
+    t = symbol_contraction(np.random.default_rng(13), 3)
+    p = annihilation(np.array([1.0])) * creation(np.array([1.0]))
+    with pytest.raises(ValueError, match="length d = 3"):
+        quasifree_eval(t, p)
+    with pytest.raises(ValueError, match="length d = 3"):
+        pure_point_flow([0.1, 0.2, 0.3], p, t).values_at(np.arange(1, 3))
+
+
 def test_quasifree_positivity():
     d = 4
     rng = np.random.default_rng(12)
@@ -267,6 +302,30 @@ def test_pure_point_flow_matches_bogoliubov_oracle():
     for n in range(1, 15):
         direct = quasifree_eval(t, bogoliubov_apply(u, obs, n))
         assert abs(flow.evaluator(n) - direct) < 1e-10
+
+
+def test_pure_point_flow_matches_dense_fock_oracle():
+    # independent of the determinant kernel: trace against the density matrix
+    d = 4
+    sp = fock_space(d)
+    rng = np.random.default_rng(23)
+    angles = rng.random(d)
+    t = symbol_contraction(rng, d)
+    vs = [unit_vector(rng, d) for _ in range(6)]
+    obs = (
+        creation(vs[0]) * creation(vs[1]) * annihilation(vs[2]) * annihilation(vs[3])
+        + creation(vs[4]) * annihilation(vs[5])
+        + 0.3 * creation(vs[0]) * annihilation(vs[1])
+        + constant(0.2 - 0.1j)
+    )
+    flow = pure_point_flow(angles, obs, t)
+    rho = quasifree_density_matrix(t, sp)
+    u = np.diag(np.exp(2j * np.pi * angles))
+    ns = np.arange(0, 21)
+    values = flow.values_at(ns)
+    for n, value in zip(ns, values):
+        dense = np.trace(rho @ bogoliubov_apply(u, obs, int(n)).to_matrix(sp))
+        assert abs(value - dense) < 1e-10
 
 
 def test_pure_point_flow_batch_matches_scalar():

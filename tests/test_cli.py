@@ -233,6 +233,25 @@ def test_n_max_for_an_experiment_without_a_sieve_is_a_usage_error(
     assert resolve_config(ExperimentConfig(experiment=args[0], seed=0)).n_max is None
 
 
+@pytest.mark.parametrize("experiment", ["car-demo", "free-clt"])
+def test_checkpoints_for_an_experiment_without_a_sieve_are_a_usage_error(
+    tmp_path, capsys, monkeypatch, experiment
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cps.json"
+    cfg_path.write_text(
+        json.dumps({"experiment": experiment, "seed": 0, "checkpoints": [5, 3]})
+    )
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+    expect = f"experiment {experiment!r} reads no sieve table; drop checkpoints"
+    assert capsys.readouterr().err == f"ncflow: error: {expect}\n"
+    assert not out.exists()
+
+
 def test_counterexample_n_max_follows_its_window():
     # n_max == L is what the sidecar echoes, so reruns keep working
     cfg = ExperimentConfig(experiment="counterexample", params={"L": 500})
@@ -307,6 +326,8 @@ def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, checkpoints, messag
         ("decay", {"coeffs": []}, "coeffs must be a non-empty list"),
         ("decay", {"coeffs": [0, float("nan")]}, "coeffs must be a non-empty list"),
         ("decay", {"coeffs": [0, True]}, "coeffs must be a non-empty list"),
+        ("free-clt", {"p_max": 15}, "p_max must be <= 14, got 15"),
+        ("trace-product", {"coeff_max": 2**63 - 1}, "coeff_max must be <= 92233720368"),
     ],
 )
 def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, message):
@@ -376,6 +397,40 @@ def test_malformed_fields_are_a_usage_error(tmp_path, capsys, monkeypatch, confi
     assert err.startswith("ncflow: error: ") and message in err
     assert err.count("\n") == 1
     assert os.listdir(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "out_dir, message",
+    [
+        ("", "out_dir '' cannot be created"),
+        ("a\0b", "out_dir 'a\\x00b' cannot be created"),
+        ("\ud800", "out_dir '\\ud800' cannot be created"),
+        ("afile/out", "out_dir 'afile/out' cannot be created"),
+        ("afile", "out_dir 'afile' cannot be created"),
+    ],
+)
+def test_an_out_dir_that_cannot_be_created_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, out_dir, message
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    cfg_path = tmp_path / "out.json"
+    cfg_path.write_text(json.dumps({"experiment": "sieve", "n_max": 1000, "out_dir": out_dir}))
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ncflow: error: ") and message in err
+    assert sorted(os.listdir(tmp_path)) == ["afile", "out.json"]
+
+
+def test_an_os_error_while_writing_outputs_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "sieve.csv").mkdir()  # the CSV path is taken by a directory
+    assert main(["sieve", "--n-max", "1000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ncflow: error: ") and "sieve.csv" in err
 
 
 @pytest.mark.parametrize(
