@@ -41,7 +41,6 @@ class FockSpace:
 
     d: int
     basis: tuple  # occupation bitmasks, bit j-1 <=> mode j occupied
-    index: dict
 
     @property
     def dim(self) -> int:
@@ -65,7 +64,7 @@ def fock_space(d: int) -> FockSpace:
     if not 1 <= d <= MAX_MODES:
         raise ValueError(f"d must lie in [1, {MAX_MODES}], got {d}")
     masks = sorted(range(1 << d), key=lambda m: (bin(m).count("1"), _mask_tuple(m)))
-    return FockSpace(d=d, basis=tuple(masks), index={m: i for i, m in enumerate(masks)})
+    return FockSpace(d=d, basis=tuple(masks))
 
 
 def _mask_tuple(mask: int) -> tuple:

@@ -45,11 +45,12 @@ from .flows import (
     rotation_flow,
 )
 from .free_words import NC_ORDER_CAP, free_clt_moments, semicircle_moments
-from .linalg import haar_unitary, op_norm, random_density, unitary_power
+from .linalg import haar_unitary, op_norm, random_density
 from .matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
     finite_vn_average_bound,
+    quantize_drift,
     quantize_grid_size,
     quantize_unitary,
     trace_product_sum,
@@ -348,7 +349,7 @@ def _run_trace_product(cfg, table, workers):
             contractions=tuple(contractions),
             phase_polys=polys,
         )
-        res = trace_product_sum(spec, table, cfg.n_max, two_path=True)
+        res = trace_product_sum(spec, table, cfg.n_max)
         rows.append(
             (
                 i,
@@ -372,13 +373,10 @@ def _run_quantize(cfg, table, workers):
     rng = np.random.default_rng(cfg.seed)
     u = haar_unitary(dim, rng)
     quantized = quantize_unitary(u, epsilon, horizon)
-    rows = []
-    max_drift = 0.0
     cps = _checkpoints(cfg, horizon)
-    for n, power in zip(cps, unitary_power(u, cps)):
-        drift = op_norm(power - quantized.power(n))
-        rows.append((n, drift, epsilon))
-        max_drift = max(max_drift, drift)
+    drifts = quantize_drift(u, quantized, cps)
+    rows = [(n, drift, epsilon) for n, drift in zip(cps, drifts)]
+    max_drift = max(drifts, default=0.0)
     t = _hermitian_contraction(rng, dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     bound = finite_vn_average_bound(u, quantized, t, g, table, horizon)

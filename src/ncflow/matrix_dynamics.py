@@ -37,7 +37,7 @@ from .linalg import (
     schur_unitary,
     unitary_power,
 )
-from .moebius import MoebiusTable, characters, fold_pairwise
+from .moebius import MoebiusTable, characters
 
 TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
 QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
@@ -152,29 +152,23 @@ class TraceProductSpec:
 @dataclass(frozen=True)
 class TraceProductResult:
     value: complex  # direct matrix-product path
-    eigen_value: Optional[complex] = None
-    discrepancy: Optional[float] = None
+    eigen_value: complex  # eigenphase-expansion path
+    discrepancy: float  # |value - eigen_value| <= TRACE_AGREE_TOL
 
 
-def trace_product_sum(
-    spec: TraceProductSpec,
-    table: MoebiusTable,
-    N: int,
-    *,
-    two_path: bool = False,
-) -> TraceProductResult:
-    """Moebius-weighted trace product average, optionally cross-checked.
+def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> TraceProductResult:
+    """Moebius-weighted trace product average, certified by two paths.
 
-    The direct path multiplies binary powers of each U_j, batched over
-    _SUM_BLOCK indices at a time, and folds the per-n terms.  The eigen path
-    diagonalizes each U_j once and sums scalar phase products against the
-    transformed contractions; when two_path is set the two values must agree
-    to TRACE_AGREE_TOL or an ArithmeticError is raised.  Both paths take phi_j(n)
-    in int64, so every phase polynomial must have sum_i |c_i| N^i < 2^63,
-    or a ValueError is raised.
+    The direct path multiplies batched binary powers of each U_j.  The eigen
+    path diagonalizes each U_j once and sums scalar phase products against
+    the transformed contractions.  Both sum their per-n terms through
+    moebius.blocked_sums, and the two values must agree to TRACE_AGREE_TOL or
+    an ArithmeticError is raised: this cross-check certifies the result.
+    Both paths take phi_j(n) in int64, so every phase polynomial must have
+    sum_i |c_i| N^i < 2^63, or a ValueError is raised; that check only
+    guards against int64 wraparound, not against powers that lose accuracy.
     """
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+    moebius._check_N(table, N)
     for coeffs in spec.phase_polys:
         reach = sum(abs(c) * N**i for i, c in enumerate(coeffs))
         if reach >= 2**63:
@@ -188,19 +182,18 @@ def trace_product_sum(
     ns = ns[table.mu[ns] != 0]
     mu = table.mu[ns]
     phis = [moebius._horner(np.array(c, dtype=np.int64), ns) for c in spec.phase_polys]
-    traces = np.empty(ns.shape, dtype=np.complex128)
-    for lo in range(0, ns.size, moebius._SUM_BLOCK):
-        tile = slice(lo, lo + moebius._SUM_BLOCK)
+
+    def terms(r):
+        at = slice(r.start, r.stop)
         m = np.eye(spec.k, dtype=np.complex128)
         for u, a, phi in zip(spec.unitaries, spec.contractions, phis):
-            m = m @ unitary_power(u, phi[tile]) @ a
-        traces[tile] = np.trace(m, axis1=1, axis2=2)
-    direct = complex(fold_pairwise(mu * traces / spec.k)) / N if ns.size else 0j
-    if not two_path:
-        return TraceProductResult(value=direct)
+            m = m @ unitary_power(u, phi[at]) @ a
+        return mu[at] * np.trace(m, axis1=1, axis2=2) / spec.k
+
+    direct = complex(moebius.blocked_sums(range(mu.size), terms)[0]) / N
     eigen = _eigen_expansion_sum(spec, mu, phis) / N
     gap = abs(direct - eigen)
-    if gap > TRACE_AGREE_TOL:
+    if not gap <= TRACE_AGREE_TOL:  # a NaN gap fails too
         raise ArithmeticError(
             f"trace product paths disagree by {gap:.3e} > {TRACE_AGREE_TOL:g}"
         )
@@ -223,13 +216,13 @@ def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> comple
     ]
 
     def terms(r):
-        pos = np.arange(r.start, r.stop, dtype=np.int64)
-        es = [characters(thetas[j], phis[j][pos]) for j in range(d)]
+        at = slice(r.start, r.stop)
+        es = [characters(thetas[j], phis[j][at]) for j in range(d)]
         chain = es[0][:, :, None] * a_tilde[0][None, :, :]
         for j in range(1, d):
             chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
         vals = np.einsum("naa->n", chain) / k
-        return vals * mu[pos].astype(np.float64)
+        return vals * mu[at].astype(np.float64)
 
     return complex(moebius.blocked_sums(range(mu.size), terms)[0])
 
@@ -289,12 +282,17 @@ def quantize_unitary(u, epsilon: float, horizon: int) -> QuantizedUnitary:
         grid_size=m,
     )
     checks = sorted({1, max(1, horizon // 2), horizon})
-    for n, power in zip(checks, unitary_power(u, checks)):
-        if op_norm(power - quantized.power(n)) > epsilon:
+    for n, drift in zip(checks, quantize_drift(u, quantized, checks)):
+        if drift > epsilon:
             raise ArithmeticError(
                 f"quantized power drifted past epsilon at n = {n}"
             )
     return quantized
+
+
+def quantize_drift(u, quantized: QuantizedUnitary, ns) -> list:
+    """||U^n - V^n|| at each n of ns, with U^n from unitary_power."""
+    return [op_norm(power - quantized.power(n)) for n, power in zip(ns, unitary_power(u, ns))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ byte table plus one segment's int32 scratch arrays.
 
 Summation contract
 ------------------
-Every Moebius average sums through ``blocked_sums`` (the trace-product
-direct path, an independent oracle, folds its per-n terms itself): numpy's
-pairwise reduction inside blocks of at most ``_SUM_BLOCK`` consecutive
-indices, also cut at each stop, then a balanced binary fold of the block
-sums up to each stop.  The layout depends only on the index range and the
-stops, never on the worker count, and the terms are evaluated one block at
-a time, so every temporary stays in L2.  Terms with mu(n) = 0 are exact
-zeros: ``exp_sum`` never evaluates their phases (about 39% of n), and
-since numpy's add.reduce of a block starts from +0, a zero of either sign
-leaves every block sum's bits unchanged.
+Every Moebius average, both trace-product paths included, sums through
+``blocked_sums``: numpy's pairwise reduction inside blocks of at most
+``_SUM_BLOCK`` consecutive indices, also cut at each stop, then a balanced
+binary fold of the block sums up to each stop.  The layout depends only on
+the index range and the stops, never on the worker count, and the terms
+are evaluated one block at a time, so every temporary stays in L2.  Terms
+with mu(n) = 0 are exact zeros: ``exp_sum`` never evaluates their phases
+(about 39% of n), and since numpy's add.reduce of a block starts from +0,
+a zero of either sign leaves every block sum's bits unchanged.
 
 Phase evaluation
 ----------------

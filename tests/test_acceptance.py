@@ -237,7 +237,7 @@ def test_07_trace_product_two_paths(table_1m):
         k = int(rng.integers(2, 9))
         d = int(rng.integers(1, 4))
         spec = random_trace_spec(rng, k, d)
-        res = trace_product_sum(spec, table_1m, 1000, two_path=True)
+        res = trace_product_sum(spec, table_1m, 1000)
         worst = max(worst, res.discrepancy)
     means = []
     for k in (2, 4, 8, 16):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from ncflow.matrix_dynamics import (
     ad_flow,
     finite_vn_average_bound,
     finite_vn_state_flow,
+    quantize_drift,
     quantize_unitary,
     rank_one_flow,
     trace_product_sum,
 )
-from ncflow.moebius import build_table, characters, fold_pairwise, tree_sum
+from ncflow.moebius import build_table, characters, tree_sum
 
 
 def random_contraction(rng, k):
@@ -234,15 +237,15 @@ def test_trace_product_two_paths_agree(seed, table_10k):
     k = int(rng.integers(2, 9))
     d = int(rng.integers(1, 4))
     spec = make_spec(rng, k, d)
-    res = trace_product_sum(spec, table_10k, 1000, two_path=True)
-    assert res.discrepancy is not None and res.discrepancy < 1e-9
+    res = trace_product_sum(spec, table_10k, 1000)
+    assert isinstance(res.discrepancy, float) and res.discrepancy < 1e-9
     assert abs(res.value - res.eigen_value) == res.discrepancy
 
 
 def test_trace_product_quadratic_phase_two_paths(table_10k):
     rng = np.random.default_rng(123)
     spec = make_spec(rng, 4, 2, degree=2, coeff_max=3)
-    res = trace_product_sum(spec, table_10k, 500, two_path=True)
+    res = trace_product_sum(spec, table_10k, 500)
     assert res.discrepancy < 1e-9
 
 
@@ -256,19 +259,36 @@ def test_trace_product_rejects_phases_past_int64(table_10k):
     )
     with pytest.raises(ValueError, match=r"\(0, 0, 0, 0, 0, 1\).*2\^63 at N = 10000"):
         trace_product_sum(spec, table_10k, 10**4)
-    # the bound is sum |c_i| N^i < 2^63: 2^62 n is accepted at N = 1 only
+    # the bound is sum |c_i| N^i < 2^63: 2^62 n is accepted at N = 1 only;
+    # diag(1, -1, 1) has exact powers on both paths, so they agree at 2^62
     spec = TraceProductSpec(
-        unitaries=base.unitaries,
+        unitaries=(np.diag([1.0, -1.0, 1.0]).astype(np.complex128),),
         contractions=base.contractions,
         phase_polys=((0, 2**62),),
     )
-    trace_product_sum(spec, table_10k, 1)
+    assert trace_product_sum(spec, table_10k, 1).discrepancy == 0.0
     with pytest.raises(ValueError, match="2\\^63"):
         trace_product_sum(spec, table_10k, 2)
 
 
+@pytest.mark.parametrize(
+    "seed, d, coeff, gap",
+    [(8, 1, 2**62, r"\d\.\d{3}e\+125"), (8, 1, 2**40, r"\d\.\d{3}e-05"), (1, 3, 2**62, "nan")],
+)
+def test_trace_product_refuses_paths_that_disagree(seed, d, coeff, gap, table_10k):
+    # phases inside int64 can still be too large for binary powers of a Haar
+    # unitary: at 2^62 n the direct path's |value| grows to about 1e125, or
+    # overflows to NaN for three factors; at 2^40 n it is off by about 4e-5
+    base = make_spec(np.random.default_rng(seed), 3, d)
+    spec = dataclasses.replace(base, phase_polys=((0, coeff),) * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match=f"disagree by {gap} > 1e-09"):
+            trace_product_sum(spec, table_10k, 1)
+
+
 def per_n_direct_sum(spec, table, N):
-    """The direct path as one matrix_power chain per squarefree n, folded."""
+    """The direct path as one matrix_power chain per squarefree n, summed by
+    tree_sum."""
     parts = []
     for n in range(spec.residue or spec.modulus, N + 1, spec.modulus):
         if table.mu[n]:
@@ -278,7 +298,7 @@ def per_n_direct_sum(spec, table, N):
                 m = m @ np.linalg.matrix_power(u if phi >= 0 else u.conj().T, abs(phi))
                 m = m @ a
             parts.append(int(table.mu[n]) * np.trace(m) / spec.k)
-    return complex(fold_pairwise(parts)) / N if parts else 0j
+    return complex(tree_sum(np.array(parts))) / N if parts else 0j
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -307,6 +327,8 @@ def test_trace_product_direct_path_negative_phase_and_congruence(table_10k):
             modulus=2,
             residue=1,
         ),
+        # n = 0 (mod 4) is never squarefree: both paths sum no terms
+        dataclasses.replace(base, modulus=4, residue=0),
     ]
     for spec in specs:
         got = trace_product_sum(spec, table_10k, 2000).value
@@ -333,7 +355,7 @@ def test_trace_product_eigen_path_is_one_tree_sum():
         chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
     vals = np.einsum("naa->n", chain) / spec.k
     want = complex(tree_sum(vals * table.mu[ns].astype(np.float64))) / N
-    got = trace_product_sum(spec, table, N, two_path=True).eigen_value
+    got = trace_product_sum(spec, table, N).eigen_value
     assert got == want
 
 
@@ -386,6 +408,14 @@ def test_quantize_drift_within_epsilon(epsilon):
         drift = op_norm(unitary_power(u, n) - q.power(n))
         assert drift <= epsilon + 1e-12
     assert q.grid_size == int(np.ceil(2 * np.pi * 100 / epsilon))
+
+
+def test_quantize_drift_is_the_per_n_norm():
+    u = haar_unitary(6, 5)
+    q = quantize_unitary(u, 0.1, 1000)
+    ns = [1, 7, 500, 1000]
+    want = [op_norm(np.linalg.matrix_power(u, n) - q.power(n)) for n in ns]
+    assert quantize_drift(u, q, ns) == want
 
 
 def test_quantize_on_grid_unitary_is_exact():
