@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .flows import Flow
+from .flows import BOUND_SLACK, Flow
 from .linalg import check_square, check_unitary, inner, unitary_power
 from .moebius import MoebiusTable, characters
 
@@ -356,7 +356,7 @@ def quasifree_density_matrix(t, space: FockSpace) -> np.ndarray:
     return (g * weights) @ g.conj().T
 
 
-def bogoliubov_apply(u, p: CARPolynomial, n: int = 1) -> CARPolynomial:
+def bogoliubov_apply(u, p: CARPolynomial, n: int) -> CARPolynomial:
     """Induced automorphism a(f) -> a(U^n f) applied to every factor."""
     u = check_unitary(u)
     w = unitary_power(u, n)
@@ -412,7 +412,7 @@ def counterexample_flow(L: int, table: MoebiusTable) -> CounterexampleFlows:
 # pure point spectrum flow
 
 
-def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) -> Flow:
+def pure_point_flow(angles, observable: CARPolynomial, symbol) -> Flow:
     """Quasi-free flow n -> phi_T(alpha_U^n(observable)) for U = diag(e(theta_k)).
 
     Normal-orders the observable once; at each n, _gram_dets evaluates the
@@ -437,6 +437,6 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol, *, label=None) ->
 
     return Flow(
         values_at=lambda ns: _gram_dets(t, terms, characters(theta, ns)),
-        declared_bound=bound + 1e-9,
-        label=label or f"pure_point_flow(d={d})",
+        declared_bound=bound + BOUND_SLACK,
+        label=f"pure_point_flow(d={d})",
     )

@@ -39,6 +39,7 @@ from .flows import (
     FlowEvaluationError,
     average_series,
     bsz_check,
+    check_fit_checkpoints,
     constant_flow,
     decay_fit,
     geometric_checkpoints,
@@ -63,7 +64,7 @@ from .moebius import (
     load_or_build_table,
     mertens,
     phase_values,
-    squarefree_count,
+    squarefree_density,
 )
 
 SCHEMA_VERSION = 1
@@ -73,6 +74,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
 _MAX_DIM = 32
 _MATRIX_DIMS = {"matrix-flow": "dim", "trace-product": "k", "quantize": "dim", "pure-point": "d"}
+_FITTED = {"decay", "matrix-flow", "pure-point"}  # the runners that call _fitted_series
 _SIZE_CAPS = {
     **{pair: _MAX_DIM for pair in _MATRIX_DIMS.items()},
     ("car-demo", "d"): MAX_MODES,
@@ -229,6 +231,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     try:
         if cfg.checkpoints is not None:
             checked_checkpoints(n_max, cfg.checkpoints)
+        if cfg.experiment in _FITTED:
+            check_fit_checkpoints(_checkpoints(cfg, n_max))
         if cfg.experiment == "quantize":
             quantize_grid_size(float(params["epsilon"]), n_max)
     except ValueError as exc:
@@ -291,15 +295,14 @@ def _run_sieve(cfg, table, workers):
     rows = []
     for n in cps:
         m = mertens(table, n)
-        q = squarefree_count(table, n)
-        rows.append((n, m, m / n, q / n))
+        rows.append((n, m, m / n, squarefree_density(table, n)))
     header = ("N", "mertens", "mertens_over_N", "abs_mu_avg")
     m_max = mertens(table, cfg.n_max)
     result = {
         "n_max": cfg.n_max,
         "mertens_at_n_max": m_max,
         "mertens_over_n_max": m_max / cfg.n_max,
-        "squarefree_density": squarefree_count(table, cfg.n_max) / cfg.n_max,
+        "squarefree_density": squarefree_density(table, cfg.n_max),
     }
     return header, rows, result
 
@@ -456,7 +459,7 @@ def _run_counterexample(cfg, table, workers):
         rows.extend((flow.label,) + r for r in series.csv_rows())
         payload[flow.label] = _series_payload(series)
     bh_abs = payload[flows.bh_flow.label]["final_abs"]
-    density = squarefree_count(table, L) / L
+    density = squarefree_density(table, L)
     result = {
         "L": L,
         "dim": flows.dim,

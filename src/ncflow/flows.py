@@ -19,6 +19,7 @@ from . import moebius
 from .moebius import MoebiusTable, characters, phase_values
 
 BSZ_PRIME_CAP = 200  # 46 primes, 1035 pair correlations: enough to screen the hypothesis
+BOUND_SLACK = 1e-9  # rounding lets computed values pass an exact declared bound by a few ulps
 
 
 class FlowEvaluationError(RuntimeError):
@@ -72,7 +73,7 @@ class Flow:
                 f"flow {self.label!r} produced a non-finite value at "
                 f"n = {ns[np.argmin(finite)]}"
             )
-        over = np.abs(vals) > self.declared_bound + 1e-9
+        over = np.abs(vals) > self.declared_bound + BOUND_SLACK
         if over.any():
             raise FlowEvaluationError(
                 f"flow {self.label!r} exceeded its declared bound "
@@ -150,14 +151,12 @@ def average_series(
     )
 
 
-def geometric_checkpoints(n_max: int, start: int = 1000) -> tuple:
-    """start, start*sqrt(10), ... rounded, capped at n_max."""
+def geometric_checkpoints(n_max: int) -> tuple:
+    """1000, 1000*sqrt(10), ... rounded, capped at n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if start > n_max:
-        return (n_max,)
     out = []
-    x = float(start)
+    x = 1000.0
     while round(x) < n_max:
         out.append(int(round(x)))
         x *= math.sqrt(10.0)
@@ -179,7 +178,7 @@ def rotation_flow(theta: float, label: Optional[str] = None) -> Flow:
     )
 
 
-def constant_flow(value: complex = 1.0, label: str = "constant") -> Flow:
+def constant_flow(value: complex, label: str = "constant") -> Flow:
     value = complex(value)
     return Flow(
         values_at=lambda ns: np.full(ns.shape, value, dtype=np.complex128),
@@ -228,13 +227,18 @@ class DecayFit:
     exact_zero: bool = False
 
 
+def check_fit_checkpoints(checkpoints) -> None:
+    """Refuse fewer than 3 checkpoints, or any N <= e, where log log N is undefined."""
+    if len(checkpoints) < 3:
+        raise ValueError("decay fit needs at least 3 checkpoints")
+    if min(checkpoints) <= math.e:
+        raise ValueError("decay fit needs checkpoints with log log N defined (N > e)")
+
+
 def decay_fit(series: AverageSeries) -> DecayFit:
+    check_fit_checkpoints(series.checkpoints)
     ns = np.asarray(series.checkpoints, dtype=np.float64)
     mags = np.abs(series.values)
-    if ns.size < 3:
-        raise ValueError("decay fit needs at least 3 checkpoints")
-    if np.any(ns <= math.e):
-        raise ValueError("decay fit needs checkpoints with log log N defined (N > e)")
     keep = mags > 0.0
     dropped = int(np.count_nonzero(~keep))
     if not keep.any():

@@ -149,16 +149,14 @@ def _conj(c):
     return c.conjugate() if isinstance(c, complex) else c
 
 
-def free_shift_flow(w: ReducedWord, state_word: ReducedWord, *, label=None) -> Flow:
+def free_shift_flow(w: ReducedWord, state_word: ReducedWord) -> Flow:
     """Flow n -> tau(v^-1 alpha^n(w) v) for the index shift alpha and v = state_word.
 
     The shift is an injective homomorphism, so v^-1 alpha^n(w) v is the
     identity exactly when w is: the flow is the constant [w = e] for every n
     and every v.
     """
-    return constant_flow(
-        1.0 if w.is_identity else 0.0, label=label or "free_shift_flow"
-    )
+    return constant_flow(1.0 if w.is_identity else 0.0, label="free_shift_flow")
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +292,10 @@ def arcsine_moments(p_max: int) -> tuple:
     )
 
 
-def semicircle_moments(p_max: int, variance=Fraction(1, 2)) -> tuple:
-    """m_{2k} = Catalan_k * variance^k, odd moments 0."""
-    variance = Fraction(variance)
+def semicircle_moments(p_max: int) -> tuple:
+    """Semicircle moments at variance 1/2: m_{2k} = Catalan_k / 2^k, odd moments 0."""
     return tuple(
-        catalan(p // 2) * variance ** (p // 2) if p % 2 == 0 else Fraction(0)
+        catalan(p // 2) * Fraction(1, 2) ** (p // 2) if p % 2 == 0 else Fraction(0)
         for p in range(1, p_max + 1)
     )
 
@@ -349,7 +346,7 @@ def arcsine_sum_moment_by_words(q: int, p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BlockSumReport:
-    """Norm estimate for B/q with B = sum_j c_j alpha^{j step + offset}(w)."""
+    """Norm estimate for B/q with B = sum_j c_j alpha^{j step + 1}(w)."""
 
     estimate: float  # (tau((B*B / q^2)^{p/2}))^{1/p}
     raw_trace: Fraction  # tau((B*B)^{p/2}), exact
@@ -367,16 +364,15 @@ def bkn_moment_norm(
     p: int,
     *,
     table: Optional[MoebiusTable] = None,
-    offset: int = 1,
     coeffs: Optional[Sequence[int]] = None,
     budget: int = 5_000_000,
 ) -> BlockSumReport:
     """Trace-moment estimate of ||B/q|| for the block sum of shifted words.
 
-    B = sum_{j<q} c_j alpha^{j (2l+1) + offset}(word): translates by multiples
+    B = sum_{j<q} c_j alpha^{j (2l+1) + 1}(word): translates by multiples
     of 2l+1 have disjoint generator windows when l >= word.spread(), which is
     the structural freeness this estimate relies on.  Coefficients default to
-    mu(j (2l+1) + offset) read from the table.
+    mu(j (2l+1) + 1) read from the table.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be a positive even integer, got {p}")
@@ -395,17 +391,15 @@ def bkn_moment_norm(
     if coeffs is None:
         if table is None:
             raise ValueError("need either explicit coeffs or a Moebius table")
-        top = (q - 1) * step + offset
+        top = (q - 1) * step + 1
         if top > table.n_max:
             raise ValueError(f"need mu up to {top} > table range {table.n_max}")
-        coeffs = [int(table.mu[j * step + offset]) for j in range(q)]
+        coeffs = [int(table.mu[j * step + 1]) for j in range(q)]
     else:
         coeffs = [int(c) for c in coeffs]
         if len(coeffs) != q:
             raise ValueError("need exactly q coefficients")
-    b = GroupElementSum(
-        [(word.shift(j * step + offset), c) for j, c in enumerate(coeffs)]
-    )
+    b = GroupElementSum([(word.shift(j * step + 1), c) for j, c in enumerate(coeffs)])
     s = b.adjoint() * b
     raw = Fraction(s.power(p // 2).trace())
     normalized = raw / q**p

@@ -39,21 +39,21 @@ def check_square(a) -> np.ndarray:
     return a
 
 
-def check_unitary(u, atol: float = ATOL_UNITARY) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     u = check_square(u)
     err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if err > atol:
-        raise ValueError(f"matrix is not unitary: max |UU* - I| = {err:.3e} > {atol:g}")
+    if err > ATOL_UNITARY:
+        raise ValueError(f"matrix is not unitary: max |UU* - I| = {err:.3e} > {ATOL_UNITARY:g}")
     return u
 
 
-def check_density(rho, atol: float = ATOL_STATE) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     rho = check_square(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > ATOL_STATE:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > atol:
+    if abs(np.trace(rho) - 1.0) > ATOL_STATE:
         raise ValueError(f"density matrix has trace {np.trace(rho):.6g}, expected 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -atol:
+    if np.min(np.linalg.eigvalsh(rho)) < -ATOL_STATE:
         raise ValueError("density matrix is not positive semidefinite")
     return rho
 
@@ -67,9 +67,9 @@ def check_vector(x) -> np.ndarray:
     return x
 
 
-def check_unit_vector(x, atol: float = ATOL_STATE) -> np.ndarray:
+def check_unit_vector(x) -> np.ndarray:
     x = check_vector(x)
-    if abs(np.linalg.norm(x) - 1.0) > atol:
+    if abs(np.linalg.norm(x) - 1.0) > ATOL_STATE:
         raise ValueError("vector is not normalized")
     return x
 

@@ -19,12 +19,10 @@ over all column pairs.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import moebius
-from .flows import Flow, average_series, spectral_flow
+from .flows import BOUND_SLACK, Flow, average_series, spectral_flow
 from .linalg import (
     check_density,
     check_matrix,
@@ -54,7 +52,7 @@ def _schur_projections(q: np.ndarray) -> np.ndarray:
     return np.einsum("aj,bj->jab", q, q.conj())
 
 
-def ad_flow(u, a, rho, *, label: Optional[str] = None) -> Flow:
+def ad_flow(u, a, rho) -> Flow:
     """Flow n -> trace(rho U^n A U*^n)."""
     u = check_unitary(u)
     a = check_matrix(a)
@@ -76,12 +74,12 @@ def ad_flow(u, a, rho, *, label: Optional[str] = None) -> Flow:
 
     return Flow(
         values_at=values_at,
-        declared_bound=op_norm(a) * (1.0 + 1e-9),
-        label=label or f"ad_flow(dim={u.shape[0]})",
+        declared_bound=op_norm(a) * (1.0 + BOUND_SLACK),
+        label=f"ad_flow(dim={u.shape[0]})",
     )
 
 
-def rank_one_flow(u, xi, eta, *, label: Optional[str] = None) -> Flow:
+def rank_one_flow(u, xi, eta) -> Flow:
     """Flow n -> <U*^n P_xi U^n eta, eta> = |<U^n eta, xi>|^2."""
     u = check_unitary(u)
     xi = check_unit_vector(xi)
@@ -93,7 +91,7 @@ def rank_one_flow(u, xi, eta, *, label: Optional[str] = None) -> Flow:
         angles,
         np.outer(b, np.conj(b)),
         declared_bound=1.0,
-        label=label or f"rank_one_flow(dim={u.shape[0]})",
+        label=f"rank_one_flow(dim={u.shape[0]})",
     )
 
 
@@ -317,7 +315,7 @@ def _state_flow(u, t, a):
     flow = spectral_flow(
         angles,
         coeffs.T,
-        declared_bound=op_norm(t) * op_norm(aa) / denom + 1e-9,
+        declared_bound=op_norm(t) * op_norm(aa) / denom + BOUND_SLACK,
         label="finite_vn_state_flow",
     )
     return flow, aa, denom

@@ -50,7 +50,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_N_MAX = 10**6
 N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
@@ -105,11 +104,11 @@ class PolynomialPhase:
         return len(self.coeffs) - 1
 
 
-def linear_phase(theta: float, modulus: int = 1, residue: int = 0) -> PolynomialPhase:
-    return PolynomialPhase((0.0, float(theta)), modulus, residue)
+def linear_phase(theta: float) -> PolynomialPhase:
+    return PolynomialPhase((0.0, float(theta)))
 
 
-def build_table(n_max: int = DEFAULT_N_MAX) -> MoebiusTable:
+def build_table(n_max: int) -> MoebiusTable:
     """Sieve mu(1..n_max) segment by segment with the primes up to sqrt(n_max).
 
     Each segment of _SIEVE_SEGMENT integers keeps an int32 cofactor array
@@ -449,14 +448,13 @@ def cache_path(cache_dir, n_max: int) -> str:
     return os.path.join(cache_dir, f"moebius_{n_max}.ncf")
 
 
-def load_or_build_table(n_max: int = DEFAULT_N_MAX, cache_dir=None) -> MoebiusTable:
-    """Build a table, going through the cache directory when one is given.
+def load_or_build_table(n_max: int) -> MoebiusTable:
+    """Build a table, going through the cache directory NCFLOW_CACHE_DIR names, if set.
 
     A cache file that load_table rejects, or whose header holds another
     n_max than its name, is reported on stderr and rebuilt.
     """
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
+    cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         return build_table(n_max)
     path = cache_path(cache_dir, n_max)

@@ -203,14 +203,24 @@ def test_configs_past_a_hard_cap_fail_before_the_sieve(
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--n-max", "200000000"], "n_max must lie in"),
-        (["--n-max", "0"], "n_max must lie in"),
+        (["sieve", "--n-max", "200000000"], "n_max must lie in"),
+        (["sieve", "--n-max", "0"], "n_max must lie in"),
+        # geometric checkpoints up to n_max <= 3162 are too few for a decay fit
+        (["decay", "--n-max", "500"], "at least 3 checkpoints"),
+        (["matrix-flow", "--seed", "0", "--n-max", "2000"], "at least 3 checkpoints"),
+        (["pure-point", "--seed", "0", "--n-max", "999"], "at least 3 checkpoints"),
+        (["decay", "--n-max", "3162"], "at least 3 checkpoints"),
     ],
 )
-def test_bad_n_max_is_a_usage_error(tmp_path, capsys, extra, message):
+def test_bad_n_max_is_a_usage_error(tmp_path, capsys, monkeypatch, extra, message):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
     out = tmp_path / "out"
-    assert main(["sieve", "--out", str(out)] + extra) == 2
-    assert message in capsys.readouterr().err
+    assert main(["--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ncflow: error: ") and message in err
     assert not out.exists()
 
 
@@ -283,9 +293,16 @@ def test_counterexample_n_max_off_its_window_is_a_usage_error(
         ([100, 2000], "must lie in"),
         ([500, 100], "strictly ascending"),
         ([100, 100], "strictly ascending"),
+        # valid checkpoints that no decay fit can use
+        ([10, 20], "at least 3 checkpoints"),
+        ([1, 2, 3, 4], "N > e"),
     ],
 )
-def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, checkpoints, message):
+def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, monkeypatch, checkpoints, message):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
     out = tmp_path / "out"
     cfg_path = tmp_path / "cps.json"
     cfg_path.write_text(
@@ -300,7 +317,8 @@ def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, checkpoints, messag
         )
     )
     assert main(["--config", str(cfg_path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ncflow: error: ") and message in err
     assert not out.exists()
 
 

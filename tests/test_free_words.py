@@ -237,7 +237,7 @@ def test_cumulant_transforms_keep_the_order_cap(transform, order):
 
 def test_semicircle_is_free_cumulant_delta():
     # variance v semicircle law: only the second free cumulant survives
-    moments = semicircle_moments(8, Fraction(1, 2))
+    moments = semicircle_moments(8)
     kappa = moments_to_cumulants(moments).kappa
     assert kappa == (0, Fraction(1, 2), 0, 0, 0, 0, 0, 0)
     assert moments[3] == 2 * Fraction(1, 2) ** 2  # catalan(2) * v^2
@@ -264,7 +264,7 @@ def test_clt_fourth_moment_formula(q):
 
 def test_clt_interpolates_arcsine_to_semicircle():
     assert free_clt_moments(1, 8) == arcsine_moments(8)
-    semi = semicircle_moments(8, Fraction(1, 2))
+    semi = semicircle_moments(8)
     prev_gap = None
     for q in (2, 4, 8, 16):
         gap = semi[3] - free_clt_moments(q, 4)[3]

@@ -1,20 +1,21 @@
-"""Byte gate: hash every CLI output of a checkout, so two checkouts can be diffed.
+"""Byte gate: print every CLI output of a checkout, so two checkouts can be diffed.
 
-    python3 tools/byte_gate.py [--repo DIR] > hashes.txt
+    python3 tools/byte_gate.py [--repo DIR] > outputs.txt
 
 Runs every ncflow experiment at its default config with seed 0, and every
 seed-0 config of DIR/perfbench/workloads.py, each at ``--workers 1`` and
 ``--workers 4``, as a fresh ``python -m ncflow.cli`` process on DIR/src.
 DIR defaults to the checkout that holds this script.  Outputs and the sieve
-cache go to a temporary directory; nothing under DIR is written.  Prints one
-line per run: name, workers, the sha256 of the CSV and the sha256 of the
-sidecar ``result`` dumped with sorted keys.  Run it on two checkouts and diff
-the two outputs: equal lines mean byte-identical results.  Exits 1 if any
-run fails.
+cache go to a temporary directory; nothing under DIR is written.  Prints,
+each prefixed with the run name and workers count, every line of the CSV and
+every leaf of the sidecar ``result`` as ``key=value``, with nested keys and
+list indices joined by dots and the value in JSON.  Run it on two checkouts
+and diff the two outputs: each differing line names a moved CSV row or
+result field with its value on either side, and equal outputs mean
+byte-identical results.  Exits 1 if any run fails.
 """
 
 import argparse
-import hashlib
 import importlib.util
 import json
 import os
@@ -26,8 +27,15 @@ WORKERS = (1, 4)
 SEED = 0
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _leaves(value, key=""):
+    """(dotted key, JSON value) for every leaf of a nested dict or list; an
+    empty dict or list is a leaf."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for k, v in items:
+            yield from _leaves(v, f"{key}.{k}" if key else str(k))
+    else:
+        yield key, json.dumps(value)
 
 
 def _load_workloads(repo: str):
@@ -81,12 +89,13 @@ def main(argv=None) -> int:
                     last = (done.stderr.strip().splitlines() or [""])[-1]
                     print(f"{name} workers={workers} exit={done.returncode} {last}", flush=True)
                     continue
-                with open(os.path.join(out, f"{stem}.csv"), "rb") as fh:
-                    csv_sha = _sha256(fh.read())
+                prefix = f"{name} workers={workers}"
+                with open(os.path.join(out, f"{stem}.csv")) as fh:
+                    lines = [f"{prefix} csv {row}" for row in fh.read().splitlines()]
                 with open(os.path.join(out, f"{stem}.json")) as fh:
                     result = json.load(fh)["result"]
-                result_sha = _sha256(json.dumps(result, sort_keys=True).encode())
-                print(f"{name} workers={workers} csv={csv_sha} result={result_sha}", flush=True)
+                lines += [f"{prefix} result {k}={v}" for k, v in sorted(_leaves(result))]
+                print("\n".join(lines), flush=True)
     return 1 if failed else 0
 
 
