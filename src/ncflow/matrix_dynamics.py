@@ -19,6 +19,7 @@ over all column pairs.
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import moebius
