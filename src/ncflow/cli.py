@@ -39,6 +39,7 @@ from .flows import (
     FlowEvaluationError,
     average_series,
     bsz_check,
+    bsz_prime_cap,
     check_fit_checkpoints,
     constant_flow,
     decay_fit,
@@ -73,14 +74,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
 _MAX_DIM = 32
-_MATRIX_DIMS = {"matrix-flow": "dim", "trace-product": "k", "quantize": "dim", "pure-point": "d"}
-_FITTED = {"decay", "matrix-flow", "pure-point"}  # the runners that call _fitted_series
-_SIZE_CAPS = {
-    **{pair: _MAX_DIM for pair in _MATRIX_DIMS.items()},
-    ("car-demo", "d"): MAX_MODES,
-    ("free-clt", "p_max"): NC_ORDER_CAP,  # free_clt_moments refuses higher orders
-    ("trace-product", "coeff_max"): (2**63 - 1) // N_MAX_CAP,  # phases c * n < 2^63
-}
 
 # the bsz-check flows by name; resolve_config refuses any other name
 BSZ_FLOWS = {
@@ -198,26 +191,21 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_type(f"parameter {key!r}", value, type(default))
         if isinstance(default, int) and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
-        cap = _SIZE_CAPS.get((cfg.experiment, key))
+        if isinstance(default, list) and not (value and all(map(_is_finite, value))):
+            raise ConfigError(f"{key} must be a non-empty list of finite numbers")
+        cap = experiment.caps.get(key)
         if cap is not None and value > cap:
             raise ConfigError(f"{key} must be <= {cap}, got {value}")
-        if key == "coeffs" and not (value and all(map(_is_finite, value))):
-            raise ConfigError("coeffs must be a non-empty list of finite numbers")
-        if (cfg.experiment, key) == ("bsz-check", "epsilon") and not 0.0 < value < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {value}")
-        if (cfg.experiment, key) == ("bsz-check", "flow") and value not in BSZ_FLOWS:
-            known = ", ".join(sorted(BSZ_FLOWS))
-            raise ConfigError(f"unknown bsz-check flow {value!r}; expected one of {known}")
     if experiment.randomized and cfg.seed is None:
         raise ConfigError(f"experiment {cfg.experiment!r} is randomized; --seed is mandatory")
     params = {**experiment.params, **cfg.params}
     n_max = cfg.n_max
-    if cfg.experiment == "counterexample":
-        window = int(params["L"])
+    if experiment.horizon is not None:
+        key, window = experiment.horizon, int(params[experiment.horizon])
         if n_max not in (None, window):
             raise ConfigError(
-                f"counterexample reads its sieve table up to L = {window}; "
-                f"drop n_max or set it to L, got {n_max}"
+                f"{cfg.experiment} reads its sieve table up to {key} = {window}; "
+                f"drop n_max or set it to {key}, got {n_max}"
             )
         n_max = window
     elif experiment.n_max is None and (cfg.n_max, cfg.checkpoints) != (None, None):
@@ -231,10 +219,9 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     try:
         if cfg.checkpoints is not None:
             checked_checkpoints(n_max, cfg.checkpoints)
-        if cfg.experiment in _FITTED:
+        experiment.check(params, n_max)
+        if experiment.fits:
             check_fit_checkpoints(_checkpoints(cfg, n_max))
-        if cfg.experiment == "quantize":
-            quantize_grid_size(float(params["epsilon"]), n_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return replace(cfg, n_max=n_max, params=params)
@@ -344,25 +331,11 @@ def _run_trace_product(cfg, table, workers):
         for _ in range(d):
             g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             contractions.append(g / op_norm(g))
-        polys = tuple(
-            (0, int(rng.integers(1, coeff_max + 1))) for _ in range(d)
-        )
-        spec = TraceProductSpec(
-            unitaries=unitaries,
-            contractions=tuple(contractions),
-            phase_polys=polys,
-        )
+        polys = tuple((0, int(rng.integers(1, coeff_max + 1))) for _ in range(d))
+        spec = TraceProductSpec(unitaries, tuple(contractions), polys)
         res = trace_product_sum(spec, table, cfg.n_max)
-        rows.append(
-            (
-                i,
-                res.value.real,
-                res.value.imag,
-                res.eigen_value.real,
-                res.eigen_value.imag,
-                res.discrepancy,
-            )
-        )
+        value, eigen = res.value, res.eigen_value
+        rows.append((i, value.real, value.imag, eigen.real, eigen.imag, res.discrepancy))
         worst = max(worst, res.discrepancy)
     header = ("index", "re", "im", "eigen_re", "eigen_im", "discrepancy")
     result = {"k": k, "d": d, "N": cfg.n_max, "max_discrepancy": worst}
@@ -417,11 +390,7 @@ def _run_car_demo(cfg, table, workers):
         deg = int(rng.integers(1, degree + 1))
         poly = None
         for _ in range(deg):
-            factor = (
-                creation(_unit_vector(rng, d))
-                if rng.integers(0, 2)
-                else annihilation(_unit_vector(rng, d))
-            )
+            factor = (creation if rng.integers(0, 2) else annihilation)(_unit_vector(rng, d))
             poly = factor if poly is None else poly * factor
         lhs = quasifree_eval(symbol, poly)
         rhs = complex(np.trace(rho @ poly.to_matrix(space)))
@@ -508,6 +477,13 @@ def _run_free_clt(cfg, table, workers):
     return header, rows, result
 
 
+def _check_bsz(params, n_max):
+    if params["flow"] not in BSZ_FLOWS:
+        known = ", ".join(sorted(BSZ_FLOWS))
+        raise ValueError(f"unknown bsz-check flow {params['flow']!r}; expected one of {known}")
+    bsz_prime_cap(float(params["epsilon"]), params["M"], n_max)
+
+
 def _run_bsz_check(cfg, table, workers):
     epsilon = float(cfg.params["epsilon"])
     M = int(cfg.params["M"])
@@ -525,39 +501,63 @@ def _run_bsz_check(cfg, table, workers):
 @dataclass(frozen=True)
 class Experiment:
     """One registry record.  params maps each parameter to its default (the
-    type is inferred from it); n_max is the default horizon, None for
-    experiments without a sieve, which refuse an n_max (counterexample
-    reads its table up to its window L and accepts no other n_max)."""
+    type is inferred from it), caps to its upper bound; check(params, n_max)
+    raises ValueError for parameters the runner cannot take.  n_max is the
+    default horizon, None without a sieve; horizon names the parameter that
+    fixes the horizon instead.  fits marks the runners that fit a decay law."""
 
     params: dict
     runner: Callable
     n_max: Optional[int] = None
     randomized: bool = False
+    caps: dict = field(default_factory=dict)
+    check: Callable = lambda params, n_max: None
+    fits: bool = False
+    horizon: Optional[str] = None
 
 
 EXPERIMENTS = {
     "sieve": Experiment({}, _run_sieve, n_max=10**6),
-    "decay": Experiment({"coeffs": [0.0, GOLDEN]}, _run_decay, n_max=10**5),
+    "decay": Experiment({"coeffs": [0.0, GOLDEN]}, _run_decay, n_max=10**5, fits=True),
     "matrix-flow": Experiment(
-        {"dim": 8}, _run_matrix_flow, n_max=10**5, randomized=True
+        {"dim": 8}, _run_matrix_flow, n_max=10**5, randomized=True,
+        caps={"dim": _MAX_DIM}, fits=True,
     ),
     "trace-product": Experiment(
-        {"k": 4, "d": 2, "count": 5, "coeff_max": 7},
-        _run_trace_product,
-        n_max=10**3,
-        randomized=True,
+        {"k": 4, "d": 2, "count": 5, "coeff_max": 7}, _run_trace_product,
+        n_max=10**3, randomized=True,
+        caps={
+            "k": _MAX_DIM,
+            # time and the phase arrays grow linearly in d: one product to n_max
+            # 10^5 took 7 s at d = 16 and 20 s at d = 64 on 2 cores
+            "d": 16,
+            "coeff_max": (2**63 - 1) // N_MAX_CAP,  # phases c * n < 2^63
+        },
     ),
     "quantize": Experiment(
-        {"dim": 8, "epsilon": 0.1}, _run_quantize, n_max=10**4, randomized=True
+        {"dim": 8, "epsilon": 0.1}, _run_quantize, n_max=10**4, randomized=True,
+        caps={"dim": _MAX_DIM},
+        check=lambda params, n_max: quantize_grid_size(float(params["epsilon"]), n_max),
     ),
     "car-demo": Experiment(
-        {"d": 4, "samples": 50, "degree": 4}, _run_car_demo, randomized=True
+        {"d": 4, "samples": 50, "degree": 4}, _run_car_demo, randomized=True,
+        # normal ordering grows combinatorially: a word of j a(f) then j a(g)*
+        # took 0.3 s at degree 2j = 12, and 34 s and 495 MiB at 16
+        caps={"d": MAX_MODES, "degree": 12},
     ),
-    "counterexample": Experiment({"L": 10_000}, _run_counterexample),
-    "pure-point": Experiment({"d": 6}, _run_pure_point, n_max=10**5, randomized=True),
-    "free-clt": Experiment({"q": 10, "p_max": 8}, _run_free_clt),
+    "counterexample": Experiment({"L": 10_000}, _run_counterexample, horizon="L"),
+    "pure-point": Experiment(
+        {"d": 6}, _run_pure_point, n_max=10**5, randomized=True,
+        caps={"d": _MAX_DIM}, fits=True,
+    ),
+    "free-clt": Experiment(  # free_clt_moments refuses orders past NC_ORDER_CAP
+        {"q": 10, "p_max": 8}, _run_free_clt, caps={"p_max": NC_ORDER_CAP}
+    ),
     "bsz-check": Experiment(
-        {"epsilon": 0.25, "M": 10_000, "flow": "golden"}, _run_bsz_check, n_max=10**6
+        {"epsilon": 0.25, "M": 10_000, "flow": "golden"}, _run_bsz_check, n_max=10**6,
+        # M values per prime up to 200, 74 MB at M = 10^5: at n_max 10^8 that
+        # peaked with the table at 174 MiB, and M = 10^7 at 909 MiB
+        caps={"M": 10**5}, check=_check_bsz,
     ),
 }
 EXPERIMENTS["mertens"] = EXPERIMENTS["sieve"]

@@ -32,9 +32,8 @@ class Flow:
     values_at maps an int64 index array to the complex values there; it must
     be pure and vectorized.  Every consumer evaluates through the checked call
     at() (or values() on a range), which enforces the domain, the shape,
-    finiteness and the declared bound.  evaluator(n) is the scalar view of the
-    same call.  The keyword evaluator is accepted for older call sites and
-    ignored: no value is ever computed through it.
+    finiteness and the declared bound.  The keyword evaluator is accepted for
+    older call sites and ignored: no value is ever computed through it.
     """
 
     def __init__(
@@ -84,9 +83,6 @@ class Flow:
     def values(self, lo: int, hi: int) -> np.ndarray:
         """Values for n in (lo, hi]."""
         return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
-
-    def evaluator(self, n: int) -> complex:
-        return complex(self.at(np.asarray([n]))[0])
 
 
 @dataclass(frozen=True)
@@ -293,26 +289,34 @@ class BSZReport:
         return self.mobius_sum_abs <= self.analytic_bound
 
 
-def bsz_check(
-    flow: Flow,
-    table: MoebiusTable,
-    epsilon: float,
-    M: int,
-    N: int,
-) -> BSZReport:
-    """Check the bilinear hypothesis for a bounded flow and report the
-    Moebius-sum bound it buys.
-
-    Primes are capped at min(e^(1/eps), BSZ_PRIME_CAP, table.n_max / M).
-    """
+def bsz_prime_cap(epsilon: float, M: int, n_max: int) -> int:
+    """floor(min(e^(1/eps), BSZ_PRIME_CAP, n_max / M)), the largest prime p
+    whose multiples p m, m <= M, the bilinear check reads from a table to
+    n_max.  Refuses eps outside (0, 1), and a cap below 3, which leaves no
+    prime pair.  The exponent is clipped where it no longer decides the
+    minimum, so a small eps cannot overflow exp."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    reach = math.exp(min(1.0 / epsilon, math.log(BSZ_PRIME_CAP) + 1.0))
+    cap = int(math.floor(min(reach, float(BSZ_PRIME_CAP), n_max / M)))
+    if cap < 3:
+        raise ValueError(
+            f"the bilinear check needs a prime pair, but its prime cap "
+            f"floor(min(e^(1/epsilon), {BSZ_PRIME_CAP}, n_max / M)) is {cap} < 3"
+        )
+    return cap
+
+
+def bsz_check(flow: Flow, table: MoebiusTable, epsilon: float, M: int, N: int) -> BSZReport:
+    """Check the bilinear hypothesis for a bounded flow and report the
+    Moebius-sum bound it buys, over the primes up to
+    bsz_prime_cap(epsilon, M, table.n_max).
+    """
     if M < 1 or N < 1 or N > table.n_max:
         raise ValueError("need M >= 1 and 1 <= N <= table.n_max")
     if flow.declared_bound > 1.0 + 1e-12:
         raise ValueError("bsz_check requires |f| <= 1 (declared_bound <= 1)")
-    cap = min(math.exp(1.0 / epsilon), float(BSZ_PRIME_CAP), table.n_max / M)
-    cap = int(math.floor(cap))
+    cap = bsz_prime_cap(epsilon, M, table.n_max)
     primes = [int(p) for p in moebius.primes_upto(cap)]
     per_prime = {
         p: flow.at(np.arange(1, M + 1, dtype=np.int64) * p) for p in primes
@@ -324,7 +328,7 @@ def bsz_check(
             corr = complex(np.add.reduce(per_prime[p1] * np.conj(per_prime[p2])))
             worst = max(worst, abs(corr))
             pairs += 1
-    ratio = worst / (epsilon * M) if pairs else 0.0
+    ratio = worst / (epsilon * M)
     mob = abs(average_series(flow, table, [N]).values[0]) * N
     bound = 2.0 * math.sqrt(epsilon * math.log(1.0 / epsilon)) * N
     return BSZReport(
@@ -333,9 +337,8 @@ def bsz_check(
         N=N,
         prime_cap=cap,
         prime_pairs_checked=pairs,
-        hypothesis_holds=(pairs > 0 and ratio <= 1.0),
+        hypothesis_holds=ratio <= 1.0,
         max_correlation_ratio=ratio,
         mobius_sum_abs=float(mob),
         analytic_bound=bound,
     )
-

@@ -45,7 +45,6 @@ import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,17 +62,13 @@ CACHE_ENV_VAR = "NCFLOW_CACHE_DIR"
 
 @dataclass(frozen=True)
 class MoebiusTable:
-    """mu(n) for 1 <= n <= n_max; the primes up to n_max are sieved on first access.
+    """mu(n) for 1 <= n <= n_max.
 
     mu is an int8 array of length n_max + 1 with mu[0] = 0 unused.
     """
 
     n_max: int
     mu: np.ndarray
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        return primes_upto(self.n_max)
 
 
 @dataclass(frozen=True)

@@ -272,7 +272,7 @@ def test_08_rank_one_tensor_identity():
             w = u @ w
             big = tensor(w, w.conj().T)
             rhs = complex(np.vdot(np.kron(xi, eta), big @ np.kron(eta, xi)))
-            worst = max(worst, abs(fl.evaluator(n) - rhs))
+            worst = max(worst, abs(fl.at([n])[0] - rhs))
     report(8, "matrix coefficients as tensor products", residual_below_1e_12=worst < 1e-12)
 
 

@@ -261,10 +261,10 @@ def test_counterexample_values_are_exact(table_10k):
     flows = counterexample_flow(L, table_10k)
     for n in range(1, L + 1):
         mu = int(table_10k.mu[n])
-        assert flows.bh_flow.evaluator(n) == complex(mu)
-        assert flows.car_flow.evaluator(n) == complex((mu + 1) / 2)
+        assert flows.bh_flow.at([n])[0] == complex(mu)
+        assert flows.car_flow.at([n])[0] == complex((mu + 1) / 2)
     with pytest.raises(ValueError):
-        flows.bh_flow.evaluator(L + 1)
+        flows.bh_flow.at([L + 1])[0]
 
 
 def test_counterexample_series_has_no_decay(table_10k):
@@ -301,7 +301,7 @@ def test_pure_point_flow_matches_bogoliubov_oracle():
     u = np.diag(np.exp(2j * np.pi * angles))
     for n in range(1, 15):
         direct = quasifree_eval(t, bogoliubov_apply(u, obs, n))
-        assert abs(flow.evaluator(n) - direct) < 1e-10
+        assert abs(flow.at([n])[0] - direct) < 1e-10
 
 
 def test_pure_point_flow_matches_dense_fock_oracle():
@@ -337,7 +337,7 @@ def test_pure_point_flow_batch_matches_scalar():
     flow = pure_point_flow(angles, obs, t)
     ns = np.arange(1, 40)
     batch = flow.values_at(ns)
-    scal = np.array([flow.evaluator(int(n)) for n in ns])
+    scal = np.array([flow.at([int(n)])[0] for n in ns])
     assert np.max(np.abs(batch - scal)) < 1e-12
 
 

@@ -210,6 +210,8 @@ def test_configs_past_a_hard_cap_fail_before_the_sieve(
         (["matrix-flow", "--seed", "0", "--n-max", "2000"], "at least 3 checkpoints"),
         (["pure-point", "--seed", "0", "--n-max", "999"], "at least 3 checkpoints"),
         (["decay", "--n-max", "3162"], "at least 3 checkpoints"),
+        # n_max / M = 0.5 leaves bsz-check no prime pair to audit
+        (["bsz-check", "--n-max", "5000"], "prime cap floor(min(e^(1/epsilon), 200, n_max / M))"),
     ],
 )
 def test_bad_n_max_is_a_usage_error(tmp_path, capsys, monkeypatch, extra, message):
@@ -346,6 +348,12 @@ def test_bad_checkpoints_are_a_usage_error(tmp_path, capsys, monkeypatch, checkp
         ("decay", {"coeffs": [0, True]}, "coeffs must be a non-empty list"),
         ("free-clt", {"p_max": 15}, "p_max must be <= 14, got 15"),
         ("trace-product", {"coeff_max": 2**63 - 1}, "coeff_max must be <= 92233720368"),
+        # e^(1/0.95) < 3: no prime pair to audit, whatever n_max / M
+        (
+            "bsz-check",
+            {"epsilon": 0.95, "M": 1},
+            "prime cap floor(min(e^(1/epsilon), 200, n_max / M)) is 2 < 3",
+        ),
     ],
 )
 def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, message):
@@ -365,6 +373,32 @@ def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, 
     )
     assert main(["--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, e in sorted(cli.EXPERIMENTS.items()) for key in sorted(e.caps)],
+)
+def test_each_registry_cap_admits_its_default_and_refuses_one_more(
+    tmp_path, capsys, monkeypatch, name, key
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    cap = cli.EXPERIMENTS[name].caps[key]
+    assert resolve_config(ExperimentConfig(experiment=name, seed=0)).params[key] <= cap
+    assert resolve_config(ExperimentConfig(experiment=name, seed=0, params={key: cap}))
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    monkeypatch.setattr(cli, "fock_space", no_table)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cap.json"
+    cfg_path.write_text(
+        json.dumps({"experiment": name, "seed": 0, "params": {key: cap + 1}, "out_dir": str(out)})
+    )
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ncflow: error: {key} must be <= {cap}, got {cap + 1}\n"
     assert not out.exists()
 
 
@@ -557,6 +591,15 @@ def test_bsz_check_runs_every_named_flow(tmp_path, flow, label):
     assert sorted(cli.BSZ_FLOWS) == ["constant", "golden"]
 
 
+def test_bsz_check_takes_a_small_epsilon(tmp_path):
+    # e^(1/epsilon) overflows a float here, but only the other caps bind
+    cfg_path = tmp_path / "bsz.json"
+    params = {"M": 100, "epsilon": 1e-3}
+    cfg_path.write_text(json.dumps({"experiment": "bsz-check", "n_max": 4000, "params": params}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert read_sidecar(tmp_path / "out" / "bsz-check.json")["result"]["prime_cap"] == 40
+
+
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("NCFLOW_CACHE_DIR", str(cache))
@@ -722,7 +765,7 @@ def test_all_experiments_produce_output(tmp_path):
         "car-demo": ["--seed", "1"],
         "pure-point": ["--seed", "1", "--n-max", "10000"],
         "free-clt": [],
-        "bsz-check": ["--n-max", "4000"],
+        "bsz-check": ["--n-max", "30000"],  # n_max / M >= 3 leaves a prime pair to audit
     }
     for name, extra in quick.items():
         out = tmp_path / name

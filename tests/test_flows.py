@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from conftest import hermitian_contraction
 from ncflow import moebius
 from ncflow.flows import (
+    BSZ_PRIME_CAP,
     AverageSeries,
     Flow,
     FlowEvaluationError,
     average_series,
     bsz_check,
+    bsz_prime_cap,
     constant_flow,
     decay_fit,
     geometric_checkpoints,
@@ -187,11 +189,11 @@ def test_flow_never_calls_the_evaluator_keyword(table_10k):
         label="vectorized",
         values_at=lambda ns: np.full(ns.shape, 0.5 + 0j),
     )
-    assert flow.evaluator(7) == 0.5
+    assert flow.at([7])[0] == 0.5
     series = average_series(flow, table_10k, [100])
     assert series.values[0] == pytest.approx(0.5 * mertens(table_10k, 100) / 100)
     with pytest.raises(ValueError, match="n >= 1"):
-        flow.evaluator(0)
+        flow.at([0])[0]
 
 
 def test_averaging_is_linear(table_10k):
@@ -234,7 +236,7 @@ def test_periodic_flow_regrouping_identity(table_1m):
     a = hermitian_contraction(rng, 3)
     flow = ad_flow(u, a, rho)
     q = 2
-    cycle = [flow.evaluator(q), flow.evaluator(1)]  # c_0, c_1
+    cycle = [flow.at([q])[0], flow.at([1])[0]]  # c_0, c_1
     # the incremental walk drifts by about 2.5e-17 per step
     assert np.max(np.abs(flow.values(0, 1000) - np.tile(cycle[::-1], 500))) < 1e-13
     n = 10**5
@@ -307,3 +309,13 @@ def test_bsz_constant_flow_fails(table_1m):
 def test_bsz_rejects_bad_epsilon(table_10k):
     with pytest.raises(ValueError):
         bsz_check(constant_flow(1.0), table_10k, 1.5, 10, 10**4)
+
+
+def test_bsz_prime_cap_refuses_an_empty_audit(table_10k):
+    assert bsz_prime_cap(0.25, 10, 10**4) == 54  # floor(e^4)
+    assert bsz_prime_cap(0.25, 1000, 10**4) == 10  # n_max / M
+    assert bsz_prime_cap(1e-300, 10, 10**4) == BSZ_PRIME_CAP  # e^(1/eps) would overflow
+    with pytest.raises(ValueError, match=r"is 2 < 3"):  # e^(1/0.95) < 3
+        bsz_check(constant_flow(1.0), table_10k, 0.95, 10, 10**4)
+    with pytest.raises(ValueError, match=r"is 0 < 3"):  # n_max / M < 1
+        bsz_check(constant_flow(1.0), table_10k, 0.25, 10**5, 10**4)

@@ -139,7 +139,7 @@ def test_ad_flow_block_matches_evaluator():
     rho = random_density(5, rng)
     fl = ad_flow(u, a, rho)
     block = fl.values(100, 140)
-    scal = np.array([fl.evaluator(n) for n in range(101, 141)])
+    scal = np.array([fl.at([n])[0] for n in range(101, 141)])
     assert np.max(np.abs(block - scal)) < 1e-12
 
 
@@ -150,7 +150,7 @@ def test_ad_flow_walks_each_run_of_consecutive_n():
     rho = random_density(5, rng)
     fl = ad_flow(u, a, rho)
     ns = np.array([7, 8, 9, 40, 3, 4, 1000])
-    want = np.array([fl.evaluator(n) for n in ns])
+    want = np.array([fl.at([n])[0] for n in ns])
     assert np.max(np.abs(fl.at(ns) - want)) < 1e-12
     assert np.array_equal(fl.at(ns[:3]), fl.values(6, 9))
 
@@ -201,7 +201,7 @@ def test_rank_one_flow_tensor_identity(seed):
         w = u @ w
         big = tensor(w, w.conj().T)
         lhs = complex(np.vdot(np.kron(xi, eta), big @ np.kron(eta, xi)))
-        assert abs(fl.evaluator(n) - lhs) < 1e-12
+        assert abs(fl.at([n])[0] - lhs) < 1e-12
 
 
 def test_rank_one_flow_values_are_nonnegative():

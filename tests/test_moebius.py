@@ -108,7 +108,8 @@ def test_sieve_known_prefix(table_1m):
     # mu(1..10) = 1,-1,-1,0,-1,1,-1,0,0,1
     assert list(table_1m.mu[1:11]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     assert table_1m.mu[0] == 0
-    assert table_1m.primes[0] == 2 and table_1m.primes[-1] <= 10**6
+    primes = moebius.primes_upto(table_1m.n_max)
+    assert primes[0] == 2 and primes[-1] <= 10**6
 
 
 def test_build_table_validates_range():
@@ -531,7 +532,6 @@ def test_cache_round_trip(tmp_path, table_10k):
     loaded = load_table(path)
     assert loaded.n_max == table_10k.n_max
     assert np.array_equal(loaded.mu, table_10k.mu)
-    assert np.array_equal(loaded.primes, table_10k.primes)
 
 
 def test_cache_payload_is_the_two_bit_packing(tmp_path):
