@@ -75,7 +75,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
 _MAX_DIM = 32
 
-# the bsz-check flows by name; resolve_config refuses any other name
+# the bsz-check flows by name; the bsz-check record refuses any other name
 BSZ_FLOWS = {
     "golden": lambda: rotation_flow(GOLDEN, label="golden_rotation"),
     "constant": lambda: constant_flow(1.0),
@@ -481,7 +481,7 @@ def _check_bsz(params, n_max):
     if params["flow"] not in BSZ_FLOWS:
         known = ", ".join(sorted(BSZ_FLOWS))
         raise ValueError(f"unknown bsz-check flow {params['flow']!r}; expected one of {known}")
-    bsz_prime_cap(float(params["epsilon"]), params["M"], n_max)
+    bsz_prime_cap(params["epsilon"], params["M"], n_max)
 
 
 def _run_bsz_check(cfg, table, workers):
