@@ -317,6 +317,17 @@ def _run_matrix_flow(cfg, table, workers):
     return _fitted_series(cfg, table, workers, ad_flow(u, a, rho), dim=dim)
 
 
+# trace_product_sum holds every squarefree n up to n_max and one int64 phase
+# array per factor: one product (k = 4, d = 2) peaked at 88 MiB and took 8.6 s
+# at n_max 10^6 on 2 cores, about 5 GB by extrapolation at the 10^8 cap
+TRACE_PRODUCT_N_MAX = 10**6
+
+
+def _check_trace_product(params, n_max):
+    if n_max > TRACE_PRODUCT_N_MAX:
+        raise ValueError(f"trace-product n_max must be <= {TRACE_PRODUCT_N_MAX}, got {n_max}")
+
+
 def _run_trace_product(cfg, table, workers):
     k = int(cfg.params["k"])
     d = int(cfg.params["d"])
@@ -533,6 +544,7 @@ EXPERIMENTS = {
             "d": 16,
             "coeff_max": (2**63 - 1) // N_MAX_CAP,  # phases c * n < 2^63
         },
+        check=_check_trace_product,
     ),
     "quantize": Experiment(
         {"dim": 8, "epsilon": 0.1}, _run_quantize, n_max=10**4, randomized=True,

@@ -26,18 +26,26 @@ Phase evaluation
 Polynomial phases ``a_d n^d + ... + a_0`` are evaluated mod 1 at integer n.
 Each coefficient splits exactly into ``M 2^-64 + lo`` with
 ``M = floor(a 2^64) mod 2^64`` and ``0 <= lo < 2^-64``.  Horner's rule on
-the M runs in wrapping uint64 arithmetic, exact mod 2^64 (one turn), and
-one rounding converts the result to a float in [0, 1).  So coefficients on
-the 2^-64 grid (every |a| >= 2^-12 of either sign, and everything
-``random.random()`` draws) come out within 2^-54 at every n.  When some lo
-is nonzero, a float Horner of the lo parts, reduced mod 1, is added to the
-integer accumulator in units of 2^-64, and the error stays within
-``2^-53 + 2^-50 * sum_i lo_i |n|^i``.  One kernel does this ``_PHASE_TILE``
-elements at a time, and characters evaluates many linear phases
-e(theta_k n) in one broadcast.  The tests check both bounds against an
-exact rational oracle.
+the M runs in wrapping uint64 arithmetic, exact mod 2^64 (one turn).  When
+some lo is nonzero, a float Horner of the lo parts, reduced mod 1, is added
+to this accumulator r in units of 2^-64.  So the phase r 2^-64 is exact for
+coefficients on the 2^-64 grid (every |a| >= 2^-12 of either sign, and
+everything ``random.random()`` draws), and otherwise within
+``2^-53 + 2^-50 * sum_i lo_i |n|^i``.  ``poly_phase_frac`` rounds it once to
+a float in [0, 1), within 2^-54 on the grid.
+
+``phase_values`` takes e(r 2^-64) from r itself (Tang 1989): three
+4096-entry tables on bits 52-63, 40-51 and 28-39, each part of each entry
+within an ulp, times 1 + 2 pi i t for the low 28 bits t 2^-64 < 2^-36.  Three
+complex products and the tables' rounding keep it within
+``TURNS_ERR = 11 * 2^-53`` of e(r 2^-64); quarter turns are exact.  One
+kernel does this ``_PHASE_TILE`` elements at a time, and ``characters``
+evaluates many linear phases e(theta_k n) in one broadcast.  The tests check
+the phase bounds against an exact rational oracle and the values against
+40-digit mpmath.
 """
 
+import functools
 import math
 import os
 import struct
@@ -212,7 +220,21 @@ def fold_pairwise(parts: Sequence):
 # ---------------------------------------------------------------------------
 # polynomial phases: exact Horner mod 2^64 in cache-sized tiles
 
-_TWO_PI = 2.0 * math.pi
+
+@functools.lru_cache(maxsize=256)
+def _split_tuple(coeffs: tuple):
+    ms, los = [], []
+    for c in coeffs:
+        num, den = c.as_integer_ratio()
+        top, rest = divmod(num << 64, den)
+        ms.append(top % (1 << 64))
+        los.append(rest / (den << 64))
+    ms = np.array(ms, dtype=np.uint64)
+    los = np.array(los) if any(los) else None
+    for part in (ms, los):
+        if part is not None:
+            part.flags.writeable = False  # shared by every call with these coefficients
+    return ms, los
 
 
 def _split(coeffs):
@@ -220,15 +242,11 @@ def _split(coeffs):
 
     M = floor(c 2^64) mod 2^64 as uint64 and lo in [0, 2^-64) as float64,
     computed in Python ints from c.as_integer_ratio(), so lo is exact.  The
-    lo come back as None when all of them are zero (the 2^-64 grid).
+    lo come back as None when all of them are zero (the 2^-64 grid).  Both
+    arrays are read-only and cached by the coefficient tuple, so a series
+    that evaluates one phase block by block splits it once.
     """
-    ms, los = [], []
-    for c in np.asarray(coeffs, dtype=np.float64).ravel().tolist():
-        num, den = c.as_integer_ratio()
-        top, rest = divmod(num << 64, den)
-        ms.append(top % (1 << 64))
-        los.append(rest / (den << 64))
-    return np.array(ms, dtype=np.uint64), np.array(los) if any(los) else None
+    return _split_tuple(tuple(np.asarray(coeffs, dtype=np.float64).ravel().tolist()))
 
 
 def _horner(coeffs, x) -> np.ndarray:
@@ -242,8 +260,9 @@ def _horner(coeffs, x) -> np.ndarray:
     return out
 
 
-def _phase_frac(ms, los, n) -> np.ndarray:
-    """(sum_i (ms[i] 2^-64 + los[i]) n^i) mod 1, in [0, 1), for int64 n.
+def _phase_acc(ms, los, n) -> np.ndarray:
+    """The uint64 r with (sum_i (ms[i] 2^-64 + los[i]) n^i) mod 1 = r 2^-64,
+    for int64 n.
 
     The M Horner wraps mod 2^64, one turn, so it is exact; n is viewed as
     uint64 because uint64 * int64 would go to float64.  Unless los is None,
@@ -254,16 +273,129 @@ def _phase_frac(ms, los, n) -> np.ndarray:
         low = _horner(los, n.astype(np.float64))
         low -= np.floor(low)
         acc += (low * 2.0**64).astype(np.uint64)
-    frac = acc * 2.0**-64
+    return acc
+
+
+def _phase_frac(ms, los, n) -> np.ndarray:
+    """The phase r 2^-64 of _phase_acc as a float in [0, 1)."""
+    frac = _phase_acc(ms, los, n) * 2.0**-64
     frac -= np.floor(frac)
     return frac
 
 
-def _exp_turns(frac: np.ndarray) -> np.ndarray:
-    """e(frac), written as 0 + 2 pi frac i and exponentiated in place."""
-    z = np.zeros(frac.shape, dtype=np.complex128)
-    np.multiply(frac, _TWO_PI, out=z.imag)
-    return np.exp(z, out=z)
+# e(r 2^-64) for the uint64 accumulator r: three tables on its top 36 bits and
+# a first-order term on the rest.
+
+_TABLE_BITS = 12
+_TABLE_MASK = (1 << _TABLE_BITS) - 1
+_LINEAR_MASK = (1 << (64 - 3 * _TABLE_BITS)) - 1  # the low 28 bits: under 2^-36 turns
+_LINEAR_SCALE = 2.0 * math.pi * 2.0**-64
+_FIX = 128  # fraction bits of the fixed-point top table
+_PI_FIX = 0x3243F6A8885A308D313198A2E03707344  # floor(pi 2^128)
+_PI_LO = (_PI_FIX - (int(math.pi * 2**51) << 77)) / (1 << _FIX)  # pi - math.pi
+# |_turns - e(r 2^-64)| < 3 sqrt(2) + 3 sqrt(5) + 2^-14 ulps of 1, see _turns
+TURNS_ERR = 11 * 2.0**-53
+
+
+def _angle(k, shift):
+    """2 pi k 2^-shift for an int array k below 2^13, as xh + dx.
+
+    xh = fl(k h) with h = math.pi 2^(1 - shift).  k times the 26-bit head of
+    h's Veltkamp split is exact, so Dekker's product gives k h - xh exactly,
+    and k (pi - math.pi) 2^(1 - shift) adds the rest of the angle.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    h = math.ldexp(math.pi, 1 - shift)
+    big = 134217729.0 * h
+    head = big - (big - h)
+    xh = k * h
+    dx = ((k * head - xh) + k * (h - head)) + k * math.ldexp(_PI_LO, 1 - shift)
+    return xh, dx
+
+
+def _top_table() -> np.ndarray:
+    """e(k / 4096) for k < 4096, each part correctly rounded.
+
+    The first octant in 128-bit fixed point: e(1/4096) from its Taylor
+    series, then its powers, each step truncated, so after 512 steps the
+    error is below 2^-118 and Python's int division rounds each part once.
+    The other seven octants follow by exact swaps and sign changes, so e(k/8)
+    has equal parts up to sign and quarter turns are exactly 1, i, -1 and -i.
+    """
+    one = 1 << _FIX
+    x = _PI_FIX >> (_TABLE_BITS - 1)  # 2 pi / 4096
+    c, s, term, j = one, 0, one, 0
+    while term:
+        j += 1
+        term = term * x // j >> _FIX  # x^j / j!
+        if j % 2:
+            s += term if j % 4 == 1 else -term
+        else:
+            c += term if j % 4 == 0 else -term
+    cos, sin = [1.0], [0.0]
+    ck, sk = one, 0
+    for _ in range((1 << _TABLE_BITS) // 8):
+        ck, sk = (ck * c - sk * s) >> _FIX, (sk * c + ck * s) >> _FIX
+        cos.append(ck / one)
+        sin.append(sk / one)
+    # the second octant: e(1/4 - a) = sin(2 pi a) + i cos(2 pi a)
+    quarter = np.array(cos + sin[-2:0:-1]) + 1j * np.array(sin + cos[-2:0:-1])
+    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+
+
+def _small_table(shift: int) -> np.ndarray:
+    """e(k 2^-shift) for k < 4096, shift >= 24, so every angle x < 2^-9.
+
+    The Taylor terms of cos and sin up to x^7 (the next is below 2^-87),
+    summed first and added to 1 and to xh last: each part is one rounding
+    from the exact value, up to terms far below an ulp.
+    """
+    xh, dx = _angle(np.arange(1 << _TABLE_BITS), shift)
+    x2 = xh * xh
+    re = 1.0 + (x2 * (-0.5 + x2 * (1 / 24 - x2 / 720)) - xh * dx)
+    im = xh + (dx + xh * x2 * (-1 / 6 + x2 * (1 / 120 - x2 / 5040)))
+    return re + 1j * im
+
+
+_TOP_TABLE = _top_table()  # indexed by bits 52-63 of r
+# (shift of r, table) for bits 40-51 and 28-39
+_SMALL_TABLES = tuple(
+    (64 - k * _TABLE_BITS, _small_table(k * _TABLE_BITS)) for k in (2, 3)
+)
+
+
+def _scratch(size: int):
+    """Per-call scratch for _turns: indices, one gathered factor, and the
+    linear factor, whose real part stays 1."""
+    return (
+        np.empty(size, dtype=np.uint64),
+        np.empty(size, dtype=np.complex128),
+        np.ones(size, dtype=np.complex128),
+    )
+
+
+def _turns(r, out, scratch) -> None:
+    """out[...] = e(r 2^-64) for a 1-D uint64 r no longer than the scratch.
+
+    The product T1[r >> 52] T2[r >> 40 & 4095] T3[r >> 28 & 4095] (1 + i x),
+    with x = 2 pi 2^-64 (r & (2^28 - 1)) < 2^-33, gathered and multiplied in
+    place.  Each table part is within an ulp, so each entry within sqrt(2)
+    2^-53; each complex product adds below sqrt(5) 2^-53 (Brent, Percival &
+    Zimmermann 2007); and e(x / 2 pi) - (1 + i x) is below x^2 / 2 < 2^-67.
+    Hence |out - e(r 2^-64)| < TURNS_ERR.
+    """
+    idx, factor, linear = (a[: r.size] for a in scratch)
+    at = idx.view(np.intp)
+    np.right_shift(r, 64 - _TABLE_BITS, out=idx)
+    np.take(_TOP_TABLE, at, out=out, mode="clip")
+    for shift, table in _SMALL_TABLES:
+        np.right_shift(r, shift, out=idx)
+        np.bitwise_and(idx, _TABLE_MASK, out=idx)
+        np.take(table, at, out=factor, mode="clip")
+        out *= factor
+    np.bitwise_and(r, _LINEAR_MASK, out=idx)
+    np.multiply(idx, _LINEAR_SCALE, out=linear.imag)
+    out *= linear
 
 
 def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:
@@ -282,9 +414,19 @@ def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:
 def phase_values(coeffs: Sequence[float], n) -> np.ndarray:
     """e(phi(n)) = exp(2 pi i phi(n)) with phi evaluated mod 1.
 
-    The same bits as np.exp(2j * np.pi * poly_phase_frac(coeffs, n)).
+    e(r 2^-64) of the exact accumulator r, _PHASE_TILE elements at a time:
+    within TURNS_ERR of e(phi(n)) on the 2^-64 grid, and otherwise within
+    TURNS_ERR + 2 pi (2^-53 + 2^-50 sum_i lo_i |n|^i).
     """
-    return _exp_turns(np.asarray(poly_phase_frac(coeffs, n)))[()]
+    ms, los = _split(coeffs)
+    n = np.asarray(n, dtype=np.int64)
+    out = np.empty(n.shape, dtype=np.complex128)
+    flat, flat_n = out.reshape(-1), n.reshape(-1)
+    scratch = _scratch(min(flat.size, _PHASE_TILE))
+    for start in range(0, flat.size, _PHASE_TILE):
+        tile = slice(start, start + _PHASE_TILE)
+        _turns(_phase_acc(ms, los, flat_n[tile]), flat[tile], scratch)
+    return out[()]
 
 
 def characters(angles, ns) -> np.ndarray:
@@ -296,7 +438,14 @@ def characters(angles, ns) -> np.ndarray:
     ms, los = _split(angles)
     ns = np.asarray(ns, dtype=np.int64)
     low = None if los is None else (0.0, los)
-    return _exp_turns(_phase_frac((0, ms), low, ns[:, None]))
+    acc = _phase_acc((0, ms), low, ns[:, None])
+    out = np.empty(acc.shape, dtype=np.complex128)
+    flat, flat_acc = out.reshape(-1), acc.reshape(-1)
+    scratch = _scratch(min(flat.size, _PHASE_TILE))
+    for start in range(0, flat.size, _PHASE_TILE):
+        tile = slice(start, start + _PHASE_TILE)
+        _turns(flat_acc[tile], flat[tile], scratch)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ncflow.cli import (
     main,
     resolve_config,
 )
-from ncflow.moebius import build_table, load_table, squarefree_count
+from ncflow.moebius import N_MAX_CAP, build_table, load_table, squarefree_count
 
 
 def read_csv(path):
@@ -373,6 +373,25 @@ def test_bad_parameters_are_a_usage_error(tmp_path, capsys, experiment, params, 
     )
     assert main(["--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_max", [cli.TRACE_PRODUCT_N_MAX + 1, N_MAX_CAP])
+def test_trace_product_refuses_n_max_above_its_cap_before_any_table(
+    tmp_path, capsys, monkeypatch, n_max
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    assert resolve_config(
+        ExperimentConfig(experiment="trace-product", seed=0, n_max=cli.TRACE_PRODUCT_N_MAX)
+    )
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    out = tmp_path / "out"
+    argv = ["trace-product", "--seed", "0", "--n-max", str(n_max), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"ncflow: error: trace-product n_max must be <= 1000000, got {n_max}\n"
     assert not out.exists()
 
 

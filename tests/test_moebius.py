@@ -4,6 +4,7 @@ import tracemalloc
 import zlib
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,14 +165,34 @@ def test_poly_phase_frac_matches_fraction_oracle():
                 assert _frac_error(coeffs, n, g) < 1e-12, (deg, coeffs, n)
 
 
-def _model_bound(coeffs, n) -> float:
-    """The documented error bound: 2^-54 when every coefficient lies on the
-    2^-64 grid, else 2^-53 + 2^-50 sum_i lo_i |n|^i with lo_i = c_i mod 2^-64."""
+def _off_grid_bound(coeffs, n) -> float:
+    """0 when every coefficient lies on the 2^-64 grid, else
+    2^-53 + 2^-50 sum_i lo_i |n|^i with lo_i = c_i mod 2^-64."""
     los = [Fraction(c) % Fraction(1, 2**64) for c in coeffs]
     if not any(los):
-        return 2.0**-54
+        return 0.0
     off_grid = sum(lo * abs(n) ** i for i, lo in enumerate(los))
     return 2.0**-53 + 2.0**-50 * float(off_grid)
+
+
+def _model_bound(coeffs, n) -> float:
+    """The documented error bound of poly_phase_frac: 2^-54 on the grid."""
+    return _off_grid_bound(coeffs, n) or 2.0**-54
+
+
+def _value_error(coeffs, n, got) -> float:
+    """|got - e(phi(n))| for the exact rational phase, in 40-digit mpmath."""
+    frac = sum(Fraction(c) * n**k for k, c in enumerate(coeffs)) % 1
+    with mpmath.workdps(40):
+        turns = mpmath.mpf(frac.numerator) / frac.denominator
+        exact = mpmath.mpc(mpmath.cospi(2 * turns), mpmath.sinpi(2 * turns))
+        return float(abs(mpmath.mpc(complex(got)) - exact))
+
+
+def _value_bound(coeffs, n) -> float:
+    """The documented bound of phase_values: TURNS_ERR on the 2^-64 grid,
+    plus 2 pi times the off-grid phase bound."""
+    return moebius.TURNS_ERR + 2 * math.pi * _off_grid_bound(coeffs, n)
 
 
 def test_poly_phase_frac_error_model_for_general_coefficients():
@@ -284,7 +305,81 @@ def test_phase_kernel_is_bit_identical_to_the_expression_form(degree):
     for n in inputs:
         want = expression_phase_frac(coeffs, n)
         assert _same_bits(poly_phase_frac(coeffs, n), want), np.shape(n)
-        assert _same_bits(phase_values(coeffs, n), np.exp(2j * np.pi * want)), np.shape(n)
+        _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
+
+
+def _assert_values_within_bound(coeffs, n, got):
+    """got has phase_values' type and shape for n, and lies within the
+    documented bound of the exact e(phi(n)) at every n of a small input, and
+    at both ends, both sides of each tile edge and a sample of a large one."""
+    want_type = np.complex128 if np.ndim(n) == 0 else np.ndarray
+    assert type(got) is want_type and np.shape(got) == np.shape(n)
+    flat_n, flat = np.reshape(n, -1), np.reshape(got, -1)
+    tile = moebius._PHASE_TILE
+    if flat.size <= 64:
+        at = range(flat.size)
+    else:
+        edges = range(tile, flat.size, tile)
+        sample = np.random.default_rng(flat.size).integers(0, flat.size, 32).tolist()
+        at = {0, flat.size - 1, *edges, *(e - 1 for e in edges), *sample}
+    for i in at:
+        m = int(flat_n[i])
+        assert _value_error(coeffs, m, flat[i]) <= _value_bound(coeffs, m), (coeffs, m)
+
+
+_GRID_COEFFS = st.lists(
+    st.integers(-(2**66), 2**66).map(lambda k: k * 2.0**-64), min_size=1, max_size=5
+)
+_ANY_COEFFS = st.lists(
+    st.floats(-4.0, 4.0) | st.floats(-(2.0**-30), 2.0**-30), min_size=1, max_size=5
+)
+_TILE = moebius._PHASE_TILE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=_GRID_COEFFS | _ANY_COEFFS,
+    shape=st.sampled_from(
+        [(), (0,), (2, 0), (1,), (7,), (3, 4), (_TILE - 1,), (_TILE,), (_TILE + 1,),
+         (2, _TILE + 5)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_values_are_within_the_bound_of_mpmath(coeffs, shape, seed):
+    # grid coefficients of any size and general ones, down to 2^-30, at n
+    # from 0 to the cap: the documented bound against the exact phase
+    n = np.random.default_rng(seed).integers(0, N_MAX_CAP + 1, size=shape)
+    n.reshape(-1)[:2] = [0, N_MAX_CAP][: n.size]
+    _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
+
+
+def test_phase_values_at_quarter_and_eighth_turns_are_exact():
+    # the parent's np.exp gave e(1/2) = -1 + 1.2e-16i
+    ns = np.arange(-9, 10)
+    quarter = [1, 1j, -1, -1j]
+    assert np.array_equal(phase_values((0.0, 0.25), ns), [quarter[n % 4] for n in ns])
+    assert np.array_equal(phase_values((0.5,), ns), np.full(ns.size, -1.0))
+    eighths = characters([0.125, 0.375, -0.125], ns)
+    odd = ns % 2 == 1
+    assert np.all(np.abs(eighths[odd].real) == math.sqrt(0.5))
+    assert np.all(np.abs(eighths[odd].imag) == math.sqrt(0.5))
+    assert np.array_equal(eighths[~odd, 0], [quarter[n // 2 % 4] for n in ns[~odd]])
+
+
+def test_turn_tables_are_within_an_ulp_of_mpmath():
+    # every part of every entry of the three tables: the table bound that
+    # TURNS_ERR rests on
+    tables = [(moebius._TOP_TABLE, moebius._TABLE_BITS)]
+    tables += [(table, 64 - shift) for shift, table in moebius._SMALL_TABLES]
+    assert [bits for _, bits in tables] == [12, 24, 36]
+    with mpmath.workdps(40):
+        for table, bits in tables:
+            assert table.shape == (4096,)
+            for k, z in enumerate(table.tolist()):
+                turns = mpmath.mpf(k) / 2 ** (bits - 1)
+                for got, exact in ((z.real, mpmath.cospi(turns)), (z.imag, mpmath.sinpi(turns))):
+                    err = abs(mpmath.mpf(got) - exact)
+                    assert err <= math.ulp(abs(float(exact))), (bits, k)
 
 
 def test_characters_match_stacked_phase_values():
