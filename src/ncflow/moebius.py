@@ -362,13 +362,16 @@ _TOP_TABLE = _top_table()  # indexed by bits 52-63 of r
 _SMALL_TABLES = tuple(
     (64 - k * _TABLE_BITS, _small_table(k * _TABLE_BITS)) for k in (2, 3)
 )
+for _table in (_TOP_TABLE, *(t for _, t in _SMALL_TABLES)):
+    _table.flags.writeable = False
 
 
 def _scratch(size: int):
-    """Per-call scratch for _turns: indices, one gathered factor, and the
-    linear factor, whose real part stays 1."""
+    """Per-call scratch for _turns: indices, a gathered factor, a partial
+    product, and the linear factor, whose real part stays 1."""
     return (
         np.empty(size, dtype=np.uint64),
+        np.empty(size, dtype=np.complex128),
         np.empty(size, dtype=np.complex128),
         np.ones(size, dtype=np.complex128),
     )
@@ -378,24 +381,31 @@ def _turns(r, out, scratch) -> None:
     """out[...] = e(r 2^-64) for a 1-D uint64 r no longer than the scratch.
 
     The product T1[r >> 52] T2[r >> 40 & 4095] T3[r >> 28 & 4095] (1 + i x),
-    with x = 2 pi 2^-64 (r & (2^28 - 1)) < 2^-33, gathered and multiplied in
-    place.  Each table part is within an ulp, so each entry within sqrt(2)
-    2^-53; each complex product adds below sqrt(5) 2^-53 (Brent, Percival &
+    with x = 2 pi 2^-64 (r & (2^28 - 1)) < 2^-33, gathered into the scratch.
+    Each table part is within an ulp, so each entry within sqrt(2) 2^-53;
+    each complex product adds below sqrt(5) 2^-53 (Brent, Percival &
     Zimmermann 2007); and e(x / 2 pi) - (1 + i x) is below x^2 / 2 < 2^-67.
     Hence |out - e(r 2^-64)| < TURNS_ERR.
+
+    No product is written over one of its factors: numpy takes an in-place
+    product of one element for a reduction and runs its scalar loop, which
+    rounds otherwise than the vector loop where that fuses multiply-adds,
+    so a value would depend on the length of the array it came in.
     """
-    idx, factor, linear = (a[: r.size] for a in scratch)
+    idx, gathered, product, linear = (a[: r.size] for a in scratch)
     at = idx.view(np.intp)
     np.right_shift(r, 64 - _TABLE_BITS, out=idx)
-    np.take(_TOP_TABLE, at, out=out, mode="clip")
+    np.take(_TOP_TABLE, at, out=product, mode="clip")
+    spare = out
     for shift, table in _SMALL_TABLES:
         np.right_shift(r, shift, out=idx)
         np.bitwise_and(idx, _TABLE_MASK, out=idx)
-        np.take(table, at, out=factor, mode="clip")
-        out *= factor
+        np.take(table, at, out=gathered, mode="clip")
+        np.multiply(product, gathered, out=spare)
+        product, spare = spare, product
     np.bitwise_and(r, _LINEAR_MASK, out=idx)
     np.multiply(idx, _LINEAR_SCALE, out=linear.imag)
-    out *= linear
+    np.multiply(product, linear, out=out)  # two swaps left product in the scratch
 
 
 def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:

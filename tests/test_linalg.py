@@ -203,9 +203,10 @@ def test_unitary_power_batch_matches_matrix_power(k):
     for n, power in zip(ns.tolist(), got):
         base = u if n >= 0 else u.conj().T
         assert power.tobytes() == np.linalg.matrix_power(base, abs(n)).tobytes(), n
-    for i in (0, 50, 53, ns.size - 1):  # n = -50, 0, 3 and a draw, one at a time
+    for i in (0, 49, 50, 51, 53, ns.size - 1):  # n = -50, -1, 0, 1, 3 and a draw
         assert unitary_power(u, int(ns[i])).shape == (k, k)
         assert unitary_power(u, int(ns[i])).tobytes() == got[i].tobytes()
+    assert unitary_power(u, 1) is not u  # a fresh array, as from a batch
 
 
 def test_hermitian_contraction_helper():

@@ -353,6 +353,20 @@ def test_phase_values_are_within_the_bound_of_mpmath(coeffs, shape, seed):
     _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
 
 
+def test_phase_values_depend_on_each_n_alone():
+    # the same bits for n alone, as a 0-d input, and anywhere in an array of
+    # any length: a one-element in-place product once rounded otherwise
+    rng = np.random.default_rng(3)
+    for coeffs in [(0.15769492702791824,), (0.0, 0.37, 0.123, 0.0071), (0.0, 1e-30, 0.3)]:
+        ns = rng.integers(1, N_MAX_CAP + 1, size=200)
+        full = phase_values(coeffs, ns)
+        for i in range(ns.size):
+            assert _same_bits(phase_values(coeffs, ns[i]), full[i])
+            for length in (1, 2, 5):
+                got = phase_values(coeffs, ns[i : i + length])
+                assert np.array_equal(got.view(np.uint64), full[i : i + length].view(np.uint64))
+
+
 def test_phase_values_at_quarter_and_eighth_turns_are_exact():
     # the parent's np.exp gave e(1/2) = -1 + 1.2e-16i
     ns = np.arange(-9, 10)
@@ -390,6 +404,20 @@ def test_characters_match_stacked_phase_values():
     got = characters(angles, ns)
     assert got.shape == (ns.size, angles.size)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_series_splits_its_coefficients_once(table_1m):
+    # exp_sum evaluates its phase block by block; the split is cached by the
+    # coefficient tuple, read-only, and the same as a fresh one
+    coeffs = (0.0, 0.37, 0.123, 1e-30)
+    moebius._split_tuple.cache_clear()
+    exp_sum(table_1m, PolynomialPhase(coeffs), 5 * 4096)
+    info = moebius._split_tuple.cache_info()
+    assert info.misses == 1 and info.hits >= 4
+    ms, los = moebius._split(np.array(coeffs))
+    assert not ms.flags.writeable and not los.flags.writeable
+    fresh = moebius._split_tuple.__wrapped__(coeffs)
+    assert np.array_equal(ms, fresh[0]) and np.array_equal(los, fresh[1])
 
 
 def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
