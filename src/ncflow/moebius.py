@@ -340,7 +340,9 @@ def _top_table() -> np.ndarray:
         sin.append(sk / one)
     # the second octant: e(1/4 - a) = sin(2 pi a) + i cos(2 pi a)
     quarter = np.array(cos + sin[-2:0:-1]) + 1j * np.array(sin + cos[-2:0:-1])
-    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+    table = np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+    table.flags.writeable = False
+    return table
 
 
 def _small_table(shift: int) -> np.ndarray:
@@ -354,7 +356,9 @@ def _small_table(shift: int) -> np.ndarray:
     x2 = xh * xh
     re = 1.0 + (x2 * (-0.5 + x2 * (1 / 24 - x2 / 720)) - xh * dx)
     im = xh + (dx + xh * x2 * (-1 / 6 + x2 * (1 / 120 - x2 / 5040)))
-    return re + 1j * im
+    table = re + 1j * im
+    table.flags.writeable = False
+    return table
 
 
 _TOP_TABLE = _top_table()  # indexed by bits 52-63 of r
@@ -362,8 +366,6 @@ _TOP_TABLE = _top_table()  # indexed by bits 52-63 of r
 _SMALL_TABLES = tuple(
     (64 - k * _TABLE_BITS, _small_table(k * _TABLE_BITS)) for k in (2, 3)
 )
-for _table in (_TOP_TABLE, *(t for _, t in _SMALL_TABLES)):
-    _table.flags.writeable = False
 
 
 def _scratch(size: int):
