@@ -308,6 +308,9 @@ def test_phase_kernel_is_bit_identical_to_the_expression_form(degree):
         _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
 
 
+_TILE = moebius._PHASE_TILE
+
+
 def _assert_values_within_bound(coeffs, n, got):
     """got has phase_values' type and shape for n, and lies within the
     documented bound of the exact e(phi(n)) at every n of a small input, and
@@ -315,11 +318,10 @@ def _assert_values_within_bound(coeffs, n, got):
     want_type = np.complex128 if np.ndim(n) == 0 else np.ndarray
     assert type(got) is want_type and np.shape(got) == np.shape(n)
     flat_n, flat = np.reshape(n, -1), np.reshape(got, -1)
-    tile = moebius._PHASE_TILE
     if flat.size <= 64:
         at = range(flat.size)
     else:
-        edges = range(tile, flat.size, tile)
+        edges = range(_TILE, flat.size, _TILE)
         sample = np.random.default_rng(flat.size).integers(0, flat.size, 32).tolist()
         at = {0, flat.size - 1, *edges, *(e - 1 for e in edges), *sample}
     for i in at:
@@ -333,7 +335,6 @@ _GRID_COEFFS = st.lists(
 _ANY_COEFFS = st.lists(
     st.floats(-4.0, 4.0) | st.floats(-(2.0**-30), 2.0**-30), min_size=1, max_size=5
 )
-_TILE = moebius._PHASE_TILE
 
 
 @settings(max_examples=60, deadline=None)
