@@ -155,19 +155,13 @@ def schur_unitary(u):
 def unitary_power(u: np.ndarray, n) -> np.ndarray:
     """U^n for an int n, or the stack of U^n for an int64 array of n.
 
-    Negative n are powers of the adjoint.  An int n takes one
-    np.linalg.matrix_power call.  A batch has, row by row, the same bits: the
-    base is squared once per bit for the whole batch, a row copies the power
-    at its lowest set bit and multiplies in the later ones from the right,
-    and n == 3 is (U U) U.
+    Each matrix has the bits np.linalg.matrix_power gives for its n alone:
+    the base is squared once per bit for the whole batch, a row copies the
+    power at its lowest set bit and multiplies in the later ones from the
+    right, and n == 3 is (U U) U.  Negative n are powers of the adjoint.
     """
     u = np.asarray(u, dtype=np.complex128)
     ns = np.asarray(n, dtype=np.int64)
-    if ns.ndim == 0:
-        n = int(ns)
-        base = u if n >= 0 else u.conj().T
-        # a C-ordered copy: matrix_power returns its argument itself for n == 1
-        return np.array(np.linalg.matrix_power(base, abs(n)), order="C")
     out = np.empty(ns.shape + u.shape, dtype=np.complex128)
     out[...] = np.eye(u.shape[0])
     for a, e in ((u, np.maximum(ns, 0)), (u.conj().T, np.maximum(-ns, 0))):

@@ -276,13 +276,6 @@ def _phase_acc(ms, los, n) -> np.ndarray:
     return acc
 
 
-def _phase_frac(ms, los, n) -> np.ndarray:
-    """The phase r 2^-64 of _phase_acc as a float in [0, 1)."""
-    frac = _phase_acc(ms, los, n) * 2.0**-64
-    frac -= np.floor(frac)
-    return frac
-
-
 # e(r 2^-64) for the uint64 accumulator r: three tables on its top 36 bits and
 # a first-order term on the rest.
 
@@ -410,6 +403,20 @@ def _turns(r, out, scratch) -> None:
     np.multiply(product, linear, out=out)  # two swaps left product in the scratch
 
 
+def _tiled_turns(shape, acc_of) -> np.ndarray:
+    """A new complex array of the given shape holding e(r 2^-64), filled
+    _PHASE_TILE elements at a time; acc_of(tile) is the uint64 accumulator r
+    of the flat slice tile.  The scratch is allocated per call, so
+    concurrent callers share no buffer."""
+    out = np.empty(shape, dtype=np.complex128)
+    flat = out.reshape(-1)
+    scratch = _scratch(min(flat.size, _PHASE_TILE))
+    for start in range(0, flat.size, _PHASE_TILE):
+        tile = slice(start, start + _PHASE_TILE)
+        _turns(acc_of(tile), flat[tile], scratch)
+    return out
+
+
 def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:
     """Fractional part of sum_i coeffs[i] * n^i for integer n, vectorized,
     _PHASE_TILE elements at a time."""
@@ -419,7 +426,9 @@ def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:
     flat, flat_n = out.reshape(-1), n.reshape(-1)
     for start in range(0, flat.size, _PHASE_TILE):
         tile = slice(start, start + _PHASE_TILE)
-        flat[tile] = _phase_frac(ms, los, flat_n[tile])
+        frac = _phase_acc(ms, los, flat_n[tile]) * 2.0**-64
+        frac -= np.floor(frac)
+        flat[tile] = frac
     return out[()]  # a numpy scalar for 0-d n, as from a ufunc
 
 
@@ -432,13 +441,8 @@ def phase_values(coeffs: Sequence[float], n) -> np.ndarray:
     """
     ms, los = _split(coeffs)
     n = np.asarray(n, dtype=np.int64)
-    out = np.empty(n.shape, dtype=np.complex128)
-    flat, flat_n = out.reshape(-1), n.reshape(-1)
-    scratch = _scratch(min(flat.size, _PHASE_TILE))
-    for start in range(0, flat.size, _PHASE_TILE):
-        tile = slice(start, start + _PHASE_TILE)
-        _turns(_phase_acc(ms, los, flat_n[tile]), flat[tile], scratch)
-    return out[()]
+    flat_n = n.reshape(-1)
+    return _tiled_turns(n.shape, lambda tile: _phase_acc(ms, los, flat_n[tile]))[()]
 
 
 def characters(angles, ns) -> np.ndarray:
@@ -451,13 +455,8 @@ def characters(angles, ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     low = None if los is None else (0.0, los)
     acc = _phase_acc((0, ms), low, ns[:, None])
-    out = np.empty(acc.shape, dtype=np.complex128)
-    flat, flat_acc = out.reshape(-1), acc.reshape(-1)
-    scratch = _scratch(min(flat.size, _PHASE_TILE))
-    for start in range(0, flat.size, _PHASE_TILE):
-        tile = slice(start, start + _PHASE_TILE)
-        _turns(flat_acc[tile], flat[tile], scratch)
-    return out
+    flat_acc = acc.reshape(-1)
+    return _tiled_turns(acc.shape, lambda tile: flat_acc[tile])
 
 
 # ---------------------------------------------------------------------------
