@@ -9,7 +9,9 @@ diag(q* U q)), each is the quadratic form z(n)^T C conj(z(n)) in
 z_j(n) = e(theta_j n), with C built once, and values at any n are computed
 directly.  ad_flow still walks powers incrementally (one multiply per step)
 from exact binary powers, because the seed-0 matrix-flow reference in
-perfbench pins its decay-fit constant to the walk's rounding.  Exact powers
+perfbench pins its decay-fit constant to the walk's rounding; its trace
+tr(rho W A W*) is taken over a whole tile of walked W at once, as
+sum_ab (rho W)_ab (conj(W) A^T)_ab, in three stacked numpy calls.  Exact powers
 come in batches from unitary_power, here and in the trace-product direct
 path.  quantize_unitary rounds the eigenphase of each eigenvector column to
 its grid; columns that land on the same grid point stay separate rank-one
@@ -54,23 +56,35 @@ def _schur_projections(q: np.ndarray) -> np.ndarray:
 
 
 def ad_flow(u, a, rho) -> Flow:
-    """Flow n -> trace(rho U^n A U*^n)."""
+    """Flow n -> trace(rho U^n A U*^n).
+
+    Each run of consecutive n in a tile of moebius._SUM_BLOCK walks
+    W <- U W from an exact binary power, one product per step.  The trace
+    is then fused over the whole tile: tr(rho W A W*) is the sum over a, b
+    of (rho W)_ab (conj(W) A^T)_ab, so one stacked product conj(W) A^T, one
+    stacked rho W and one row-wise contraction replace three stacked
+    products and a trace.
+    """
     u = check_unitary(u)
     a = check_matrix(a)
     rho = check_density(rho)
 
     def values_at(ns):
-        # walk each run of consecutive n in a tile from an exact binary power
         out = np.empty(ns.shape, dtype=np.complex128)
         for lo in range(0, ns.size, moebius._SUM_BLOCK):
             tile = ns[lo : lo + moebius._SUM_BLOCK]
             restart = np.diff(tile, prepend=tile[0] - 2) != 1
             anchors = iter(unitary_power(u, tile[restart]))
             ws = np.empty(tile.shape + u.shape, dtype=np.complex128)
-            for i, fresh in enumerate(restart):
-                ws[i] = next(anchors) if fresh else u @ ws[i - 1]
-            wa = rho @ ws @ a @ ws.conj().transpose(0, 2, 1)
-            out[lo : lo + tile.size] = np.trace(wa, axis1=1, axis2=2)
+            for i, fresh in enumerate(restart.tolist()):
+                if fresh:
+                    ws[i] = next(anchors)
+                else:
+                    np.matmul(u, ws[i - 1], out=ws[i])
+            # conj(W) A^T before rho W: the smaller peak of the two orders
+            y = np.conj(ws) @ a.T
+            x = rho @ ws
+            out[lo : lo + tile.size] = np.einsum("nab,nab->n", x, y)
         return out
 
     return Flow(

@@ -38,7 +38,8 @@ a float in [0, 1), within 2^-54 on the grid.
 4096-entry tables on bits 52-63, 40-51 and 28-39, each part of each entry
 within an ulp, times 1 + 2 pi i t for the low 28 bits t 2^-64 < 2^-36.  Three
 complex products and the tables' rounding keep it within
-``TURNS_ERR = 11 * 2^-53`` of e(r 2^-64); quarter turns are exact.  One
+``TURNS_ERR = 11 * 2^-53`` of e(r 2^-64); quarter turns are exact.  The
+tables are built on the first evaluation, not at import.  One
 kernel does this ``_PHASE_TILE`` elements at a time, and ``characters``
 evaluates many linear phases e(theta_k n) in one broadcast.  The tests check
 the phase bounds against an exact rational oracle and the values against
@@ -266,12 +267,15 @@ def _phase_acc(ms, los, n) -> np.ndarray:
 
     The M Horner wraps mod 2^64, one turn, so it is exact; n is viewed as
     uint64 because uint64 * int64 would go to float64.  Unless los is None,
-    their float Horner reduced mod 1 is added in units of 2^-64.
+    their float Horner reduced mod 1 is added in units of 2^-64.  A tiny
+    negative Horner (negative n) reduces to 1.0 in rounding, and 2^64 is
+    0 mod 2^64, so it adds 0: a move below 2^-53 turns.
     """
     acc = _horner(ms, n.view(np.uint64))
     if los is not None:
         low = _horner(los, n.astype(np.float64))
         low -= np.floor(low)
+        low[low == 1.0] = 0.0
         acc += (low * 2.0**64).astype(np.uint64)
     return acc
 
@@ -354,11 +358,15 @@ def _small_table(shift: int) -> np.ndarray:
     return table
 
 
-_TOP_TABLE = _top_table()  # indexed by bits 52-63 of r
-# (shift of r, table) for bits 40-51 and 28-39
-_SMALL_TABLES = tuple(
-    (64 - k * _TABLE_BITS, _small_table(k * _TABLE_BITS)) for k in (2, 3)
-)
+@functools.cache
+def _tables():
+    """(T1, ((shift, T2), (shift, T3))): the top table, indexed by bits 52-63
+    of r, and (shift of r, table) for bits 40-51 and 28-39.  Built on first
+    use, so a process that evaluates no phase never builds them; threads
+    that race here build the same read-only bits, and one result is kept.
+    """
+    small = tuple((64 - k * _TABLE_BITS, _small_table(k * _TABLE_BITS)) for k in (2, 3))
+    return _top_table(), small
 
 
 def _scratch(size: int):
@@ -389,10 +397,11 @@ def _turns(r, out, scratch) -> None:
     """
     idx, gathered, product, linear = (a[: r.size] for a in scratch)
     at = idx.view(np.intp)
+    top, small = _tables()
     np.right_shift(r, 64 - _TABLE_BITS, out=idx)
-    np.take(_TOP_TABLE, at, out=product, mode="clip")
+    np.take(top, at, out=product, mode="clip")
     spare = out
-    for shift, table in _SMALL_TABLES:
+    for shift, table in small:
         np.right_shift(r, shift, out=idx)
         np.bitwise_and(idx, _TABLE_MASK, out=idx)
         np.take(table, at, out=gathered, mode="clip")

@@ -1,9 +1,17 @@
+import itertools
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import symbol_contraction, unit_vector
 from ncflow.car_fock import (
     CARPolynomial,
+    _gram_dets,
+    _subset_dets,
     annihilation,
     bogoliubov_apply,
     check_symbol,
@@ -20,7 +28,7 @@ from ncflow.car_fock import (
 )
 from ncflow.flows import average_series, geometric_checkpoints
 from ncflow.linalg import haar_unitary, inner, op_norm
-from ncflow.moebius import squarefree_count
+from ncflow.moebius import characters, squarefree_count
 
 
 def random_poly(rng, d, degree):
@@ -243,6 +251,80 @@ def test_vectors_of_another_length_than_d_are_refused():
         quasifree_eval(t, p)
     with pytest.raises(ValueError, match="length d = 3"):
         pure_point_flow([0.1, 0.2, 0.3], p, t).values_at(np.arange(1, 3))
+
+
+def _permanent_of_moduli(g) -> float:
+    m = len(g)
+    return sum(
+        math.prod(abs(g[i, p[i]]) for i in range(m)) for p in itertools.permutations(range(m))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_subset_dets_match_linalg_det(m, seed):
+    # a stack of m x m matrices with rows of unit norm: within the stated
+    # first-order bound (m - 1)(sqrt(5) + m / 2) 2^-53 per|g| of the exact
+    # determinant of the stored entries, and near LU's np.linalg.det
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+    if m:
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    got = _subset_dets(g)
+    assert got.shape == (5,) and got.dtype == np.complex128
+    if m <= 1:
+        want = np.ones(5) if m == 0 else g[:, 0, 0]
+        assert np.array_equal(got, want)
+        return
+    bound = (m - 1) * (math.sqrt(5) + m / 2) * 2.0**-53 * (1 + 2.0**-20)
+    with mpmath.workdps(40):
+        for k in range(5):
+            exact = mpmath.det(mpmath.matrix([[mpmath.mpc(x) for x in row] for row in g[k].tolist()]))
+            err = float(abs(mpmath.mpc(complex(got[k])) - exact))
+            assert err <= bound * _permanent_of_moduli(g[k]), (m, k)
+    assert np.max(np.abs(got - np.linalg.det(g))) <= 4 * m * m * 2.0**-53
+
+
+def gram_dets_per_entry(t, terms, z):
+    """The former evaluator, kept as the oracle: one einsum per Gram entry
+    and np.linalg.det on each term's stack."""
+    out = np.full(len(z), sum((s for s, _, gs in terms if not gs), 0j), dtype=np.complex128)
+    for scalar, plains, gs in terms:
+        if not gs:
+            continue
+        tf = [(z * f) @ t.T for f in plains]
+        wg = [np.conj(z) * np.conj(g) for g in gs]
+        gram = np.empty((len(z), len(gs), len(gs)), dtype=np.complex128)
+        for i, tf_i in enumerate(tf):
+            for j, wg_j in enumerate(wg):
+                gram[:, i, j] = np.einsum("nk,nk->n", tf_i, wg_j)
+        out += scalar * np.linalg.det(gram)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 6, 32])
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_dets_match_the_per_entry_oracle(d, seed):
+    # random balanced terms of sizes 0..4 in random order, at the phases of
+    # 300 n and at z = 1: every |entry| <= ||T|| <= 1, so each m x m
+    # determinant is below m^(m/2); the two evaluators round each entry's
+    # d-term sum differently, and over 20 seeds differed by at most
+    # 0.26 d 2^-52 of that scale
+    rng = np.random.default_rng(seed)
+    t = symbol_contraction(rng, d)
+    terms = []
+    for m in rng.permutation([0, 1, 1, 2, 2, 3, 4, 0]):
+        scalar = complex(rng.standard_normal(), rng.standard_normal())
+        terms.append(
+            (scalar, [unit_vector(rng, d) for _ in range(m)], [unit_vector(rng, d) for _ in range(m)])
+        )
+    scale = sum(abs(s) * max(1, m) ** (m / 2) for s, _, gs in terms for m in [len(gs)])
+    dets = _gram_dets(t, terms)
+    for z in (characters(rng.random(d), rng.integers(0, 10**8, size=300)), np.ones((1, d))):
+        got = dets(z)
+        assert got.shape == (len(z),)
+        assert np.max(np.abs(got - gram_dets_per_entry(t, terms, z))) <= 4 * d * 2.0**-52 * scale
+    assert dets(np.ones((0, d))).shape == (0,)
 
 
 def test_quasifree_positivity():

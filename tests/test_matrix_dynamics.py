@@ -71,7 +71,8 @@ def test_ad_flow_long_run_restarts_from_exact_powers():
 
 def test_ad_flow_block_is_the_plain_walk():
     # the 4096-point blocks average_series asks for: bit for bit the walk
-    # w -> u @ w from matrix_power(u, lo + 1), one trace per step
+    # w -> u @ w from matrix_power(u, lo + 1), one fused trace
+    # sum_ab (rho w)_ab (conj(w) a^T)_ab per step
     u = haar_unitary(8, 5)
     rng = np.random.default_rng(6)
     a = hermitian_contraction(rng, 8)
@@ -80,10 +81,27 @@ def test_ad_flow_block_is_the_plain_walk():
     w = np.linalg.matrix_power(u, lo + 1)
     want = []
     for _ in range(4096):
-        want.append(np.trace(rho @ w @ a @ w.conj().T))
+        want.append(np.einsum("ab,ab->", rho @ w, w.conj() @ a.T))
         w = u @ w
     got = ad_flow(u, a, rho).values(lo, lo + 4096)
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 13])
+def test_ad_flow_is_within_1e_15_of_the_product_trace(dim):
+    # the fused trace against trace(rho w a w^H) on the same walked w
+    u = haar_unitary(dim, dim)
+    rng = np.random.default_rng(dim + 1)
+    a = hermitian_contraction(rng, dim)
+    rho = random_density(dim, rng)
+    lo = 4096 - 50
+    w = np.linalg.matrix_power(u, lo + 1)
+    want = []
+    for _ in range(100):
+        want.append(np.trace(rho @ w @ a @ w.conj().T))
+        w = u @ w
+    got = ad_flow(u, a, rho).values(lo, lo + 100)
+    assert np.max(np.abs(got - np.array(want))) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -354,6 +356,46 @@ def test_phase_values_are_within_the_bound_of_mpmath(coeffs, shape, seed):
     _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
 
 
+def test_a_tiny_negative_off_grid_phase_wraps_to_zero():
+    # -1e-30 mod 1 rounds to 1.0 in the lo Horner: 2^64 is 0 mod 2^64, not
+    # an invalid uint64 cast (a RuntimeWarning, an error here, at the parent)
+    assert poly_phase_frac((0.0, 1e-30), -1) == 0.0
+    assert phase_values((0.0, 1e-30), -1) == 1.0
+    got = phase_values((0.0, 1e-30), np.array([-1, 0, 1]))
+    assert np.array_equal(got, np.ones(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=_GRID_COEFFS | _ANY_COEFFS, seed=st.integers(0, 2**32 - 1))
+def test_phase_at_negative_n_is_within_the_bound_of_the_exact_phase(coeffs, seed):
+    # n from -cap to -1: poly_phase_frac in [0, 1) within the documented
+    # model of the exact Fraction phase, and phase_values within its bound
+    n = -np.random.default_rng(seed).integers(1, N_MAX_CAP + 1, size=12)
+    n[:2] = [-1, -N_MAX_CAP]
+    frac = poly_phase_frac(coeffs, n)
+    for m, g in zip(n.tolist(), frac):
+        assert 0.0 <= g < 1.0
+        assert _frac_error(coeffs, m, g) <= _model_bound(coeffs, m), (coeffs, m)
+    _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
+
+
+def test_turn_tables_are_built_on_first_use():
+    # importing moebius, or building a sieve, builds no phase table
+    code = (
+        "from ncflow import moebius\n"
+        "moebius.build_table(1000)\n"
+        "before = moebius._tables.cache_info().currsize\n"
+        "moebius.phase_values((0.0, 0.3), 5)\n"
+        "print(before, moebius._tables.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moebius.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]
+
+
 def test_phase_values_depend_on_each_n_alone():
     # the same bits for n alone, as a 0-d input, and anywhere in an array of
     # any length: a one-element in-place product once rounded otherwise
@@ -384,8 +426,9 @@ def test_phase_values_at_quarter_and_eighth_turns_are_exact():
 def test_turn_tables_are_within_an_ulp_of_mpmath():
     # every part of every entry of the three tables: the table bound that
     # TURNS_ERR rests on
-    tables = [(moebius._TOP_TABLE, moebius._TABLE_BITS)]
-    tables += [(table, 64 - shift) for shift, table in moebius._SMALL_TABLES]
+    top, small = moebius._tables()
+    tables = [(top, moebius._TABLE_BITS)]
+    tables += [(table, 64 - shift) for shift, table in small]
     assert [bits for _, bits in tables] == [12, 24, 36]
     with mpmath.workdps(40):
         for table, bits in tables:
