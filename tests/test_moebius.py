@@ -358,7 +358,7 @@ def test_phase_values_are_within_the_bound_of_mpmath(coeffs, shape, seed):
 
 def test_a_tiny_negative_off_grid_phase_wraps_to_zero():
     # -1e-30 mod 1 rounds to 1.0 in the lo Horner: 2^64 is 0 mod 2^64, not
-    # an invalid uint64 cast (a RuntimeWarning, an error here, at the parent)
+    # an invalid uint64 cast (a RuntimeWarning, which the test settings make an error)
     assert poly_phase_frac((0.0, 1e-30), -1) == 0.0
     assert phase_values((0.0, 1e-30), -1) == 1.0
     got = phase_values((0.0, 1e-30), np.array([-1, 0, 1]))
