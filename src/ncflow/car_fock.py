@@ -305,7 +305,7 @@ def _balanced_terms(p: CARPolynomial) -> list:
 
 
 def _subset_dets(g) -> np.ndarray:
-    """Determinants of a stack g of m x m matrices, shape (..., m, m), by
+    """Determinants of a stack g of m x m matrices, shape (n, ..., m, m), by
     Laplace expansion along rows 0, 1, ..., m - 1 over column subsets.
 
     After k rows, minors[S] holds det g[..., :k, S] for every set S of k
