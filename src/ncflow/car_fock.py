@@ -23,7 +23,7 @@ other way and reads the same entry.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -133,7 +133,10 @@ class CARMonomial:
         return tuple(v for v, star in self.factors if not star)
 
     def key(self):
-        return tuple((star, v.tobytes()) for v, star in self.factors)
+        """(stars, vector bytes): "1" for each a(.)* factor and "0" for each
+        a(.), and each factor's vector as bytes, in written order."""
+        stars = "".join(["1" if star else "0" for _, star in self.factors])
+        return stars, tuple([v.tobytes() for v, _ in self.factors])
 
 
 def _mono(scalar, factors) -> CARMonomial:
@@ -147,20 +150,12 @@ class CARPolynomial:
     """Finite linear combination of CAR monomials, kept in canonical merged form."""
 
     def __init__(self, monomials: Iterable[CARMonomial] = ()):
-        terms = {}
-        for m in monomials:
-            if m.scalar == 0:
-                continue
-            k = m.key()
-            if k in terms:
-                s = terms[k].scalar + m.scalar
-                if s == 0:
-                    del terms[k]
-                else:
-                    terms[k] = CARMonomial(scalar=s, factors=terms[k].factors)
-            else:
-                terms[k] = m
-        self._terms = terms
+        merged = _merged([(m.key(), m.scalar, m) for m in monomials])
+        # a key that came once keeps its monomial object
+        self._terms = {
+            k: m if s is m.scalar else CARMonomial(scalar=s, factors=m.factors)
+            for k, (s, m) in merged.items()
+        }
 
     @property
     def monomials(self) -> tuple:
@@ -226,6 +221,26 @@ class CARPolynomial:
         return total
 
 
+def _merged(items) -> dict:
+    """key -> (scalar, first) for (key, scalar, item) triples, in order of
+    first appearance: the scalars of one key are added in sequence order,
+    first is the key's first item, a zero scalar is skipped, and a key whose
+    sum reaches zero is dropped (and starts over if it comes again)."""
+    sums = {}
+    for k, scalar, item in items:
+        if scalar == 0:
+            continue
+        if k in sums:
+            total = sums[k][0] + scalar
+            if total == 0:
+                del sums[k]
+            else:
+                sums[k] = (total, sums[k][1])
+        else:
+            sums[k] = (scalar, item)
+    return sums
+
+
 def constant(value) -> CARPolynomial:
     return CARPolynomial([_mono(value, ())])
 
@@ -245,37 +260,45 @@ def normal_order(p: CARPolynomial) -> CARPolynomial:
 
     Uses a(f) a(g)* = <f, g> 1 - a(g)* a(f) on the leftmost offending pair;
     each step drops the degree by two or removes one inversion, so the
-    worklist terminates.
+    worklist terminates.  The worklist carries monomials as their keys,
+    a star string and the vectors' bytes, so no vector is keyed twice and
+    the leftmost inversion is the first "01" of the star string; the pairs
+    left of a rewritten one had no inversion, so the next search starts
+    one factor left of it.  The finished monomials are merged once, in the
+    order the worklist finishes them, and only the merged ones get factors.
     """
-    work = list(p.monomials)
+    vectors = {}
+    work = []
+    for m in p.monomials:
+        stars, vecs = m.key()
+        vectors.update(zip(vecs, (v for v, _ in m.factors)))
+        work.append((m.scalar, stars, vecs, 0))
+    inners = {}
     done = []
     while work:
-        m = work.pop()
-        idx = _first_inversion(m.factors)
-        if idx is None:
-            done.append(m)
+        scalar, stars, vecs, start = work.pop()
+        idx = stars.find("01", start)
+        if idx < 0:
+            done.append(((stars, vecs), scalar, None))
             continue
-        f, _ = m.factors[idx]
-        g, _ = m.factors[idx + 1]
-        head = m.factors[:idx]
-        tail = m.factors[idx + 2 :]
-        ip = inner(f, g)
+        f, g = vecs[idx], vecs[idx + 1]
+        if (f, g) not in inners:
+            inners[f, g] = inner(vectors[f], vectors[g])
+        ip = inners[f, g]
+        head, tail = vecs[:idx], vecs[idx + 2 :]
+        start = max(idx - 1, 0)
         if ip != 0:
-            work.append(CARMonomial(scalar=m.scalar * ip, factors=head + tail))
-        work.append(
-            CARMonomial(
-                scalar=-m.scalar,
-                factors=head + ((g, True), (f, False)) + tail,
-            )
+            work.append((scalar * ip, stars[:idx] + stars[idx + 2 :], head + tail, start))
+        work.append((-scalar, stars[:idx] + "10" + stars[idx + 2 :], head + (g, f) + tail, start))
+
+    out = CARPolynomial()
+    out._terms = {
+        (stars, vecs): CARMonomial(
+            scalar=s, factors=tuple((vectors[v], star == "1") for star, v in zip(stars, vecs))
         )
-    return CARPolynomial(done)
-
-
-def _first_inversion(factors) -> Optional[int]:
-    for i in range(len(factors) - 1):
-        if not factors[i][1] and factors[i + 1][1]:
-            return i
-    return None
+        for (stars, vecs), (s, _) in _merged(done).items()
+    }
+    return out
 
 
 # ---------------------------------------------------------------------------

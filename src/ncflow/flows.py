@@ -2,11 +2,12 @@
 the bilinear (Bourgain-Sarnak-Ziegler) criterion check.
 
 A Flow is a pure vectorized map from index arrays to values with a declared
-sup bound, evaluated only through one checked call.  spectral_flow builds a
-finite-dimensional flow as a quadratic form in the eigenphase characters
-e(theta_j n).  average_series walks n = 1..max(checkpoints) once through
-moebius.blocked_sums, with the checkpoints as stops, so the result is
-independent of how blocks are assigned to workers.
+sup bound, evaluated only through one checked call; its value at n depends
+on n alone, bit for bit.  spectral_flow builds a finite-dimensional flow as
+a quadratic form in the eigenphase characters e(theta_j n).  average_series
+walks n = 1..max(checkpoints) once through moebius.blocked_sums, with the
+checkpoints as stops, and evaluates each block at its squarefree n only, so
+the result is independent of how blocks are assigned to workers.
 """
 
 import math
@@ -30,10 +31,15 @@ class Flow:
     """Sequence n -> complex with |value| <= declared_bound for 1 <= n <= valid_n.
 
     values_at maps an int64 index array to the complex values there; it must
-    be pure and vectorized.  Every consumer evaluates through the checked call
-    at() (or values() on a range), which enforces the domain, the shape,
-    finiteness and the declared bound.  The keyword evaluator is accepted for
-    older call sites and ignored: no value is ever computed through it.
+    be pure, vectorized and pointwise: values_at(ns)[i] depends only on
+    ns[i], bit for bit, whatever the other n, their order or their number
+    (at() asks for a single n as a pair).  Every consumer evaluates through
+    the checked call at() (or values() on a range), which enforces the
+    domain, the shape, finiteness and the declared bound on the values it
+    computes.  average_series asks values() only for the squarefree n, so
+    these checks cover exactly the values that enter a Moebius sum.  The
+    keyword evaluator is accepted for older call sites and ignored: no value
+    is ever computed through it.
     """
 
     def __init__(
@@ -61,11 +67,15 @@ class Flow:
                 f"flow {self.label!r} is only defined for n <= {self.valid_n}, "
                 f"requested n = {ns.max()}"
             )
-        vals = np.asarray(self.values_at(ns), dtype=np.complex128)
-        if vals.shape != ns.shape:
+        # numpy takes a one-row matrix product through gemv or dot, which
+        # round otherwise than gemm: so a single n is evaluated as a pair
+        asked = np.repeat(ns, 2) if ns.size == 1 else ns
+        vals = np.asarray(self.values_at(asked), dtype=np.complex128)
+        if vals.shape != asked.shape:
             raise FlowEvaluationError(
-                f"flow {self.label!r} returned {vals.shape} values for {ns.size} indices"
+                f"flow {self.label!r} returned {vals.shape} values for {asked.size} indices"
             )
+        vals = vals[: ns.size].reshape(ns.shape)
         finite = np.isfinite(vals)  # complex: both parts finite
         if not finite.all():
             raise FlowEvaluationError(
@@ -80,9 +90,15 @@ class Flow:
             )
         return vals
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """Values for n in (lo, hi]."""
-        return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
+    def values(self, lo: int, hi: int, where: Optional[np.ndarray] = None) -> np.ndarray:
+        """Values for n in (lo, hi].  With where, an array of hi - lo weights,
+        only the n with a nonzero weight are evaluated and checked, and the
+        others hold exact zeros (moebius.at_nonzero)."""
+        if where is None:
+            return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
+        if len(where) != hi - lo:
+            raise ValueError(f"where has {len(where)} weights for {hi - lo} indices")
+        return moebius.at_nonzero(where, lambda at: self.at(at + (lo + 1)))
 
 
 @dataclass(frozen=True)
@@ -120,8 +136,9 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    Each block of moebius.blocked_sums is evaluated through flow.values, so
-    a given call signature yields bit-identical results for any worker count.
+    Each block of moebius.blocked_sums is evaluated through flow.values at
+    its squarefree n only, with exact zeros at the others, so a given call
+    signature yields bit-identical results for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]
@@ -130,12 +147,11 @@ def average_series(
             f"flow {flow.label!r} is only defined for n <= {flow.valid_n}, "
             f"requested series up to N = {n_max}"
         )
-    sums = moebius.blocked_sums(
-        range(1, n_max + 1),
-        lambda r: flow.values(r.start - 1, r.stop - 1) * table.mu[r.start : r.stop],
-        cps,
-        workers=workers,
-    )
+    def terms(r):
+        mu = table.mu[r.start : r.stop]
+        return flow.values(r.start - 1, r.stop - 1, where=mu) * mu
+
+    sums = moebius.blocked_sums(range(1, n_max + 1), terms, cps, workers=workers)
     values = [complex(s) / N for N, s in zip(cps, sums)]
     counts = [moebius.squarefree_count(table, N) for N in cps]
     return AverageSeries(

@@ -7,11 +7,13 @@ U = sum_j e(theta_j) q_j q_j* from linalg.schur_unitary (np.linalg.eig, then
 the unitary polar factor q of its eigenvectors and the phases of
 diag(q* U q)), each is the quadratic form z(n)^T C conj(z(n)) in
 z_j(n) = e(theta_j n), with C built once, and values at any n are computed
-directly.  ad_flow still walks powers incrementally (one multiply per step)
-from exact binary powers, because the seed-0 matrix-flow reference in
-perfbench pins its decay-fit constant to the walk's rounding; its trace
-tr(rho W A W*) is taken over a whole tile of walked W at once, as
-sum_ab (rho W)_ab (conj(W) A^T)_ab, in three stacked numpy calls.  Exact powers
+directly.  ad_flow walks powers (one multiply per step) from exact binary
+powers at the fixed anchors 1 + WALK_GRID j, so its value at n depends on n
+alone; the seed-0 matrix-flow reference in perfbench pins its decay-fit
+constant to a walk's rounding, which a spectral evaluation would move past
+the reference tolerance.  A call walks up to four tiles in lockstep and
+takes the trace tr(rho W A W*) over the stack of walked W it needs, as
+sum_ab (rho W)_ab (conj(W) A^T)_ab, in three numpy calls.  Exact powers
 come in batches from unitary_power, here and in the trace-product direct
 path.  quantize_unitary rounds the eigenphase of each eigenvector column to
 its grid; columns that land on the same grid point stay separate rank-one
@@ -42,6 +44,7 @@ from .moebius import MoebiusTable, characters
 
 TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
 QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
+WALK_GRID = moebius._SUM_BLOCK // 4  # ad_flow's anchors: a block's 4 tiles walk in lockstep
 
 
 def _sandwich_coefficients(projections, a, rho) -> np.ndarray:
@@ -56,36 +59,52 @@ def _schur_projections(q: np.ndarray) -> np.ndarray:
 
 
 def ad_flow(u, a, rho) -> Flow:
-    """Flow n -> trace(rho U^n A U*^n).
+    """Flow n -> trace(rho U^n A U*^n), a pointwise function of n.
 
-    Each run of consecutive n in a tile of moebius._SUM_BLOCK walks
-    W <- U W from an exact binary power, one product per step.  The trace
-    is then fused over the whole tile: tr(rho W A W*) is the sum over a, b
-    of (rho W)_ab (conj(W) A^T)_ab, so one stacked product conj(W) A^T, one
-    stacked rho W and one row-wise contraction replace three stacked
-    products and a trace.
+    W(n) is walked W <- U W from the exact binary power U^a(n) at the anchor
+    a(n) = 1 + L floor((n - 1) / L), L = WALK_GRID, so its bits depend on n
+    alone.  Each product adds at most sqrt(2) (k + 2) k 2^-53 in operator
+    norm, and at most L - 1 walk steps and 2 log2 n binary-power products
+    lie between W(n) and U^n, so the value is within
+    2 ||A|| (L - 1 + 2 log2 n) sqrt(2) (k + 2) k 2^-53 of the exact trace,
+    to first order.
+
+    A call groups its distinct n by anchor, takes up to _SUM_BLOCK / L
+    anchors from one unitary_power call and walks those tiles in lockstep,
+    one stacked product per step up to the largest step asked for, so it
+    holds at most _SUM_BLOCK walked matrices.  The trace is fused over the
+    contiguous stack of the W asked for: tr(rho W A W*) is the sum over a, b
+    of (rho W)_ab (conj(W) A^T)_ab, one stacked product conj(W) A^T, one
+    stacked rho W and one row-wise contraction.  An isolated n costs up to
+    L - 1 steps of its tile; the Moebius averages ask for the squarefree n
+    of whole blocks, whose tiles are walked anyway.
     """
     u = check_unitary(u)
     a = check_matrix(a)
     rho = check_density(rho)
+    per_call = moebius._SUM_BLOCK // WALK_GRID
 
     def values_at(ns):
-        out = np.empty(ns.shape, dtype=np.complex128)
-        for lo in range(0, ns.size, moebius._SUM_BLOCK):
-            tile = ns[lo : lo + moebius._SUM_BLOCK]
-            restart = np.diff(tile, prepend=tile[0] - 2) != 1
-            anchors = iter(unitary_power(u, tile[restart]))
-            ws = np.empty(tile.shape + u.shape, dtype=np.complex128)
-            for i, fresh in enumerate(restart.tolist()):
-                if fresh:
-                    ws[i] = next(anchors)
-                else:
-                    np.matmul(u, ws[i - 1], out=ws[i])
+        todo, back = np.unique(ns, return_inverse=True)
+        steps = (todo - 1) % WALK_GRID
+        anchors, first, tiles = np.unique(
+            todo - steps, return_index=True, return_inverse=True
+        )
+        vals = np.empty(todo.shape, dtype=np.complex128)
+        cuts = [*first[::per_call].tolist(), todo.size]
+        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            grid = anchors[c * per_call : (c + 1) * per_call]
+            walk = np.empty((steps[lo:hi].max() + 1, grid.size) + u.shape, dtype=np.complex128)
+            walk[0] = unitary_power(u, grid)
+            for i in range(1, len(walk)):
+                np.matmul(u, walk[i - 1], out=walk[i])
+            ws = walk[steps[lo:hi], tiles[lo:hi] - c * per_call]
+            del walk  # before the trace's temporaries: the lower peak
             # conj(W) A^T before rho W: the smaller peak of the two orders
             y = np.conj(ws) @ a.T
             x = rho @ ws
-            out[lo : lo + tile.size] = np.einsum("nab,nab->n", x, y)
-        return out
+            vals[lo:hi] = np.einsum("nab,nab->n", x, y)
+        return vals[back].reshape(ns.shape)
 
     return Flow(
         values_at=values_at,
@@ -208,7 +227,8 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
     gap = abs(direct - eigen)
     if not gap <= TRACE_AGREE_TOL:  # a NaN gap fails too
         raise ArithmeticError(
-            f"trace product paths disagree by {gap:.3e} > {TRACE_AGREE_TOL:g}"
+            f"trace product paths disagree by {gap:.3e} > {TRACE_AGREE_TOL:g} for the"
+            f" spec with k = {spec.k}, d = {spec.d} and phase polynomials {spec.phase_polys}"
         )
     return TraceProductResult(value=direct, eigen_value=eigen, discrepancy=gap)
 
@@ -298,7 +318,8 @@ def quantize_unitary(u, epsilon: float, horizon: int) -> QuantizedUnitary:
     for n, drift in zip(checks, quantize_drift(u, quantized, checks)):
         if drift > epsilon:
             raise ArithmeticError(
-                f"quantized power drifted past epsilon at n = {n}"
+                f"quantized power drifted by ||U^n - V^n|| = {drift:.3e} past"
+                f" epsilon = {epsilon:g} at n = {n}"
             )
     return quantized
 

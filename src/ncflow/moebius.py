@@ -17,9 +17,10 @@ Every Moebius average, both trace-product paths included, sums through
 binary fold of the block sums up to each stop.  The layout depends only on
 the index range and the stops, never on the worker count, and the terms
 are evaluated one block at a time, so every temporary stays in L2.  Terms
-with mu(n) = 0 are exact zeros: ``exp_sum`` never evaluates their phases
-(about 39% of n), and since numpy's add.reduce of a block starts from +0,
-a zero of either sign leaves every block sum's bits unchanged.
+with mu(n) = 0 are exact zeros: ``exp_sum`` and ``flows.average_series``
+never evaluate them (about 39% of n; ``at_nonzero``), and since numpy's
+add.reduce of a block starts from +0, a zero of either sign leaves every
+block sum's bits unchanged.
 
 Phase evaluation
 ----------------
@@ -482,21 +483,35 @@ def _check_N(table: MoebiusTable, N: int) -> None:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
 
 
+def at_nonzero(weights: np.ndarray, values_at: Callable) -> np.ndarray:
+    """A complex array shaped like weights: values_at(at) at the positions
+    at = np.flatnonzero(weights), exact zeros elsewhere.
+
+    With the Moebius values of a block as weights, its terms are evaluated
+    only at the squarefree n, and np.add.reduce sees the same nonzero terms
+    at the same positions as for the full term array.
+    """
+    at = np.flatnonzero(weights)
+    out = np.zeros(weights.shape, dtype=np.complex128)
+    out[at] = values_at(at)
+    return out
+
+
 def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
     """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) e(phi(n)).
 
-    Each block evaluates phases only at its squarefree n and leaves the
-    mu(n) = 0 terms as zeros in place, so np.add.reduce sees the same
-    nonzero terms at the same positions as for the full term array.
+    Each block evaluates phases only at its squarefree n (at_nonzero) and
+    leaves the mu(n) = 0 terms as zeros in place.
     """
     _check_N(table, N)
 
     def terms(r):
         mu = table.mu[r.start : r.stop : r.step]
-        at = np.flatnonzero(mu)
-        out = np.zeros(mu.size, dtype=np.complex128)
-        out[at] = mu[at].astype(np.float64) * phase_values(phase.coeffs, at * r.step + r.start)
-        return out
+        return at_nonzero(
+            mu,
+            lambda at: mu[at].astype(np.float64)
+            * phase_values(phase.coeffs, at * r.step + r.start),
+        )
 
     idx = _restricted_range(N, phase.modulus, phase.residue)
     return complex(blocked_sums(idx, terms)[0]) / N

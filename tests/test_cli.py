@@ -395,6 +395,37 @@ def test_trace_product_refuses_n_max_above_its_cap_before_any_table(
     assert not out.exists()
 
 
+def test_a_trace_product_disagreement_names_its_spec(tmp_path, capsys):
+    # coefficients near the cap put the direct path's binary powers of a
+    # Haar unitary about 2e-5 off the eigen path at N = 1000
+    config = tmp_path / "tp.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "experiment": "trace-product", "seed": 0,
+        "n_max": 1000, "params": {"coeff_max": (2**63 - 1) // N_MAX_CAP},
+    }))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ncflow: numeric failure: trace product paths disagree by ")
+    assert err.endswith(
+        "> 1e-09 for the spec with k = 4, d = 2 and phase polynomials"
+        " ((0, 51105828437), (0, 74682637285))\n"
+    )
+
+
+def test_a_quantize_drift_failure_names_n_drift_and_epsilon(tmp_path, capsys, monkeypatch):
+    from ncflow import matrix_dynamics
+
+    monkeypatch.setattr(
+        matrix_dynamics, "quantize_drift", lambda u, quantized, ns: [0.05 * n for n in ns]
+    )
+    argv = ["quantize", "--seed", "0", "--n-max", "100", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "ncflow: numeric failure: quantized power drifted by ||U^n - V^n|| = 2.500e+00"
+        " past epsilon = 0.1 at n = 50\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name, key",
     [(name, key) for name, e in sorted(cli.EXPERIMENTS.items()) for key in sorted(e.caps)],

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hermitian_contraction
+from conftest import hermitian_contraction, symbol_contraction, unit_vector
 from ncflow import moebius
+from ncflow.car_fock import annihilation, counterexample_flow, creation, pure_point_flow
 from ncflow.flows import (
     BSZ_PRIME_CAP,
     AverageSeries,
@@ -20,9 +21,17 @@ from ncflow.flows import (
     geometric_checkpoints,
     rotation_flow,
 )
-from ncflow.linalg import random_density
-from ncflow.matrix_dynamics import ad_flow
-from ncflow.moebius import PolynomialPhase, exp_sum, mertens, squarefree_count
+from ncflow.free_words import ReducedWord, free_shift_flow
+from ncflow.linalg import haar_unitary, random_density
+from ncflow.matrix_dynamics import ad_flow, finite_vn_state_flow, rank_one_flow
+from ncflow.moebius import (
+    PolynomialPhase,
+    build_table,
+    exp_sum,
+    mertens,
+    phase_values,
+    squarefree_count,
+)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -194,6 +203,67 @@ def test_flow_never_calls_the_evaluator_keyword(table_10k):
     assert series.values[0] == pytest.approx(0.5 * mertens(table_10k, 100) / 100)
     with pytest.raises(ValueError, match="n >= 1"):
         flow.at([0])[0]
+
+
+def _one_flow_of_each_family():
+    """A flow of every family the package builds, the CLI's inline
+    poly_phase flow included; their n may run up to 10^4."""
+    rng = np.random.default_rng(31)
+    u = haar_unitary(5, rng)
+    a = hermitian_contraction(rng, 5)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    v = [unit_vector(rng, 4) for _ in range(6)]
+    observable = (
+        creation(v[0]) * creation(v[1]) * annihilation(v[2]) * annihilation(v[3])
+        + creation(v[4]) * annihilation(v[5])
+    )
+    coeffs = (0.0, 0.1234, 0.56789, 0.3)
+    shifts = counterexample_flow(10**4, build_table(10**4))
+    flows = [
+        rotation_flow(GOLDEN),
+        constant_flow(0.5 - 0.25j),
+        free_shift_flow(ReducedWord(((1, 2),)), ReducedWord(())),
+        Flow(
+            values_at=lambda ns: phase_values(coeffs, ns),
+            declared_bound=1.0,
+            label="poly_phase(degree=3)",
+        ),
+        ad_flow(u, a, random_density(5, rng)),
+        rank_one_flow(u, unit_vector(rng, 5), unit_vector(rng, 5)),
+        finite_vn_state_flow(u, a, g),
+        pure_point_flow(rng.random(4), observable, symbol_contraction(rng, 4)),
+        shifts.bh_flow,
+        shifts.car_flow,
+    ]
+    return {flow.label: flow for flow in flows}
+
+
+FLOW_FAMILIES = _one_flow_of_each_family()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(sorted(FLOW_FAMILIES)),
+    lo=st.integers(0, 9000),
+    size=st.integers(1, 1000),
+    data=st.data(),
+)
+def test_flow_values_are_pointwise_in_n(label, lo, size, data):
+    # the pointwise contract: a value's bits depend on its n alone, not on
+    # the other n of the request, their order or their number
+    flow = FLOW_FAMILIES[label]
+    ns = np.arange(lo + 1, lo + size + 1, dtype=np.int64)
+    full = flow.at(ns)
+    pick = np.array(
+        data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size)),
+        dtype=np.int64,
+    )
+    assert flow.at(ns[pick]).tobytes() == full[pick].tobytes()
+    one = int(pick[0])
+    assert flow.at(ns[one : one + 1]).tobytes() == full[one : one + 1].tobytes()
+    mu = build_table(lo + size).mu[lo + 1 :]
+    squarefree = flow.values(lo, lo + size, where=mu)
+    assert squarefree.tobytes() == np.where(mu != 0, full, 0j).tobytes()
 
 
 def test_averaging_is_linear(table_10k):

@@ -14,6 +14,7 @@ from ncflow.linalg import (
     unitary_power,
 )
 from ncflow.matrix_dynamics import (
+    WALK_GRID,
     TraceProductSpec,
     ad_flow,
     finite_vn_average_bound,
@@ -56,8 +57,8 @@ def test_ad_flow_diagonal_equals_rotation(table_10k):
 
 
 def test_ad_flow_long_run_restarts_from_exact_powers():
-    # one run of 30001 n is walked in pieces of at most 4096 steps, each from
-    # an exact binary power, so the walk error never builds up past one piece
+    # one run of 30001 n is walked in tiles of at most WALK_GRID steps, each
+    # from an exact binary power, so the walk error never builds up past one
     u = haar_unitary(8, 1)
     rng = np.random.default_rng(2)
     a = hermitian_contraction(rng, 8)
@@ -69,39 +70,70 @@ def test_ad_flow_long_run_restarts_from_exact_powers():
         assert abs(vals[n - 1] - direct) < 1e-10
 
 
+def anchored_walk(u, ns):
+    """W(n) for each n of an ascending run: matrix_power(u, a(n)) at each
+    grid anchor a(n) = 1 + L floor((n - 1) / L), then w -> u @ w."""
+    out = []
+    for n in ns:
+        anchor = 1 + WALK_GRID * ((n - 1) // WALK_GRID)
+        if not out or n == anchor:
+            w = np.linalg.matrix_power(u, anchor)
+            for _ in range(n - anchor):
+                w = u @ w
+        else:
+            w = u @ w
+        out.append(w)
+    return out
+
+
 def test_ad_flow_block_is_the_plain_walk():
-    # the 4096-point blocks average_series asks for: bit for bit the walk
-    # w -> u @ w from matrix_power(u, lo + 1), one fused trace
-    # sum_ab (rho w)_ab (conj(w) a^T)_ab per step
+    # a 4096-point block that starts off the anchor grid: bit for bit the
+    # walk w -> u @ w from matrix_power(u, a(n)), restarted at each anchor,
+    # one fused trace sum_ab (rho w)_ab (conj(w) a^T)_ab per step
     u = haar_unitary(8, 5)
     rng = np.random.default_rng(6)
     a = hermitian_contraction(rng, 8)
     rho = random_density(8, rng)
-    lo = 3 * 4096
-    w = np.linalg.matrix_power(u, lo + 1)
-    want = []
-    for _ in range(4096):
-        want.append(np.einsum("ab,ab->", rho @ w, w.conj() @ a.T))
-        w = u @ w
+    lo = 3 * 4096 + 700
+    want = [
+        np.einsum("ab,ab->", rho @ w, w.conj() @ a.T)
+        for w in anchored_walk(u, range(lo + 1, lo + 4097))
+    ]
     got = ad_flow(u, a, rho).values(lo, lo + 4096)
     assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 13])
 def test_ad_flow_is_within_1e_15_of_the_product_trace(dim):
-    # the fused trace against trace(rho w a w^H) on the same walked w
+    # the fused trace against trace(rho w a w^H) on the same anchored walk,
+    # across the anchor at 4097
     u = haar_unitary(dim, dim)
     rng = np.random.default_rng(dim + 1)
     a = hermitian_contraction(rng, dim)
     rho = random_density(dim, rng)
     lo = 4096 - 50
-    w = np.linalg.matrix_power(u, lo + 1)
-    want = []
-    for _ in range(100):
-        want.append(np.trace(rho @ w @ a @ w.conj().T))
-        w = u @ w
+    want = [
+        np.trace(rho @ w @ a @ w.conj().T) for w in anchored_walk(u, range(lo + 1, lo + 101))
+    ]
     got = ad_flow(u, a, rho).values(lo, lo + 100)
     assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 13])
+def test_ad_flow_stays_within_the_walk_bound_of_exact_powers(dim):
+    # ad_flow's stated bound, 2 ||A|| (L - 1 + 2 log2 n) sqrt(2) (k + 2) k
+    # 2^-53, at the last step of tiles near 10^3, 10^4 and 10^6, where the
+    # walk is longest (2.7e-12 at k = 2, against the 1e-10 of the test above)
+    u = haar_unitary(dim, dim + 20)
+    rng = np.random.default_rng(dim + 21)
+    a = hermitian_contraction(rng, dim)
+    rho = random_density(dim, rng)
+    ns = np.array([1, 2, WALK_GRID, WALK_GRID + 1, 17 * WALK_GRID, 977 * WALK_GRID, 10**6])
+    got = ad_flow(u, a, rho).at(ns)
+    want = [np.trace(rho @ w @ a @ w.conj().T) for w in unitary_power(u, ns)]
+    steps = WALK_GRID - 1 + 2 * np.log2(ns)
+    bound = 2 * op_norm(a) * steps * np.sqrt(2) * (dim + 2) * dim * 2.0**-53
+    assert np.all(np.abs(got - np.array(want)) <= bound)
 
 
 @pytest.mark.parametrize("seed", range(3))
