@@ -317,9 +317,9 @@ def _run_matrix_flow(cfg, table, workers):
     return _fitted_series(cfg, table, workers, ad_flow(u, a, rho), dim=dim)
 
 
-# trace_product_sum holds every squarefree n up to n_max and one int64 phase
-# array per factor: one product (k = 4, d = 2) peaked at 88 MiB and took 8.6 s
-# at n_max 10^6 on 2 cores, about 5 GB by extrapolation at the 10^8 cap
+# trace_product_sum streams n block by block, so its memory stays flat in n_max,
+# but its time does not: one product (k = 4, d = 2) took 7.6-8.5 s and peaked
+# at 44.5 MiB at n_max 10^6 on 2 cores, about 14 minutes at the 10^8 cap
 TRACE_PRODUCT_N_MAX = 10**6
 
 
@@ -539,8 +539,8 @@ EXPERIMENTS = {
         n_max=10**3, randomized=True,
         caps={
             "k": _MAX_DIM,
-            # time and the phase arrays grow linearly in d: one product to n_max
-            # 10^5 took 7 s at d = 16 and 20 s at d = 64 on 2 cores
+            # time grows linearly in d: one product to n_max 10^5 took
+            # 6-7 s at d = 16 and 24 s at d = 64 on 2 cores
             "d": 16,
             "coeff_max": (2**63 - 1) // N_MAX_CAP,  # phases c * n < 2^63
         },

@@ -15,8 +15,10 @@ the reference tolerance.  A call walks up to four tiles in lockstep and
 takes the trace tr(rho W A W*) over the stack of walked W it needs, as
 sum_ab (rho W)_ab (conj(W) A^T)_ab, in three numpy calls.  Exact powers
 come in batches from unitary_power, here and in the trace-product direct
-path.  quantize_unitary rounds the eigenphase of each eigenvector column to
-its grid; columns that land on the same grid point stay separate rank-one
+path, and both trace-product paths are pointwise traces in n that
+moebius.weighted_average evaluates per block at squarefree n.
+quantize_unitary rounds the eigenphase of each eigenvector column to its
+grid; columns that land on the same grid point stay separate rank-one
 projections, and the bound chain sums exponential sums against coefficients
 over all column pairs.
 """
@@ -180,6 +182,10 @@ class TraceProductSpec:
     def d(self) -> int:
         return len(self.unitaries)
 
+    def phases(self, ns) -> list:
+        """[phi_j(ns) in int64 for each factor j]."""
+        return [moebius._horner(np.array(c, dtype=np.int64), ns) for c in self.phase_polys]
+
 
 @dataclass(frozen=True)
 class TraceProductResult:
@@ -191,16 +197,17 @@ class TraceProductResult:
 def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> TraceProductResult:
     """Moebius-weighted trace product average, certified by two paths.
 
-    The direct path multiplies batched binary powers of each U_j.  The eigen
-    path diagonalizes each U_j once and sums scalar phase products against
-    the transformed contractions.  Both sum their per-n terms through
-    moebius.blocked_sums, and the two values must agree to TRACE_AGREE_TOL or
-    an ArithmeticError is raised: this cross-check certifies the result.
-    Both paths take phi_j(n) in int64, so every phase polynomial must have
-    sum_i |c_i| N^i < 2^63, or a ValueError is raised; that check only
-    guards against int64 wraparound, not against powers that lose accuracy.
+    Each path is a pointwise trace n -> tr_k(prod_j U_j^{phi_j(n)} A_j) that
+    moebius.weighted_average evaluates block by block at squarefree n, so
+    memory does not grow with N.  The direct path multiplies batched binary
+    powers of each U_j; the eigen path multiplies scalar phase products into
+    contractions transformed once by each U_j's eigenvectors.  The two values
+    must agree to TRACE_AGREE_TOL or an ArithmeticError is raised: this
+    cross-check certifies the result.  Both paths take phi_j(n) in int64, so
+    every phase polynomial must have sum_i |c_i| N^i < 2^63, or a ValueError
+    is raised; that check only guards against int64 wraparound, not against
+    powers that lose accuracy.
     """
-    moebius._check_N(table, N)
     for coeffs in spec.phase_polys:
         reach = sum(abs(c) * N**i for i, c in enumerate(coeffs))
         if reach >= 2**63:
@@ -208,22 +215,15 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
                 f"phase polynomial {coeffs} reaches sum |c_i| N^i = {reach}"
                 f" >= 2^63 at N = {N}; its int64 values would wrap"
             )
-    ns = np.asarray(
-        moebius._restricted_range(N, spec.modulus, spec.residue), dtype=np.int64
-    )
-    ns = ns[table.mu[ns] != 0]
-    mu = table.mu[ns]
-    phis = [moebius._horner(np.array(c, dtype=np.int64), ns) for c in spec.phase_polys]
 
-    def terms(r):
-        at = slice(r.start, r.stop)
+    def direct_trace(ns):
         m = np.eye(spec.k, dtype=np.complex128)
-        for u, a, phi in zip(spec.unitaries, spec.contractions, phis):
-            m = m @ unitary_power(u, phi[at]) @ a
-        return mu[at] * np.trace(m, axis1=1, axis2=2) / spec.k
+        for u, a, phi in zip(spec.unitaries, spec.contractions, spec.phases(ns)):
+            m = m @ unitary_power(u, phi) @ a
+        return np.trace(m, axis1=1, axis2=2) / spec.k
 
-    direct = complex(moebius.blocked_sums(range(mu.size), terms)[0]) / N
-    eigen = _eigen_expansion_sum(spec, mu, phis) / N
+    direct = moebius.weighted_average(table, N, spec.modulus, spec.residue, direct_trace)
+    eigen = moebius.weighted_average(table, N, spec.modulus, spec.residue, _eigen_trace(spec))
     gap = abs(direct - eigen)
     if not gap <= TRACE_AGREE_TOL:  # a NaN gap fails too
         raise ArithmeticError(
@@ -233,14 +233,14 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
     return TraceProductResult(value=direct, eigen_value=eigen, discrepancy=gap)
 
 
-def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> complex:
-    """Eigen path: sum_n mu[n] tr_k(prod U_j^{phis[j][n]} A_j), expanded over
+def _eigen_trace(spec: TraceProductSpec):
+    """Eigen path: the map ns -> tr_k(prod U_j^{phi_j(n)} A_j), expanded over
     joint eigenphases.
 
     With U_j = W_j D_j W_j*, the trace is the chain product of
     A~_j = W_j* A_j W_{j+1} against phase factors e(theta^{(j)}_t phi_j(n)),
-    summed over one eigenindex per factor and divided by k, then summed over
-    the positions of mu by moebius.blocked_sums.
+    summed over one eigenindex per factor and divided by k.  The W_j, the
+    eigenphases and the A~_j are computed once per spec.
     """
     k, d = spec.k, spec.d
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
@@ -248,16 +248,14 @@ def _eigen_expansion_sum(spec: TraceProductSpec, mu: np.ndarray, phis) -> comple
         ws[j].conj().T @ spec.contractions[j] @ ws[(j + 1) % d] for j in range(d)
     ]
 
-    def terms(r):
-        at = slice(r.start, r.stop)
-        es = [characters(thetas[j], phis[j][at]) for j in range(d)]
+    def trace_at(ns):
+        es = [characters(theta, phi) for theta, phi in zip(thetas, spec.phases(ns))]
         chain = es[0][:, :, None] * a_tilde[0][None, :, :]
         for j in range(1, d):
             chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
-        vals = np.einsum("naa->n", chain) / k
-        return vals * mu[at].astype(np.float64)
+        return np.einsum("naa->n", chain) / k
 
-    return complex(moebius.blocked_sums(range(mu.size), terms)[0])
+    return trace_at
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,16 @@ byte table plus one segment's int32 scratch arrays.
 
 Summation contract
 ------------------
-Every Moebius average, both trace-product paths included, sums through
-``blocked_sums``: numpy's pairwise reduction inside blocks of at most
-``_SUM_BLOCK`` consecutive indices, also cut at each stop, then a balanced
-binary fold of the block sums up to each stop.  The layout depends only on
-the index range and the stops, never on the worker count, and the terms
-are evaluated one block at a time, so every temporary stays in L2.  Terms
-with mu(n) = 0 are exact zeros: ``exp_sum`` and ``flows.average_series``
-never evaluate them (about 39% of n; ``at_nonzero``), and since numpy's
-add.reduce of a block starts from +0, a zero of either sign leaves every
+Every Moebius average has one layout: ``flows.average_series`` and
+``weighted_average`` (under ``exp_sum`` and both trace-product paths) run
+``blocked_sums`` over their index range, n = 1..N or a progression up to N:
+numpy's pairwise reduction in blocks of at most ``_SUM_BLOCK`` consecutive
+indices, also cut at each stop, then a balanced binary fold of the block
+sums up to each stop.  The layout depends only on the index range and the
+stops, never on the worker count; terms are evaluated one block at a time,
+so memory does not grow with N.  Terms with mu(n) = 0 are exact zeros in
+place that no sum evaluates (about 39% of n; ``at_nonzero``); numpy's
+add.reduce of a block starts from +0, so a zero of either sign leaves every
 block sum's bits unchanged.
 
 Phase evaluation
@@ -473,11 +474,6 @@ def characters(angles, ns) -> np.ndarray:
 # Moebius-weighted sums
 
 
-def _restricted_range(N: int, modulus: int, residue: int) -> range:
-    start = residue if residue >= 1 else modulus
-    return range(start, N + 1, modulus)
-
-
 def _check_N(table: MoebiusTable, N: int) -> None:
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
@@ -497,24 +493,29 @@ def at_nonzero(weights: np.ndarray, values_at: Callable) -> np.ndarray:
     return out
 
 
-def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
-    """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) e(phi(n)).
-
-    Each block evaluates phases only at its squarefree n (at_nonzero) and
-    leaves the mu(n) = 0 terms as zeros in place.
-    """
+def weighted_average(
+    table: MoebiusTable, N: int, modulus: int, residue: int, values_at: Callable
+) -> complex:
+    """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) f(n), where
+    values_at(ns) is f at an int64 array ns, pointwise; each block of the
+    progression evaluates it once, at its squarefree n only (at_nonzero)."""
     _check_N(table, N)
 
     def terms(r):
         mu = table.mu[r.start : r.stop : r.step]
         return at_nonzero(
-            mu,
-            lambda at: mu[at].astype(np.float64)
-            * phase_values(phase.coeffs, at * r.step + r.start),
+            mu, lambda at: mu[at].astype(np.float64) * values_at(at * r.step + r.start)
         )
 
-    idx = _restricted_range(N, phase.modulus, phase.residue)
+    idx = range(residue if residue >= 1 else modulus, N + 1, modulus)
     return complex(blocked_sums(idx, terms)[0]) / N
+
+
+def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
+    """weighted_average of e(phi(n)) over the phase's progression."""
+    return weighted_average(
+        table, N, phase.modulus, phase.residue, lambda ns: phase_values(phase.coeffs, ns)
+    )
 
 
 def mertens(table: MoebiusTable, N: int) -> int:

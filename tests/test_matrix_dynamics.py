@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import hermitian_contraction, unit_vector
+from ncflow import matrix_dynamics
 from ncflow.flows import average_series, rotation_flow
 from ncflow.linalg import (
     haar_unitary,
@@ -24,7 +26,7 @@ from ncflow.matrix_dynamics import (
     rank_one_flow,
     trace_product_sum,
 )
-from ncflow.moebius import build_table, characters, tree_sum
+from ncflow.moebius import _SUM_BLOCK, build_table, characters, tree_sum
 
 
 def random_contraction(rng, k):
@@ -337,17 +339,18 @@ def test_trace_product_refuses_paths_that_disagree(seed, d, coeff, gap, table_10
 
 
 def per_n_direct_sum(spec, table, N):
-    """The direct path as one matrix_power chain per squarefree n, summed by
-    tree_sum."""
+    """The direct path as one matrix_power chain per squarefree n of the
+    progression, with exact zeros at mu(n) = 0, summed by tree_sum."""
     parts = []
     for n in range(spec.residue or spec.modulus, N + 1, spec.modulus):
+        parts.append(0j)
         if table.mu[n]:
             m = np.eye(spec.k, dtype=np.complex128)
             for u, a, coeffs in zip(spec.unitaries, spec.contractions, spec.phase_polys):
                 phi = sum(c * n**i for i, c in enumerate(coeffs))
                 m = m @ np.linalg.matrix_power(u if phi >= 0 else u.conj().T, abs(phi))
                 m = m @ a
-            parts.append(int(table.mu[n]) * np.trace(m) / spec.k)
+            parts[-1] = int(table.mu[n]) * np.trace(m) / spec.k
     return complex(tree_sum(np.array(parts))) / N if parts else 0j
 
 
@@ -386,14 +389,16 @@ def test_trace_product_direct_path_negative_phase_and_congruence(table_10k):
 
 
 def test_trace_product_eigen_path_is_one_tree_sum():
-    # past 8192 squarefree n the eigen path streams its terms in chunks; the
-    # sum keeps the bits of tree_sum over the whole term array
+    # the eigen path streams its terms block by block over n = 1..N; the sum
+    # keeps the bits of tree_sum over the whole term array, with exact zeros
+    # at mu(n) = 0
     N = 20000
     table = build_table(N)
     spec = make_spec(np.random.default_rng(11), 4, 3)
     ns = np.arange(1, N + 1)
-    ns = ns[table.mu[ns] != 0]
-    assert ns.size > 8192
+    squarefree = table.mu[ns] != 0
+    ns = ns[squarefree]
+    assert N > 4 * _SUM_BLOCK
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
     d = spec.d
     a_tilde = [
@@ -404,9 +409,54 @@ def test_trace_product_eigen_path_is_one_tree_sum():
     for j in range(1, d):
         chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
     vals = np.einsum("naa->n", chain) / spec.k
-    want = complex(tree_sum(vals * table.mu[ns].astype(np.float64))) / N
+    terms = np.zeros(N, dtype=np.complex128)
+    terms[squarefree] = table.mu[ns].astype(np.float64) * vals
+    want = complex(tree_sum(terms)) / N
     got = trace_product_sum(spec, table, N).eigen_value
     assert got == want
+
+
+@pytest.mark.parametrize("q, residue", [(1, 0), (3, 1), (6, 5)])
+def test_trace_product_paths_evaluate_squarefree_n_block_by_block(
+    table_1m, monkeypatch, q, residue
+):
+    # with phi_j(n) = n the powers and the characters each path asks for are
+    # its n: every call must stay within one _SUM_BLOCK window of the
+    # progression, and each factor's calls must cover its squarefree n once
+    base = make_spec(np.random.default_rng(2), 3, 2)
+    spec = dataclasses.replace(base, phase_polys=((0, 1), (0, 1)), modulus=q, residue=residue)
+    calls = {"unitary_power": [], "characters": []}
+    for name, seen in calls.items():
+
+        def recording(x, ns, original=getattr(matrix_dynamics, name), seen=seen):
+            seen.append(np.array(ns))
+            return original(x, ns)
+
+        monkeypatch.setattr(matrix_dynamics, name, recording)
+    N = 3 * _SUM_BLOCK * q + 17
+    trace_product_sum(spec, table_1m, N)
+    cls = np.arange(residue if residue else q, N + 1, q)
+    for name, seen in calls.items():
+        windows = [np.unique((ns - cls[0]) // (q * _SUM_BLOCK)) for ns in seen]
+        assert all(w.size <= 1 for w in windows), (name, [w.tolist() for w in windows])
+        for j in range(spec.d):
+            got = np.concatenate(seen[j :: spec.d])
+            assert np.array_equal(got, cls[table_1m.mu[cls] != 0]), (name, j)
+
+
+def test_trace_product_memory_is_flat_in_n(table_1m):
+    # both paths hold one block's terms at a time, so no array grows with N
+    spec = make_spec(np.random.default_rng(3), 4, 2)
+    peaks = []
+    for N in (2 * 10**4, 4 * 10**5):
+        tracemalloc.start()
+        try:
+            trace_product_sum(spec, table_1m, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 2**19, peaks
 
 
 def test_trace_product_d1_matches_direct_sum(table_10k):
