@@ -63,8 +63,8 @@ from .moebius import (
     checked_checkpoints,
     exp_sum,
     load_or_build_table,
-    mertens,
     phase_values,
+    prefix_counts,
     squarefree_density,
 )
 
@@ -279,17 +279,19 @@ def _unit_vector(rng, dim: int) -> np.ndarray:
 
 def _run_sieve(cfg, table, workers):
     cps = _checkpoints(cfg, cfg.n_max)
+    ns = sorted({*cps, cfg.n_max})
+    counts = dict(zip(ns, prefix_counts(table, ns)))
     rows = []
     for n in cps:
-        m = mertens(table, n)
-        rows.append((n, m, m / n, squarefree_density(table, n)))
+        m, q = counts[n]
+        rows.append((n, m, m / n, q / n))
     header = ("N", "mertens", "mertens_over_N", "abs_mu_avg")
-    m_max = mertens(table, cfg.n_max)
+    m_max, q_max = counts[cfg.n_max]
     result = {
         "n_max": cfg.n_max,
         "mertens_at_n_max": m_max,
         "mertens_over_n_max": m_max / cfg.n_max,
-        "squarefree_density": squarefree_density(table, cfg.n_max),
+        "squarefree_density": q_max / cfg.n_max,
     }
     return header, rows, result
 

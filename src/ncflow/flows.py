@@ -21,6 +21,7 @@ from .moebius import MoebiusTable, characters, phase_values
 
 BSZ_PRIME_CAP = 200  # 46 primes, 1035 pair correlations: enough to screen the hypothesis
 BOUND_SLACK = 1e-9  # rounding lets computed values pass an exact declared bound by a few ulps
+BSZ_BOUND_SLACK = 1e-12  # a declared bound of 1 that was computed may read a few ulps above 1
 
 
 class FlowEvaluationError(RuntimeError):
@@ -153,7 +154,7 @@ def average_series(
 
     sums = moebius.blocked_sums(range(1, n_max + 1), terms, cps, workers=workers)
     values = [complex(s) / N for N, s in zip(cps, sums)]
-    counts = [moebius.squarefree_count(table, N) for N in cps]
+    counts = [q for _, q in moebius.prefix_counts(table, cps)]
     return AverageSeries(
         label=flow.label,
         declared_bound=flow.declared_bound,
@@ -330,7 +331,7 @@ def bsz_check(flow: Flow, table: MoebiusTable, epsilon: float, M: int, N: int) -
     """
     if M < 1 or N < 1 or N > table.n_max:
         raise ValueError("need M >= 1 and 1 <= N <= table.n_max")
-    if flow.declared_bound > 1.0 + 1e-12:
+    if flow.declared_bound > 1.0 + BSZ_BOUND_SLACK:
         raise ValueError("bsz_check requires |f| <= 1 (declared_bound <= 1)")
     cap = bsz_prime_cap(epsilon, M, table.n_max)
     primes = [int(p) for p in moebius.primes_upto(cap)]

@@ -47,6 +47,10 @@ from .moebius import MoebiusTable, characters
 TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
 QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
 WALK_GRID = moebius._SUM_BLOCK // 4  # ad_flow's anchors: a block's 4 tiles walk in lockstep
+CONTRACTION_SLACK = 1e-10  # op_norm (an SVD) of an A_j scaled to norm 1 may pass 1 by ulps
+DOMINATES_SLACK = 1e-12  # |s_N| and the bound are rounded: they may cross by ulps where they meet
+T_NORM_SLACK = 1e-9  # likewise op_norm of a T scaled to norm 1 may pass 1 by ulps
+QUANTIZE_GAP_SLACK = 1e-9  # s_N and s_N(V) are rounded sums: their gap carries rounding
 
 
 def _sandwich_coefficients(projections, a, rho) -> np.ndarray:
@@ -158,7 +162,7 @@ class TraceProductSpec:
         if any(m.shape != (k, k) for m in us + cs):
             raise ValueError("all matrices must share one dimension k")
         for a in cs:
-            if op_norm(a) > 1.0 + 1e-10:
+            if op_norm(a) > 1.0 + CONTRACTION_SLACK:
                 raise ValueError("contractions must have operator norm <= 1")
         polys = []
         for coeffs in self.phase_polys:
@@ -374,7 +378,7 @@ class FiniteAverageBound:
 
     @property
     def dominates(self) -> bool:
-        return abs(self.s_n) <= self.bound + 1e-12
+        return abs(self.s_n) <= self.bound + DOMINATES_SLACK
 
 
 def finite_vn_average_bound(
@@ -394,7 +398,7 @@ def finite_vn_average_bound(
     u = check_unitary(u)
     t = check_square(t)
     a = check_square(a)
-    if op_norm(t) > 1.0 + 1e-9:
+    if op_norm(t) > 1.0 + T_NORM_SLACK:
         raise ValueError("finite_vn_average_bound requires ||T|| <= 1")
     if N > quantized.horizon:
         raise ValueError(
@@ -417,7 +421,7 @@ def finite_vn_average_bound(
     eps_term = 2.0 * quantized.epsilon * op_norm(t)
     max_exp = float(np.max(np.abs(s_mat)))
     exp_term = max_exp * hs_norm(t) * hs_norm(aa) / denom
-    if abs(s_n - s_v) > eps_term + 1e-9:
+    if abs(s_n - s_v) > eps_term + QUANTIZE_GAP_SLACK:
         raise ArithmeticError(
             f"quantization gap |s_N - s_N(V)| = {abs(s_n - s_v):.3e} exceeds "
             f"2 eps ||T|| = {eps_term:.3e}"

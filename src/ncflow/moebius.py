@@ -6,8 +6,15 @@ Sieve
 that uses only the primes up to ``sqrt(n_max)``.  Each segment of
 ``_SIEVE_SEGMENT`` integers multiplies the small prime factors of n into a
 signed cofactor; the one prime factor above ``sqrt(n_max)`` that n can have
-shows up as the cofactor falling short of n.  Memory is the ``n_max + 1``
-byte table plus one segment's int32 scratch arrays.
+shows up as the cofactor falling short of n.  A segment starts from a copy of
+a pre-sieved wheel: the cofactor pattern of the primes up to 7 (squares
+included), one period of 2^2 3^2 5^2 7^2 = 44100 entries, built per call.
+The sign flip for the large prime is arithmetic, sign(cofactor) times
+1 - 2 [|cofactor| != n] in int8, with no masked ufunc.  Memory is the
+``n_max + 1`` byte table plus two int32 and one int8 array of one segment and
+the pattern: 9 bytes per segment entry and 172 KiB, inside the
+12 ``_SIEVE_SEGMENT`` bytes the tests hold it to.  ``prefix_counts`` reads
+M(N) and Q(N), the squarefree count, at many N in one pass over the table.
 
 Summation contract
 ------------------
@@ -65,6 +72,7 @@ N_MAX_CAP = 10**8
 _SUM_BLOCK = 4096
 _PHASE_TILE = 8192  # phase kernel tile: 64 KiB per uint64 or float64 temporary
 _SIEVE_SEGMENT = 1 << 19
+_WHEEL_PRIME_MAX = 7  # 2, 3, 5, 7: a cofactor pattern of period 44100, 172 KiB of int32
 
 _CACHE_MAGIC = b"NCF2"
 _CACHE_HEADER = struct.Struct("<4sQI")  # magic, n_max, crc32 of the payload
@@ -119,30 +127,54 @@ def build_table(n_max: int) -> MoebiusTable:
 
     Each segment of _SIEVE_SEGMENT integers keeps an int32 cofactor array
     that every small prime p dividing n multiplies by -p, and that is zeroed
-    on multiples of p^2.  Its sign is then mu of the small-prime part of n,
-    and where its absolute value falls short of n the remaining cofactor is
-    exactly one prime above sqrt(n_max), which flips the sign once more.
-    Memory is the n_max + 1 byte table plus one segment.
+    on multiples of p^2.  The small primes up to _WHEEL_PRIME_MAX are applied
+    once, to a pattern of one period prod p^2 indexed by n mod the period,
+    which each segment copies in; the other small primes are sieved per
+    segment.  The cofactor's sign is then mu of the small-prime
+    part of n, and where its absolute value falls short of n the remaining
+    cofactor is exactly one prime above sqrt(n_max), which flips the sign
+    once more: mu = sign(cofactor) (1 - 2 [|cofactor| != n]) in int8, with n
+    from one int32 array that advances a segment per step.  Scratch is the
+    cofactor and n arrays, one int8 segment and the pattern, so memory is the
+    n_max + 1 byte table plus 9 bytes per segment entry and 172 KiB.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > N_MAX_CAP:
         raise ValueError(f"n_max = {n_max} exceeds hard cap {N_MAX_CAP}")
     small = primes_upto(math.isqrt(n_max)).tolist()
+    wheel = [p for p in small if p <= _WHEEL_PRIME_MAX]
+    # the cofactor pattern of the wheel primes, indexed by n mod its period
+    period = math.prod(p * p for p in wheel)
+    pattern = np.ones(period, dtype=np.int32)
+    for p in wheel:
+        pattern[::p] *= -p
+        pattern[:: p * p] = 0
     mu = np.zeros(n_max + 1, dtype=np.int8)
+    size = min(_SIEVE_SEGMENT, n_max)
     # |cofactor| divides n <= N_MAX_CAP < 2^31, so int32 cannot overflow.
-    cofactor = np.empty(min(_SIEVE_SEGMENT, n_max), dtype=np.int32)
+    cofactor = np.empty(size, dtype=np.int32)
+    ns = np.arange(1, size + 1, dtype=np.int32)  # n over the segment
+    flip = np.empty(size, dtype=np.int8)
     for lo in range(1, n_max + 1, _SIEVE_SEGMENT):
         hi = min(lo + _SIEVE_SEGMENT, n_max + 1)
-        seg = mu[lo:hi]
-        cof = cofactor[: hi - lo]
-        cof.fill(1)
-        for p in small:
+        seg, cof, f = mu[lo:hi], cofactor[: hi - lo], flip[: hi - lo]
+        at, start = 0, lo % period
+        while at < cof.size:
+            part = pattern[start : start + cof.size - at]
+            cof[at : at + part.size] = part
+            at, start = at + part.size, 0
+        for p in small[len(wheel) :]:
             cof[-lo % p :: p] *= -p
             cof[-lo % (p * p) :: p * p] = 0
         np.sign(cof, out=seg, casting="unsafe")
         np.abs(cof, out=cof)
-        np.negative(seg, out=seg, where=cof != np.arange(lo, hi, dtype=np.int32))
+        # mu = sign(cofactor) * (1 - 2 [|cofactor| != n]), all in int8
+        np.not_equal(cof, ns[: hi - lo], out=f.view(bool))
+        np.multiply(f, -2, out=f)
+        np.add(f, 1, out=f)
+        np.multiply(seg, f, out=seg)
+        ns += _SIEVE_SEGMENT
     return MoebiusTable(n_max=n_max, mu=mu)
 
 
@@ -524,10 +556,25 @@ def mertens(table: MoebiusTable, N: int) -> int:
     return int(np.add.reduce(table.mu[1 : N + 1], dtype=np.int64))
 
 
+def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
+    """[(M(N), Q(N))] at ascending checkpoints, exact: the Mertens sum and
+    the squarefree count sum_{n<=N} |mu(n)|.  One pass: each stretch of the
+    table between two checkpoints is summed and counted once, in integers,
+    and added to the running totals, so nothing is recounted from n = 1."""
+    out, m, q, lo = [], 0, 0, 1
+    for N in checked_checkpoints(table.n_max, checkpoints):
+        part = table.mu[lo : N + 1]
+        m += int(np.add.reduce(part, dtype=np.int64))
+        q += int(np.count_nonzero(part))
+        out.append((m, q))
+        lo = N + 1
+    return out
+
+
 def mertens_series(table: MoebiusTable, checkpoints: Iterable[int]):
     """[(N, M(N)/N)] at the given checkpoints; integer arithmetic before the division."""
     cps = checked_checkpoints(table.n_max, checkpoints)
-    return [(N, mertens(table, N) / N) for N in cps]
+    return [(N, m / N) for N, (m, _) in zip(cps, prefix_counts(table, cps))]
 
 
 def squarefree_density(table: MoebiusTable, N: int) -> float:

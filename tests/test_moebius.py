@@ -30,6 +30,7 @@ from ncflow.moebius import (
     mertens_series,
     phase_values,
     poly_phase_frac,
+    prefix_counts,
     save_table,
     squarefree_count,
     squarefree_density,
@@ -86,6 +87,57 @@ def test_sieve_with_short_segments_matches_trial_division(monkeypatch):
         assert mu[1:].tolist() == [mu_trial(n) for n in range(1, n_max + 1)], n_max
 
 
+def _mu_by_every_prime(n_max: int) -> np.ndarray:
+    """mu(0..n_max) from every prime up to n_max, unsegmented and with no
+    cofactor: an oracle that shares neither the wheel nor the sign flip."""
+    mu = np.ones(n_max + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in moebius.primes_upto(n_max).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    return mu
+
+
+def _assert_near_edges_matches_trial_division(mu, edges, reach=50):
+    n_max = len(mu) - 1
+    for b in edges:
+        for n in range(max(1, b - reach), min(n_max, b + reach) + 1):
+            assert int(mu[n]) == mu_trial(n), n
+
+
+_WHEEL_PERIOD = 2**2 * 3**2 * 5**2 * 7**2  # the pre-sieved pattern of 2, 3, 5, 7
+
+
+_EDGE_N_MAX = [
+    k * edge + d
+    for edge in (_WHEEL_PERIOD, moebius._SIEVE_SEGMENT)
+    for k in (1, 2, 3)
+    for d in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("n_max", _EDGE_N_MAX)
+def test_sieve_near_wheel_and_segment_edges_matches_trial_division(n_max):
+    mu = build_table(n_max).mu
+    seg = moebius._SIEVE_SEGMENT
+    edges = [*range(_WHEEL_PERIOD, n_max + 2, _WHEEL_PERIOD), *range(seg, n_max + 2, seg), n_max]
+    _assert_near_edges_matches_trial_division(mu, edges)
+    for n in np.random.default_rng(n_max).integers(1, n_max + 1, size=200).tolist():
+        assert int(mu[n]) == mu_trial(n), n
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_max=st.integers(1, 3 * 10**5), segment=st.integers(50, 50_000))
+def test_sieve_with_drawn_segments_matches_every_prime_oracle(n_max, segment):
+    # segments shorter and longer than the 44100 wheel period put their
+    # edges inside and across it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moebius, "_SIEVE_SEGMENT", segment)
+        mu = build_table(n_max).mu
+    assert np.array_equal(mu, _mu_by_every_prime(n_max))
+    _assert_near_edges_matches_trial_division(mu, [segment + 1, n_max], reach=3)
+
+
 def test_sieve_memory_is_the_table_plus_one_segment():
     n_max = 8 * 10**6
     tracemalloc.start()
@@ -126,9 +178,25 @@ def test_mertens_values(table_1m):
     assert mertens(table_1m, 1) == 1
     assert mertens(table_1m, 10) == -1
     assert mertens(table_1m, 10**6) == 212
-    series = mertens_series(table_1m, [10, 100, 10**6])
-    assert series[0] == (10, -0.1)
-    assert series[-1] == (10**6, 212 / 10**6)
+    counts = prefix_counts(table_1m, [10, 100, 10**6])
+    assert counts[0] == (-1, 7)
+    assert counts[-1] == (212, 607926)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inner=st.sets(st.integers(2, 10**4 - 1), max_size=30))
+def test_prefix_counts_are_mertens_and_squarefree_count(table_10k, inner):
+    cps = [1, *sorted(inner), table_10k.n_max]
+    counts = prefix_counts(table_10k, cps)
+    assert counts == [(mertens(table_10k, N), squarefree_count(table_10k, N)) for N in cps]
+    assert all(type(v) is int for pair in counts for v in pair)
+    assert mertens_series(table_10k, cps) == [(N, m / N) for N, (m, _) in zip(cps, counts)]
+
+
+def test_prefix_counts_refuses_bad_checkpoints(table_10k):
+    for cps in ([], [5, 5], [7, 3], [0, 3], [10**4 + 1]):
+        with pytest.raises(ValueError):
+            prefix_counts(table_10k, cps)
 
 
 def test_squarefree_counts(table_1m):
