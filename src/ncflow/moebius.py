@@ -564,7 +564,8 @@ def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
     out, m, q, lo = [], 0, 0, 1
     for N in checked_checkpoints(table.n_max, checkpoints):
         part = table.mu[lo : N + 1]
-        m += int(np.add.reduce(part, dtype=np.int64))
+        # a sum of at most N_MAX_CAP < 2^31 values in {-1, 0, 1} fits int32
+        m += int(np.add.reduce(part, dtype=np.int32))
         q += int(np.count_nonzero(part))
         out.append((m, q))
         lo = N + 1
