@@ -106,8 +106,6 @@ def _assert_near_edges_matches_trial_division(mu, edges, reach=50):
 
 
 _WHEEL_PERIOD = 2**2 * 3**2 * 5**2 * 7**2  # the pre-sieved pattern of 2, 3, 5, 7
-
-
 _EDGE_N_MAX = [
     k * edge + d
     for edge in (_WHEEL_PERIOD, moebius._SIEVE_SEGMENT)
