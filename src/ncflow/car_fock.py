@@ -28,8 +28,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .flows import BOUND_SLACK, Flow
-from .linalg import check_square, check_unitary, inner, unitary_power
-from .moebius import MoebiusTable, characters
+from .linalg import check_square, inner
+from .moebius import MoebiusTable, by_row_tiles, characters
 
 _SYMBOL_ATOL = 1e-10
 MAX_MODES = 12  # the dense Fock oracle holds 2^d x 2^d matrices: 256 MiB each at d = 12
@@ -443,13 +443,6 @@ def quasifree_density_matrix(t, space: FockSpace) -> np.ndarray:
     return (g * weights) @ g.conj().T
 
 
-def bogoliubov_apply(u, p: CARPolynomial, n: int) -> CARPolynomial:
-    """Induced automorphism a(f) -> a(U^n f) applied to every factor."""
-    u = check_unitary(u)
-    w = unitary_power(u, n)
-    return p.map_vectors(lambda v: w @ v)
-
-
 # ---------------------------------------------------------------------------
 # truncated shift flows
 
@@ -509,7 +502,9 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol) -> Flow:
     determinant is a Laplace expansion over column subsets, within
     (m - 1)(sqrt(5) + m / 2) 2^-53 per|G| of the determinant of the computed
     entries (_subset_dets).  The cost per n is O(E d) for E Gram entries in
-    all plus O(m 2^m) per term of size m (never 2^d).
+    all plus O(m 2^m) per term of size m (never 2^d); the n go through
+    moebius.by_row_tiles, so the characters and _gram_dets' O(n E d)
+    temporaries are held for at most _ROW_TILE n at a time.
     """
     theta = np.asarray(angles, dtype=np.float64)
     if theta.ndim != 1 or theta.size == 0:
@@ -528,7 +523,7 @@ def pure_point_flow(angles, observable: CARPolynomial, symbol) -> Flow:
 
     dets = _gram_dets(t, terms)
     return Flow(
-        values_at=lambda ns: dets(characters(theta, ns)),
+        values_at=lambda ns: by_row_tiles(lambda part: dets(characters(theta, part)), ns),
         declared_bound=bound + BOUND_SLACK,
         label=f"pure_point_flow(d={d})",
     )

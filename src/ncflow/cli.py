@@ -319,9 +319,9 @@ def _run_matrix_flow(cfg, table, workers):
     return _fitted_series(cfg, table, workers, ad_flow(u, a, rho), dim=dim)
 
 
-# trace_product_sum streams n block by block, so its memory stays flat in n_max,
-# but its time does not: one product (k = 4, d = 2) took 7.6-8.5 s and peaked
-# at 44.5 MiB at n_max 10^6 on 2 cores, about 14 minutes at the 10^8 cap
+# trace_product_sum streams n run by run, so its memory stays flat in n_max,
+# but its time does not: one product (k = 4, d = 2) took 8.6-9.0 s and peaked
+# at 41.9 MiB at n_max 10^6 on 2 cores, about 15 minutes at the 10^8 cap
 TRACE_PRODUCT_N_MAX = 10**6
 
 

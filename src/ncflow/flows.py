@@ -6,8 +6,8 @@ sup bound, evaluated only through one checked call; its value at n depends
 on n alone, bit for bit.  spectral_flow builds a finite-dimensional flow as
 a quadratic form in the eigenphase characters e(theta_j n).  average_series
 walks n = 1..max(checkpoints) once through moebius.blocked_sums, with the
-checkpoints as stops, and evaluates each block at its squarefree n only, so
-the result is independent of how blocks are assigned to workers.
+checkpoints as stops, and evaluates each run of blocks at its squarefree n
+only, so the result is independent of how blocks are assigned to workers.
 """
 
 import math
@@ -77,6 +77,10 @@ class Flow:
                 f"flow {self.label!r} returned {vals.shape} values for {asked.size} indices"
             )
         vals = vals[: ns.size].reshape(ns.shape)
+        # one pass: a NaN fails the comparison too, and only then are the
+        # non-finite and over-bound values told apart
+        if np.all(np.abs(vals) <= self.declared_bound + BOUND_SLACK):
+            return vals
         finite = np.isfinite(vals)  # complex: both parts finite
         if not finite.all():
             raise FlowEvaluationError(
@@ -84,12 +88,10 @@ class Flow:
                 f"n = {ns[np.argmin(finite)]}"
             )
         over = np.abs(vals) > self.declared_bound + BOUND_SLACK
-        if over.any():
-            raise FlowEvaluationError(
-                f"flow {self.label!r} exceeded its declared bound "
-                f"{self.declared_bound:g} at n = {ns[np.argmax(over)]}"
-            )
-        return vals
+        raise FlowEvaluationError(
+            f"flow {self.label!r} exceeded its declared bound "
+            f"{self.declared_bound:g} at n = {ns[np.argmax(over)]}"
+        )
 
     def values(self, lo: int, hi: int, where: Optional[np.ndarray] = None) -> np.ndarray:
         """Values for n in (lo, hi].  With where, an array of hi - lo weights,
@@ -137,9 +139,10 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    Each block of moebius.blocked_sums is evaluated through flow.values at
-    its squarefree n only, with exact zeros at the others, so a given call
-    signature yields bit-identical results for any worker count.
+    Each run of blocks of moebius.blocked_sums is evaluated through
+    flow.values at its squarefree n only, with exact zeros at the others, so
+    a given call signature yields bit-identical results for any worker
+    count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]
@@ -150,7 +153,8 @@ def average_series(
         )
     def terms(r):
         mu = table.mu[r.start : r.stop]
-        return flow.values(r.start - 1, r.stop - 1, where=mu) * mu
+        vals = flow.values(r.start - 1, r.stop - 1, where=mu)
+        return np.multiply(vals, mu, out=vals)
 
     sums = moebius.blocked_sums(range(1, n_max + 1), terms, cps, workers=workers)
     values = [complex(s) / N for N, s in zip(cps, sums)]
@@ -207,7 +211,8 @@ def spectral_flow(angles, coeffs, *, declared_bound: float, label: str) -> Flow:
     unitary (angles in turns, C a k x k matrix).  The characters come from
     moebius.characters, each phase theta_j n reduced exactly mod 1, so the
     value at n carries no error accumulated over earlier n and costs O(k^2)
-    per point.
+    per point.  The rows go through moebius.by_row_tiles, so a call holds
+    O(k) temporaries for at most _ROW_TILE n at a time.
     """
     angles = np.asarray(angles, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -217,11 +222,15 @@ def spectral_flow(angles, coeffs, *, declared_bound: float, label: str) -> Flow:
             f"and {coeffs.shape}"
         )
 
-    def values_at(ns):
+    def form(ns):
         z = characters(angles, ns)
         return ((z @ coeffs) * np.conj(z)).sum(axis=1)
 
-    return Flow(values_at=values_at, declared_bound=declared_bound, label=label)
+    return Flow(
+        values_at=lambda ns: moebius.by_row_tiles(form, ns),
+        declared_bound=declared_bound,
+        label=label,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .flows import Flow, constant_flow
 from .moebius import MoebiusTable
 
 NC_ORDER_CAP = 14  # bounds nc_partitions and the transforms, whose order can come from the CLI
@@ -147,16 +146,6 @@ class GroupElementSum:
 
 def _conj(c):
     return c.conjugate() if isinstance(c, complex) else c
-
-
-def free_shift_flow(w: ReducedWord, state_word: ReducedWord) -> Flow:
-    """Flow n -> tau(v^-1 alpha^n(w) v) for the index shift alpha and v = state_word.
-
-    The shift is an injective homomorphism, so v^-1 alpha^n(w) v is the
-    identity exactly when w is: the flow is the constant [w = e] for every n
-    and every v.
-    """
-    return constant_flow(1.0 if w.is_identity else 0.0, label="free_shift_flow")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ Haar sampling.
 
 Matrices are plain 2-D complex128 ndarrays, validated at API boundaries.
 Inner products are linear in the first argument: inner(x, y) = sum x_i conj(y_i).
-Tensor products follow np.kron index order ((i1, i2) row-major).
 Eigenphases of unitaries are reported in turns, i.e. angles in [0, 1) with
 eigenvalue e(theta) = exp(2 pi i theta).  schur_unitary is the package's one
 spectral decomposition, in numpy alone: np.linalg.eig, the unitary polar
@@ -92,19 +91,6 @@ def hs_norm(a) -> float:
     """Tracial 2-norm sqrt(tr_k(A*A)) (normalized trace)."""
     a = check_square(a)
     return float(np.linalg.norm(a)) / math.sqrt(a.shape[0])
-
-
-def tensor(a, b) -> np.ndarray:
-    return np.kron(check_matrix(a), check_matrix(b))
-
-
-def direct_sum(a, b) -> np.ndarray:
-    a, b = check_matrix(a), check_matrix(b)
-    (r, c), (s, t) = a.shape, b.shape
-    out = np.zeros((r + s, c + t), dtype=np.complex128)
-    out[:r, :c] = a
-    out[r:, c:] = b
-    return out
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -13,10 +13,11 @@ alone; the seed-0 matrix-flow reference in perfbench pins its decay-fit
 constant to a walk's rounding, which a spectral evaluation would move past
 the reference tolerance.  A call walks up to four tiles in lockstep and
 takes the trace tr(rho W A W*) over the stack of walked W it needs, as
-sum_ab (rho W)_ab (conj(W) A^T)_ab, in three numpy calls.  Exact powers
-come in batches from unitary_power, here and in the trace-product direct
-path, and both trace-product paths are pointwise traces in n that
-moebius.weighted_average evaluates per block at squarefree n.
+sum_ab (rho W)_ab (conj(W) A^T)_ab, in three numpy calls per _ROW_TILE of
+W.  Exact powers come in batches from unitary_power, here and in the
+trace-product direct path, and both trace-product paths are pointwise
+traces in n that moebius.weighted_average evaluates per run of blocks at
+squarefree n, _ROW_TILE n per call.
 quantize_unitary rounds the eigenphase of each eigenvector column to its
 grid; columns that land on the same grid point stay separate rank-one
 projections, and the bound chain sums exponential sums against coefficients
@@ -76,19 +77,27 @@ def ad_flow(u, a, rho) -> Flow:
     to first order.
 
     A call groups its distinct n by anchor, takes up to _SUM_BLOCK / L
-    anchors from one unitary_power call and walks those tiles in lockstep,
-    one stacked product per step up to the largest step asked for, so it
-    holds at most _SUM_BLOCK walked matrices.  The trace is fused over the
-    contiguous stack of the W asked for: tr(rho W A W*) is the sum over a, b
-    of (rho W)_ab (conj(W) A^T)_ab, one stacked product conj(W) A^T, one
-    stacked rho W and one row-wise contraction.  An isolated n costs up to
-    L - 1 steps of its tile; the Moebius averages ask for the squarefree n
-    of whole blocks, whose tiles are walked anyway.
+    anchors at a time from one unitary_power call and walks those tiles in
+    lockstep, one stacked product per step up to the largest step asked
+    for, so it holds at most _SUM_BLOCK walked matrices; one group's walk
+    and walked stack are freed before the next group's walk, so the peak
+    does not grow with the groups of a call.  The trace is fused over the
+    contiguous stack of the W asked for, _ROW_TILE at a time: tr(rho W A W*)
+    is the sum over a, b of (rho W)_ab (conj(W) A^T)_ab, one stacked product
+    conj(W) A^T, one stacked rho W and one row-wise contraction.  An
+    isolated n costs up to L - 1 steps of its tile; the Moebius averages ask
+    for the squarefree n of runs of whole blocks, whose tiles are walked
+    anyway.
     """
     u = check_unitary(u)
     a = check_matrix(a)
     rho = check_density(rho)
     per_call = moebius._SUM_BLOCK // WALK_GRID
+
+    def trace(ws):
+        # conj(W) A^T before rho W: the smaller peak of the two orders
+        y = np.conj(ws) @ a.T
+        return np.einsum("nab,nab->n", rho @ ws, y)
 
     def values_at(ns):
         todo, back = np.unique(ns, return_inverse=True)
@@ -106,10 +115,8 @@ def ad_flow(u, a, rho) -> Flow:
                 np.matmul(u, walk[i - 1], out=walk[i])
             ws = walk[steps[lo:hi], tiles[lo:hi] - c * per_call]
             del walk  # before the trace's temporaries: the lower peak
-            # conj(W) A^T before rho W: the smaller peak of the two orders
-            y = np.conj(ws) @ a.T
-            x = rho @ ws
-            vals[lo:hi] = np.einsum("nab,nab->n", x, y)
+            vals[lo:hi] = moebius.by_row_tiles(trace, ws)
+            del ws  # before the next group's walk: one group's peak per call
         return vals[back].reshape(ns.shape)
 
     return Flow(
@@ -202,10 +209,11 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
     """Moebius-weighted trace product average, certified by two paths.
 
     Each path is a pointwise trace n -> tr_k(prod_j U_j^{phi_j(n)} A_j) that
-    moebius.weighted_average evaluates block by block at squarefree n, so
-    memory does not grow with N.  The direct path multiplies batched binary
-    powers of each U_j; the eigen path multiplies scalar phase products into
-    contractions transformed once by each U_j's eigenvectors.  The two values
+    moebius.weighted_average evaluates run by run at squarefree n, _ROW_TILE
+    n per call (moebius.by_row_tiles), so memory does not grow with N.  The
+    direct path multiplies batched binary powers of each U_j; the eigen path
+    multiplies scalar phase products into contractions transformed once by
+    each U_j's eigenvectors.  The two values
     must agree to TRACE_AGREE_TOL or an ArithmeticError is raised: this
     cross-check certifies the result.  Both paths take phi_j(n) in int64, so
     every phase polynomial must have sum_i |c_i| N^i < 2^63, or a ValueError
@@ -226,8 +234,13 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
             m = m @ unitary_power(u, phi) @ a
         return np.trace(m, axis1=1, axis2=2) / spec.k
 
-    direct = moebius.weighted_average(table, N, spec.modulus, spec.residue, direct_trace)
-    eigen = moebius.weighted_average(table, N, spec.modulus, spec.residue, _eigen_trace(spec))
+    def average(trace):
+        return moebius.weighted_average(
+            table, N, spec.modulus, spec.residue, lambda ns: moebius.by_row_tiles(trace, ns)
+        )
+
+    direct = average(direct_trace)
+    eigen = average(_eigen_trace(spec))
     gap = abs(direct - eigen)
     if not gap <= TRACE_AGREE_TOL:  # a NaN gap fails too
         raise ArithmeticError(

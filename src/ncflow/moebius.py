@@ -24,11 +24,17 @@ Every Moebius average has one layout: ``flows.average_series`` and
 numpy's pairwise reduction in blocks of at most ``_SUM_BLOCK`` consecutive
 indices, also cut at each stop, then a balanced binary fold of the block
 sums up to each stop.  The layout depends only on the index range and the
-stops, never on the worker count; terms are evaluated one block at a time,
-so memory does not grow with N.  Terms with mu(n) = 0 are exact zeros in
-place that no sum evaluates (about 39% of n; ``at_nonzero``); numpy's
-add.reduce of a block starts from +0, so a zero of either sign leaves every
-block sum's bits unchanged.
+stops, never on the worker count.  Terms are evaluated once per run of
+whole consecutive blocks inside one ``_SUM_RUN`` window of indices (four
+blocks), never across a worker's share, and each block's sum is taken on
+its slice of the run's terms; a pointwise term gives the same bits in a run
+as in a block of its own, so the sums keep the block layout's bits, and
+memory does not grow with N.  Evaluators whose per-n work is a matrix row
+take their n ``_ROW_TILE`` at a time (``by_row_tiles``), so a run holds no
+more of their scratch than one block did.  Terms with mu(n) = 0 are exact
+zeros in place that no sum evaluates (about 39% of n; ``at_nonzero``);
+numpy's add.reduce of a block starts from +0, so a zero of either sign
+leaves every block sum's bits unchanged.
 
 Phase evaluation
 ----------------
@@ -56,6 +62,7 @@ the phase bounds against an exact rational oracle and the values against
 """
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -70,7 +77,9 @@ import numpy as np
 N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
+_SUM_RUN = 4 * _SUM_BLOCK  # terms evaluated per call: whole blocks in one window
 _PHASE_TILE = 8192  # phase kernel tile: 64 KiB per uint64 or float64 temporary
+_ROW_TILE = _SUM_BLOCK // 4  # rows per matrix-row evaluator call: under half a block's squarefree n
 _SIEVE_SEGMENT = 1 << 19
 _WHEEL_PRIME_MAX = 7  # 2, 3, 5, 7: a cofactor pattern of period 44100, 172 KiB of int32
 
@@ -197,11 +206,14 @@ def blocked_sums(
 ) -> list:
     """Blocked pairwise sums of terms over idx, up to each stop and to the end.
 
-    The positions of idx are cut into consecutive _SUM_BLOCK runs and at each
-    stop (a count of leading positions).  terms(r) maps each block, a
-    sub-range r of idx, to a 1-D contiguous array.  Returns fold_pairwise of
-    the block sums up to each stop and then up to len(idx), 0j for none.
-    With workers > 1 each thread sums one contiguous run of blocks.
+    The positions of idx are cut into consecutive blocks of _SUM_BLOCK and
+    at each stop (a count of leading positions).  terms(r) maps a sub-range r of idx
+    to a 1-D array of its terms; it is called once per run of whole
+    consecutive blocks inside one _SUM_RUN window of positions, and each
+    block's sum is np.add.reduce of its slice of that array.  Returns
+    fold_pairwise of the block sums up to each stop and then up to len(idx),
+    0j for none.  With workers > 1 each thread sums one contiguous run of
+    blocks, and no terms call crosses from one thread's blocks to another's.
     """
     size = len(idx)
     if any(not 0 <= s <= size for s in stops):
@@ -210,7 +222,15 @@ def blocked_sums(
     blocks = list(zip(edges, edges[1:]))
 
     def run(part):
-        return [np.add.reduce(terms(idx[lo:hi])) for lo, hi in part]
+        sums = []
+        # a multiple of _SUM_RUN is a block edge, so no block straddles a window
+        for _, group in itertools.groupby(part, key=lambda b: b[0] // _SUM_RUN):
+            group = list(group)
+            start = group[0][0]
+            vals = terms(idx[start : group[-1][1]])
+            sums += [np.add.reduce(vals[lo - start : hi - start]) for lo, hi in group]
+            del vals  # before the next run's terms: one run's peak
+        return sums
 
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers > 1:
@@ -279,7 +299,7 @@ def _split(coeffs):
     computed in Python ints from c.as_integer_ratio(), so lo is exact.  The
     lo come back as None when all of them are zero (the 2^-64 grid).  Both
     arrays are read-only and cached by the coefficient tuple, so a series
-    that evaluates one phase block by block splits it once.
+    that evaluates one phase run by run splits it once.
     """
     return _split_tuple(tuple(np.asarray(coeffs, dtype=np.float64).ravel().tolist()))
 
@@ -513,24 +533,49 @@ def _check_N(table: MoebiusTable, N: int) -> None:
 
 def at_nonzero(weights: np.ndarray, values_at: Callable) -> np.ndarray:
     """A complex array shaped like weights: values_at(at) at the positions
-    at = np.flatnonzero(weights), exact zeros elsewhere.
+    at of the nonzero weights, exact zeros elsewhere.
 
-    With the Moebius values of a block as weights, its terms are evaluated
-    only at the squarefree n, and np.add.reduce sees the same nonzero terms
-    at the same positions as for the full term array.
+    With the Moebius values of a run of blocks as weights, its terms are
+    evaluated only at the squarefree n, and np.add.reduce of each block's
+    slice sees the same nonzero terms at the same positions as for the full
+    term array.  The positions come from the bool mask weights != 0, which
+    np.flatnonzero reads faster than the int8 weights themselves.
     """
-    at = np.flatnonzero(weights)
-    out = np.zeros(weights.shape, dtype=np.complex128)
-    out[at] = values_at(at)
+    at = np.flatnonzero(weights != 0)
+    vals = values_at(at)
+    out = np.zeros(weights.shape, dtype=np.complex128)  # after values_at: a lower peak
+    out[at] = vals
     return out
+
+
+def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
+    """values_at(rows) as one complex array, for a values_at that maps an
+    array to one value per entry along its first axis, evaluated
+    _ROW_TILE entries at a time.  An evaluator whose per-entry work is a
+    matrix row so holds the scratch of at most one tile, however long the
+    run of blocks that asks.  A last tile of one entry joins the tile
+    before, because numpy takes a one-row matrix product through gemv or
+    dot, which round otherwise than gemm.
+    """
+    out = np.empty(len(rows), dtype=np.complex128)
+    start = 0
+    while True:
+        stop = start + _ROW_TILE
+        if len(rows) - stop < 2:
+            stop = len(rows)
+        out[start:stop] = values_at(rows[start:stop])
+        if stop == len(rows):
+            return out
+        start = stop
 
 
 def weighted_average(
     table: MoebiusTable, N: int, modulus: int, residue: int, values_at: Callable
 ) -> complex:
     """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) f(n), where
-    values_at(ns) is f at an int64 array ns, pointwise; each block of the
-    progression evaluates it once, at its squarefree n only (at_nonzero)."""
+    values_at(ns) is f at an int64 array ns, pointwise; each run of blocks
+    of the progression evaluates it once, at its squarefree n only
+    (at_nonzero)."""
     _check_N(table, N)
 
     def terms(r):

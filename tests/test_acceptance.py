@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import hermitian_contraction, symbol_contraction, unit_vector
+from conftest import hermitian_contraction, symbol_contraction, unit_vector, word_shift_flow
 from ncflow.car_fock import (
     annihilation,
     constant,
@@ -42,11 +42,10 @@ from ncflow.free_words import (
     catalan,
     cumulants_to_moments,
     free_clt_moments,
-    free_shift_flow,
     moments_to_cumulants,
     nc_partitions,
 )
-from ncflow.linalg import haar_unitary, op_norm, random_density, tensor, unitary_power
+from ncflow.linalg import haar_unitary, op_norm, random_density, unitary_power
 from ncflow.matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
@@ -270,7 +269,7 @@ def test_08_rank_one_tensor_identity():
         w = np.eye(4, dtype=complex)
         for n in range(1, 101):
             w = u @ w
-            big = tensor(w, w.conj().T)
+            big = np.kron(w, w.conj().T)
             rhs = complex(np.vdot(np.kron(xi, eta), big @ np.kron(eta, xi)))
             worst = max(worst, abs(fl.at([n])[0] - rhs))
     report(8, "matrix coefficients as tensor products", residual_below_1e_12=worst < 1e-12)
@@ -436,7 +435,7 @@ def test_12_free_module(table_10k):
         for q in (2, 10, 100)
     )
     word_check = arcsine_sum_moment_by_words(2, 4) == free_clt_moments(2, 4)[3]
-    shift = free_shift_flow(ReducedWord.generator(0, 2), ReducedWord.generator(1))
+    shift = word_shift_flow(ReducedWord.generator(0, 2), ReducedWord.generator(1))
     series = average_series(shift, table_10k, geometric_checkpoints(10**4))
     shift_zero = all(v == 0 for v in series.values)
     report(

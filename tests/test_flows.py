@@ -9,6 +9,7 @@ from conftest import hermitian_contraction, symbol_contraction, unit_vector
 from ncflow import moebius
 from ncflow.car_fock import annihilation, counterexample_flow, creation, pure_point_flow
 from ncflow.flows import (
+    BOUND_SLACK,
     BSZ_PRIME_CAP,
     AverageSeries,
     Flow,
@@ -21,7 +22,6 @@ from ncflow.flows import (
     geometric_checkpoints,
     rotation_flow,
 )
-from ncflow.free_words import ReducedWord, free_shift_flow
 from ncflow.linalg import haar_unitary, random_density
 from ncflow.matrix_dynamics import ad_flow, finite_vn_state_flow, rank_one_flow
 from ncflow.moebius import (
@@ -169,6 +169,35 @@ def test_flow_rejects_a_value_nonfinite_only_in_its_imaginary_part(value):
         bad.values(4090, 4200)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (complex("nan"), "produced a non-finite value at n = 3"),
+        (complex(math.inf, 0.0), "produced a non-finite value at n = 3"),
+        (complex(0.0, -math.inf), "produced a non-finite value at n = 3"),
+        (1.0 + 2 * BOUND_SLACK, "exceeded its declared bound 1 at n = 3"),
+    ],
+)
+def test_flow_at_checks_every_value_in_one_pass(bad, message):
+    # the values pass in one comparison with the bound; a failing value is
+    # then named by the finiteness check first and the bound check second
+    def flow_with(values):
+        edge = np.array(values, dtype=np.complex128)
+        return Flow(values_at=lambda ns: edge[ns - 1], declared_bound=1.0, label="edge")
+
+    at_bound = [0.5, -1.0, 1.0 + BOUND_SLACK, 1j, 0.6 - 0.8j]
+    assert np.array_equal(flow_with(at_bound).at(np.arange(1, 6)), at_bound)
+    values = list(at_bound)
+    values[2] = bad
+    with pytest.raises(FlowEvaluationError, match=f"^flow 'edge' {message}$"):
+        flow_with(values).at(np.arange(1, 6))
+    # a non-finite value is reported before an earlier over-bound one
+    values[1] = 2.0
+    first = "non-finite value at n = 3" if "non-finite" in message else "bound 1 at n = 2"
+    with pytest.raises(FlowEvaluationError, match=first):
+        flow_with(values).at(np.arange(1, 6))
+
+
 def test_flow_accepts_values_exactly_at_the_bound():
     edge = np.array([1.0, -1.0, 1j, -1j, (0.6 + 0.8j)])
     flow = Flow(values_at=lambda ns: edge[ns - 1], declared_bound=1.0, label="edge")
@@ -222,7 +251,6 @@ def _one_flow_of_each_family():
     flows = [
         rotation_flow(GOLDEN),
         constant_flow(0.5 - 0.25j),
-        free_shift_flow(ReducedWord(((1, 2),)), ReducedWord(())),
         Flow(
             values_at=lambda ns: phase_values(coeffs, ns),
             declared_bound=1.0,
@@ -264,6 +292,39 @@ def test_flow_values_are_pointwise_in_n(label, lo, size, data):
     mu = build_table(lo + size).mu[lo + 1 :]
     squarefree = flow.values(lo, lo + size, where=mu)
     assert squarefree.tobytes() == np.where(mu != 0, full, 0j).tobytes()
+
+
+@pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
+def test_flow_values_keep_their_bits_across_row_tiles(label):
+    # matrix-row evaluators take a long call _ROW_TILE n at a time; a last
+    # tile of one n would take numpy's one-row product, which rounds
+    # otherwise, so it joins the tile before and every n keeps its bits
+    flow = FLOW_FAMILIES[label]
+    tile = moebius._ROW_TILE
+    for size in (tile - 1, tile, tile + 1, tile + 2, 2 * tile + 1):
+        ns = np.arange(1, size + 1, dtype=np.int64)
+        full = flow.at(ns)
+        for i in {0, tile - 1, tile, size - 2, size - 1} & set(range(size)):
+            assert full[i : i + 1].tobytes() == flow.at(ns[i : i + 1]).tobytes(), (size, i)
+
+
+@pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
+def test_series_is_the_per_block_sums_of_flow_values(label):
+    # average_series evaluates runs of whole blocks; the oracle evaluates
+    # Flow.values one block at a time, cut at _SUM_BLOCK multiples and at the
+    # checkpoints, and folds the blocks' tree_sums: the bits must agree
+    flow = FLOW_FAMILIES[label]
+    N = min(flow.valid_n or 10**9, 2 * moebius._SUM_RUN + 1000)
+    cps = [1000, moebius._SUM_BLOCK + 1, N // 2, N]
+    table = build_table(N)
+    edges = sorted({*range(0, N, moebius._SUM_BLOCK), *cps})
+    sums = []
+    for lo, hi in zip(edges, edges[1:]):
+        mu = table.mu[lo + 1 : hi + 1]
+        sums.append(moebius.tree_sum(flow.values(lo, hi, where=mu) * mu))
+    want = [complex(moebius.fold_pairwise(sums[: edges.index(n)])) / n for n in cps]
+    got = average_series(flow, table, cps).values
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_averaging_is_linear(table_10k):

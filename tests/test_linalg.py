@@ -6,7 +6,6 @@ from conftest import hermitian_contraction, unit_vector
 from ncflow.linalg import (
     check_density,
     check_unitary,
-    direct_sum,
     haar_unitary,
     hs_norm,
     inner,
@@ -14,7 +13,6 @@ from ncflow.linalg import (
     op_norm,
     random_density,
     schur_unitary,
-    tensor,
     unitary_power,
 )
 
@@ -33,17 +31,6 @@ def test_norms():
     assert op_norm(a) == pytest.approx(4.0)
     assert hs_norm(np.eye(7)) == pytest.approx(1.0)  # trace-normalized
     assert normalized_trace(np.diag([2.0, 4.0])) == pytest.approx(3.0)
-
-
-def test_tensor_and_direct_sum():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert op_norm(tensor(a, b)) == pytest.approx(op_norm(a) * op_norm(b))
-    s = direct_sum(a, b)
-    assert s.shape == (7, 7)
-    assert np.array_equal(s, np.block([[a, np.zeros((3, 4))], [np.zeros((4, 3)), b]]))
-    assert op_norm(s) == pytest.approx(max(op_norm(a), op_norm(b)))
 
 
 def test_haar_unitary_is_unitary_and_seeded():

@@ -12,7 +12,6 @@ from ncflow.linalg import (
     op_norm,
     random_density,
     schur_unitary,
-    tensor,
     unitary_power,
 )
 from ncflow.matrix_dynamics import (
@@ -26,7 +25,7 @@ from ncflow.matrix_dynamics import (
     rank_one_flow,
     trace_product_sum,
 )
-from ncflow.moebius import _SUM_BLOCK, build_table, characters, tree_sum
+from ncflow.moebius import _ROW_TILE, _SUM_BLOCK, _SUM_RUN, build_table, characters, tree_sum
 
 
 def random_contraction(rng, k):
@@ -207,6 +206,28 @@ def test_ad_flow_walks_each_run_of_consecutive_n():
     assert np.array_equal(fl.at(ns[:3]), fl.values(6, 9))
 
 
+def test_ad_flow_peak_does_not_grow_with_the_groups_of_a_call():
+    # a call walks _SUM_BLOCK / WALK_GRID anchors at a time; one group's walk
+    # and walked stack are freed before the next group's walk, so one call
+    # over four groups peaks above a call over one group only by its
+    # per-n index and value arrays, far below one group's walked stack
+    # (4096 matrices of 8 x 8, 4 MiB)
+    rng = np.random.default_rng(6)
+    flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
+    sizes = (_SUM_BLOCK, 4 * _SUM_BLOCK)
+    peaks = []
+    for size in sizes:
+        ns = np.arange(1, size + 1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            flow.values_at(ns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= 64 * (sizes[1] - sizes[0]), peaks
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_ad_flow_conjugation_invariance(seed):
     # the average only sees the pair (state, observable) up to a unitary change of frame
@@ -251,7 +272,7 @@ def test_rank_one_flow_tensor_identity(seed):
     w = np.eye(4, dtype=complex)
     for n in range(1, 101):
         w = u @ w
-        big = tensor(w, w.conj().T)
+        big = np.kron(w, w.conj().T)
         lhs = complex(np.vdot(np.kron(xi, eta), big @ np.kron(eta, xi)))
         assert abs(fl.at([n])[0] - lhs) < 1e-12
 
@@ -421,8 +442,9 @@ def test_trace_product_paths_evaluate_squarefree_n_block_by_block(
     table_1m, monkeypatch, q, residue
 ):
     # with phi_j(n) = n the powers and the characters each path asks for are
-    # its n: every call must stay within one _SUM_BLOCK window of the
-    # progression, and each factor's calls must cover its squarefree n once
+    # its n: every call must stay within one run of blocks, a _SUM_RUN window
+    # of the progression, and take at most _ROW_TILE + 1 of its n, and each
+    # factor's calls must cover its squarefree n once
     base = make_spec(np.random.default_rng(2), 3, 2)
     spec = dataclasses.replace(base, phase_polys=((0, 1), (0, 1)), modulus=q, residue=residue)
     calls = {"unitary_power": [], "characters": []}
@@ -433,12 +455,13 @@ def test_trace_product_paths_evaluate_squarefree_n_block_by_block(
             return original(x, ns)
 
         monkeypatch.setattr(matrix_dynamics, name, recording)
-    N = 3 * _SUM_BLOCK * q + 17
+    N = 5 * _SUM_BLOCK * q + 17  # two runs, the second of two blocks
     trace_product_sum(spec, table_1m, N)
     cls = np.arange(residue if residue else q, N + 1, q)
     for name, seen in calls.items():
-        windows = [np.unique((ns - cls[0]) // (q * _SUM_BLOCK)) for ns in seen]
+        windows = [np.unique((ns - cls[0]) // (q * _SUM_RUN)) for ns in seen]
         assert all(w.size <= 1 for w in windows), (name, [w.tolist() for w in windows])
+        assert max(ns.size for ns in seen) <= _ROW_TILE + 1, name
         for j in range(spec.d):
             got = np.concatenate(seen[j :: spec.d])
             assert np.array_equal(got, cls[table_1m.mu[cls] != 0]), (name, j)

@@ -517,11 +517,12 @@ def test_characters_match_stacked_phase_values():
 
 
 def test_a_series_splits_its_coefficients_once(table_1m):
-    # exp_sum evaluates its phase block by block; the split is cached by the
-    # coefficient tuple, read-only, and the same as a fresh one
+    # exp_sum evaluates its phase once per run of blocks, here five runs; the
+    # split is cached by the coefficient tuple, read-only, and the same as a
+    # fresh one
     coeffs = (0.0, 0.37, 0.123, 1e-30)
     moebius._split_tuple.cache_clear()
-    exp_sum(table_1m, PolynomialPhase(coeffs), 5 * 4096)
+    exp_sum(table_1m, PolynomialPhase(coeffs), 5 * moebius._SUM_RUN)
     info = moebius._split_tuple.cache_info()
     assert info.misses == 1 and info.hits >= 4
     ms, los = moebius._split(np.array(coeffs))
@@ -575,6 +576,60 @@ def test_blocked_sums_are_worker_invariant_and_match_tree_sum(
         first = min(stops)
         got = runs[0][stops.index(first)]
         assert _same_bits(complex(got), complex(tree_sum(x[ns[:first]])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.integers(0, 40),
+    step=st.integers(1, 3),
+    size=st.integers(0, 3 * moebius._SUM_RUN + 100),
+    raw_stops=st.lists(st.integers(0, 10**6), max_size=6),
+    workers=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_sums_call_terms_once_per_run_of_whole_blocks(
+    start, step, size, raw_stops, workers, seed
+):
+    rng = np.random.default_rng(seed)
+    idx = range(start, start + step * size, step)
+    x = rng.standard_normal(idx.stop + 1) + 1j * rng.standard_normal(idx.stop + 1)
+    stops = [s % (size + 1) for s in raw_stops]
+    gather, calls = _gather(x), []
+
+    def terms(r):
+        calls.append(r)
+        return gather(r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moebius.os, "cpu_count", lambda: 3)
+        got = blocked_sums(idx, terms, stops, workers=workers)
+    # each call is a run of whole blocks: it starts and ends on a block edge
+    # and stays inside one _SUM_RUN window, and together the calls cover
+    # every position once
+    edges = {*range(0, size, moebius._SUM_BLOCK), *stops, size}
+    assert all(r.step == step for r in calls)
+    spans = sorted(((r.start - start) // step, len(r)) for r in calls)
+    for lo, length in spans:
+        assert lo in edges and lo + length in edges, (lo, length)
+        assert 0 < length <= moebius._SUM_RUN
+        assert lo // moebius._SUM_RUN == (lo + length - 1) // moebius._SUM_RUN
+    ends = [0] + [lo + length for lo, length in spans]
+    assert [lo for lo, _ in spans] == ends[:-1] and ends[-1] == size
+    # no call crosses from one worker's contiguous share of blocks to the next
+    blocks = sorted(edges)
+    parts = min(workers, len(blocks) - 1, 3)
+    shares = {blocks[(len(blocks) - 1) * i // parts] for i in range(1, parts)}
+    assert shares <= {lo for lo, _ in spans}
+    # the sums are tree_sum's: up to the first stop, and over the whole range
+    # without stops; and a run of several blocks gives every block its own sum
+    ns = np.arange(idx.start, idx.stop, idx.step)
+    (total,) = blocked_sums(idx, gather)
+    assert _same_bits(complex(total), complex(tree_sum(x[ns])))
+    if stops:
+        first = min(stops)
+        assert _same_bits(complex(got[stops.index(first)]), complex(tree_sum(x[ns[:first]])))
+    serial = blocked_sums(idx, gather, stops)
+    assert all(_same_bits(complex(a), complex(b)) for a, b in zip(got, serial))
 
 
 def test_blocked_sums_reject_stops_outside_the_range():
