@@ -545,25 +545,55 @@ def _gather(x):
     return lambda r: x[np.arange(r.start, r.stop, r.step)]
 
 
+def _check_runs(calls, start, step, size, stops, workers):
+    """Each terms call of blocked_sums spans a run of whole blocks inside one
+    _SUM_RUN window, the calls tile the range once, and each worker's
+    contiguous share of blocks starts a run of its own."""
+    edges = {*range(0, size, moebius._SUM_BLOCK), *stops, size}
+    assert all(r.step == step for r in calls)
+    spans = sorted(((r.start - start) // step, len(r)) for r in calls)
+    for lo, length in spans:
+        assert lo in edges and lo + length in edges, (lo, length)
+        assert 0 < length <= moebius._SUM_RUN
+        assert lo // moebius._SUM_RUN == (lo + length - 1) // moebius._SUM_RUN
+    ends = [0] + [lo + length for lo, length in spans]
+    assert [lo for lo, _ in spans] == ends[:-1] and ends[-1] == size
+    blocks = sorted(edges)
+    parts = min(workers, len(blocks) - 1, 3)
+    shares = {blocks[(len(blocks) - 1) * i // parts] for i in range(1, parts)}
+    assert shares <= {lo for lo, _ in spans}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     start=st.integers(0, 40),
     step=st.integers(1, 3),
-    size=st.integers(0, 5 * 4096 + 100),
+    size=st.integers(0, 3 * moebius._SUM_RUN + 100),
     raw_stops=st.lists(st.integers(0, 10**6), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_sums_are_worker_invariant_and_match_tree_sum(
     start, step, size, raw_stops, seed
 ):
+    # sizes and stops cross the edges of the runs of blocks that terms is
+    # called on; the block sums must not see the runs
     rng = np.random.default_rng(seed)
     idx = range(start, start + step * size, step)
     x = rng.standard_normal(idx.stop + 1) * 10.0 ** rng.integers(-6, 6, idx.stop + 1)
     x = x + 1j * rng.standard_normal(x.size)
     stops = [s % (size + 1) for s in raw_stops]  # uneven cuts anywhere in [0, size]
+    runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moebius.os, "cpu_count", lambda: 3)
-        runs = [blocked_sums(idx, _gather(x), stops, workers=w) for w in (1, 2, 3)]
+        for workers in (1, 2, 3):
+            calls = []
+
+            def terms(r, calls=calls):
+                calls.append(r)
+                return _gather(x)(r)
+
+            runs.append(blocked_sums(idx, terms, stops, workers=workers))
+            _check_runs(calls, start, step, size, stops, workers)
     assert len(runs[0]) == len(stops) + 1
     for run in runs[1:]:
         assert all(_same_bits(complex(a), complex(b)) for a, b in zip(run, runs[0]))
@@ -576,60 +606,6 @@ def test_blocked_sums_are_worker_invariant_and_match_tree_sum(
         first = min(stops)
         got = runs[0][stops.index(first)]
         assert _same_bits(complex(got), complex(tree_sum(x[ns[:first]])))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    start=st.integers(0, 40),
-    step=st.integers(1, 3),
-    size=st.integers(0, 3 * moebius._SUM_RUN + 100),
-    raw_stops=st.lists(st.integers(0, 10**6), max_size=6),
-    workers=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_blocked_sums_call_terms_once_per_run_of_whole_blocks(
-    start, step, size, raw_stops, workers, seed
-):
-    rng = np.random.default_rng(seed)
-    idx = range(start, start + step * size, step)
-    x = rng.standard_normal(idx.stop + 1) + 1j * rng.standard_normal(idx.stop + 1)
-    stops = [s % (size + 1) for s in raw_stops]
-    gather, calls = _gather(x), []
-
-    def terms(r):
-        calls.append(r)
-        return gather(r)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moebius.os, "cpu_count", lambda: 3)
-        got = blocked_sums(idx, terms, stops, workers=workers)
-    # each call is a run of whole blocks: it starts and ends on a block edge
-    # and stays inside one _SUM_RUN window, and together the calls cover
-    # every position once
-    edges = {*range(0, size, moebius._SUM_BLOCK), *stops, size}
-    assert all(r.step == step for r in calls)
-    spans = sorted(((r.start - start) // step, len(r)) for r in calls)
-    for lo, length in spans:
-        assert lo in edges and lo + length in edges, (lo, length)
-        assert 0 < length <= moebius._SUM_RUN
-        assert lo // moebius._SUM_RUN == (lo + length - 1) // moebius._SUM_RUN
-    ends = [0] + [lo + length for lo, length in spans]
-    assert [lo for lo, _ in spans] == ends[:-1] and ends[-1] == size
-    # no call crosses from one worker's contiguous share of blocks to the next
-    blocks = sorted(edges)
-    parts = min(workers, len(blocks) - 1, 3)
-    shares = {blocks[(len(blocks) - 1) * i // parts] for i in range(1, parts)}
-    assert shares <= {lo for lo, _ in spans}
-    # the sums are tree_sum's: up to the first stop, and over the whole range
-    # without stops; and a run of several blocks gives every block its own sum
-    ns = np.arange(idx.start, idx.stop, idx.step)
-    (total,) = blocked_sums(idx, gather)
-    assert _same_bits(complex(total), complex(tree_sum(x[ns])))
-    if stops:
-        first = min(stops)
-        assert _same_bits(complex(got[stops.index(first)]), complex(tree_sum(x[ns[:first]])))
-    serial = blocked_sums(idx, gather, stops)
-    assert all(_same_bits(complex(a), complex(b)) for a, b in zip(got, serial))
 
 
 def test_blocked_sums_reject_stops_outside_the_range():
