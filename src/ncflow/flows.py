@@ -5,9 +5,10 @@ A Flow is a pure vectorized map from index arrays to values with a declared
 sup bound, evaluated only through one checked call; its value at n depends
 on n alone, bit for bit.  spectral_flow builds a finite-dimensional flow as
 a quadratic form in the eigenphase characters e(theta_j n).  average_series
-walks n = 1..max(checkpoints) once through moebius.blocked_sums, with the
-checkpoints as stops, and evaluates each run of blocks at its squarefree n
-only, so the result is independent of how blocks are assigned to workers.
+walks n = 1..max(checkpoints) once as one moebius.weighted_sums call, with
+Flow.at as the term values and the checkpoints as stops, so each run of
+blocks is evaluated at its squarefree n only, and the result is independent
+of how blocks are assigned to workers.
 """
 
 import math
@@ -37,8 +38,8 @@ class Flow:
     (at() asks for a single n as a pair).  Every consumer evaluates through
     the checked call at() (or values() on a range), which enforces the
     domain, the shape, finiteness and the declared bound on the values it
-    computes.  average_series asks values() only for the squarefree n, so
-    these checks cover exactly the values that enter a Moebius sum.  The
+    computes.  average_series asks at() only for the squarefree n, so these
+    checks cover exactly the values that enter a Moebius sum.  The
     keyword evaluator is accepted for older call sites and ignored: no value
     is ever computed through it.
     """
@@ -93,15 +94,9 @@ class Flow:
             f"{self.declared_bound:g} at n = {ns[np.argmax(over)]}"
         )
 
-    def values(self, lo: int, hi: int, where: Optional[np.ndarray] = None) -> np.ndarray:
-        """Values for n in (lo, hi].  With where, an array of hi - lo weights,
-        only the n with a nonzero weight are evaluated and checked, and the
-        others hold exact zeros (moebius.at_nonzero)."""
-        if where is None:
-            return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
-        if len(where) != hi - lo:
-            raise ValueError(f"where has {len(where)} weights for {hi - lo} indices")
-        return moebius.at_nonzero(where, lambda at: self.at(at + (lo + 1)))
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """Checked values for n in (lo, hi]."""
+        return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -139,10 +134,10 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    Each run of blocks of moebius.blocked_sums is evaluated through
-    flow.values at its squarefree n only, with exact zeros at the others, so
-    a given call signature yields bit-identical results for any worker
-    count.
+    One moebius.weighted_sums call over n = 1..max(checkpoints), with the
+    checkpoints as stops: each run of blocks is evaluated through flow.at
+    at its squarefree n only, with exact zeros at the others, so a given
+    call signature yields bit-identical results for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]
@@ -151,12 +146,7 @@ def average_series(
             f"flow {flow.label!r} is only defined for n <= {flow.valid_n}, "
             f"requested series up to N = {n_max}"
         )
-    def terms(r):
-        mu = table.mu[r.start : r.stop]
-        vals = flow.values(r.start - 1, r.stop - 1, where=mu)
-        return np.multiply(vals, mu, out=vals)
-
-    sums = moebius.blocked_sums(range(1, n_max + 1), terms, cps, workers=workers)
+    sums = moebius.weighted_sums(table, range(1, n_max + 1), flow.at, cps, workers=workers)
     values = [complex(s) / N for N, s in zip(cps, sums)]
     counts = [q for _, q in moebius.prefix_counts(table, cps)]
     return AverageSeries(

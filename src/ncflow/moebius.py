@@ -18,23 +18,25 @@ M(N) and Q(N), the squarefree count, at many N in one pass over the table.
 
 Summation contract
 ------------------
-Every Moebius average has one layout: ``flows.average_series`` and
-``weighted_average`` (under ``exp_sum`` and both trace-product paths) run
-``blocked_sums`` over their index range, n = 1..N or a progression up to N:
-numpy's pairwise reduction in blocks of at most ``_SUM_BLOCK`` consecutive
-indices, also cut at each stop, then a balanced binary fold of the block
-sums up to each stop.  The layout depends only on the index range and the
-stops, never on the worker count.  Terms are evaluated once per run of
-whole consecutive blocks inside one ``_SUM_RUN`` window of indices (four
-blocks), never across a worker's share, and each block's sum is taken on
-its slice of the run's terms; a pointwise term gives the same bits in a run
-as in a block of its own, so the sums keep the block layout's bits, and
-memory does not grow with N.  Evaluators whose per-n work is a matrix row
-take their n ``_ROW_TILE`` at a time (``by_row_tiles``), so a run holds no
-more of their scratch than one block did.  Terms with mu(n) = 0 are exact
-zeros in place that no sum evaluates (about 39% of n; ``at_nonzero``);
-numpy's add.reduce of a block starts from +0, so a zero of either sign
-leaves every block sum's bits unchanged.
+Every Moebius average has one layout and one term builder:
+``weighted_sums`` weights f(n) by mu(n) and runs ``blocked_sums`` over an
+index range, n = 1..N or a progression up to N, and both
+``flows.average_series`` and ``weighted_average`` (under ``exp_sum`` and
+both trace-product paths) are one call on it.  ``blocked_sums`` is numpy's
+pairwise reduction in blocks of at most ``_SUM_BLOCK`` consecutive indices,
+also cut at each stop, then a balanced binary fold of the block sums up to
+each stop.  The layout depends only on the index range and the stops, never
+on the worker count.  Terms are evaluated once per run of whole consecutive
+blocks inside one ``_SUM_RUN`` window of indices (four blocks), never
+across a worker's share, and each block's sum is taken on its slice of the
+run's terms; a pointwise term gives the same bits in a run as in a block of
+its own, so the sums keep the block layout's bits, and memory does not grow
+with N.  Evaluators whose per-n work is a matrix row take their n
+``_ROW_TILE`` at a time (``by_row_tiles``), so a run holds no more of their
+scratch than one block did.  Terms with mu(n) = 0 are exact zeros in place
+that no sum evaluates (about 39% of n); numpy's add.reduce of a block
+starts from +0, so a zero of either sign leaves every block sum's bits
+unchanged.
 
 Phase evaluation
 ----------------
@@ -54,11 +56,11 @@ a float in [0, 1), within 2^-54 on the grid.
 within an ulp, times 1 + 2 pi i t for the low 28 bits t 2^-64 < 2^-36.  Three
 complex products and the tables' rounding keep it within
 ``TURNS_ERR = 11 * 2^-53`` of e(r 2^-64); quarter turns are exact.  The
-tables are built on the first evaluation, not at import.  One
-kernel does this ``_PHASE_TILE`` elements at a time, and ``characters``
-evaluates many linear phases e(theta_k n) in one broadcast.  The tests check
-the phase bounds against an exact rational oracle and the values against
-40-digit mpmath.
+tables are built on the first evaluation, not at import.  One kernel does
+this for a whole call at once, since every caller bounds its input (a run of
+blocks, a row tile, bsz_check's M), and ``characters`` evaluates many linear
+phases e(theta_k n) in one broadcast.  The tests check the phase bounds
+against an exact rational oracle and the values against 40-digit mpmath.
 """
 
 import functools
@@ -78,7 +80,6 @@ N_MAX_CAP = 10**8
 
 _SUM_BLOCK = 4096
 _SUM_RUN = 4 * _SUM_BLOCK  # terms evaluated per call: whole blocks in one window
-_PHASE_TILE = 8192  # phase kernel tile: 64 KiB per uint64 or float64 temporary
 _ROW_TILE = _SUM_BLOCK // 4  # rows per matrix-row evaluator call: under half a block's squarefree n
 _SIEVE_SEGMENT = 1 << 19
 _WHEEL_PRIME_MAX = 7  # 2, 3, 5, 7: a cofactor pattern of period 44100, 172 KiB of int32
@@ -273,7 +274,7 @@ def fold_pairwise(parts: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# polynomial phases: exact Horner mod 2^64 in cache-sized tiles
+# polynomial phases: exact Horner mod 2^64
 
 
 @functools.lru_cache(maxsize=256)
@@ -423,33 +424,28 @@ def _tables():
     return _top_table(), small
 
 
-def _scratch(size: int):
-    """Per-call scratch for _turns: indices, a gathered factor, a partial
-    product, and the linear factor, whose real part stays 1."""
-    return (
-        np.empty(size, dtype=np.uint64),
-        np.empty(size, dtype=np.complex128),
-        np.empty(size, dtype=np.complex128),
-        np.ones(size, dtype=np.complex128),
-    )
-
-
-def _turns(r, out, scratch) -> None:
-    """out[...] = e(r 2^-64) for a 1-D uint64 r no longer than the scratch.
+def _turns(r) -> np.ndarray:
+    """e(r 2^-64) for a 1-D uint64 r, as a new complex array.
 
     The product T1[r >> 52] T2[r >> 40 & 4095] T3[r >> 28 & 4095] (1 + i x),
-    with x = 2 pi 2^-64 (r & (2^28 - 1)) < 2^-33, gathered into the scratch.
-    Each table part is within an ulp, so each entry within sqrt(2) 2^-53;
-    each complex product adds below sqrt(5) 2^-53 (Brent, Percival &
-    Zimmermann 2007); and e(x / 2 pi) - (1 + i x) is below x^2 / 2 < 2^-67.
-    Hence |out - e(r 2^-64)| < TURNS_ERR.
+    with x = 2 pi 2^-64 (r & (2^28 - 1)) < 2^-33, gathered into per-call
+    scratch: indices, a gathered factor, which last holds the linear factor,
+    and a partial product.  Each table part is within an ulp, so each entry
+    within sqrt(2) 2^-53; each complex product adds below sqrt(5) 2^-53
+    (Brent, Percival & Zimmermann 2007); and e(x / 2 pi) - (1 + i x) is below
+    x^2 / 2 < 2^-67.  Hence the result is within TURNS_ERR of e(r 2^-64).
+    The scratch is as long as r: callers bound r (a run of blocks, a row
+    tile, bsz_check's M), and concurrent callers share no buffer.
 
     No product is written over one of its factors: numpy takes an in-place
     product of one element for a reduction and runs its scalar loop, which
     rounds otherwise than the vector loop where that fuses multiply-adds,
     so a value would depend on the length of the array it came in.
     """
-    idx, gathered, product, linear = (a[: r.size] for a in scratch)
+    idx = np.empty(r.size, dtype=np.uint64)
+    gathered = np.empty(r.size, dtype=np.complex128)
+    product = np.empty(r.size, dtype=np.complex128)
+    out = np.empty(r.size, dtype=np.complex128)
     at = idx.view(np.intp)
     top, small = _tables()
     np.right_shift(r, 64 - _TABLE_BITS, out=idx)
@@ -461,55 +457,39 @@ def _turns(r, out, scratch) -> None:
         np.take(table, at, out=gathered, mode="clip")
         np.multiply(product, gathered, out=spare)
         product, spare = spare, product
+    linear = gathered  # its last table factor is in product now
+    linear.real = 1.0
     np.bitwise_and(r, _LINEAR_MASK, out=idx)
     np.multiply(idx, _LINEAR_SCALE, out=linear.imag)
     np.multiply(product, linear, out=out)  # two swaps left product in the scratch
-
-
-def _tiled_turns(shape, acc_of) -> np.ndarray:
-    """A new complex array of the given shape holding e(r 2^-64), filled
-    _PHASE_TILE elements at a time; acc_of(tile) is the uint64 accumulator r
-    of the flat slice tile.  The scratch is allocated per call, so
-    concurrent callers share no buffer."""
-    out = np.empty(shape, dtype=np.complex128)
-    flat = out.reshape(-1)
-    scratch = _scratch(min(flat.size, _PHASE_TILE))
-    for start in range(0, flat.size, _PHASE_TILE):
-        tile = slice(start, start + _PHASE_TILE)
-        _turns(acc_of(tile), flat[tile], scratch)
     return out
 
 
 def poly_phase_frac(coeffs: Sequence[float], n) -> np.ndarray:
-    """Fractional part of sum_i coeffs[i] * n^i for integer n, vectorized,
-    _PHASE_TILE elements at a time."""
+    """Fractional part of sum_i coeffs[i] * n^i for integer n, vectorized
+    over the flattened n in one pass."""
     ms, los = _split(coeffs)
     n = np.asarray(n, dtype=np.int64)
-    out = np.empty(n.shape)
-    flat, flat_n = out.reshape(-1), n.reshape(-1)
-    for start in range(0, flat.size, _PHASE_TILE):
-        tile = slice(start, start + _PHASE_TILE)
-        frac = _phase_acc(ms, los, flat_n[tile]) * 2.0**-64
-        frac -= np.floor(frac)
-        flat[tile] = frac
-    return out[()]  # a numpy scalar for 0-d n, as from a ufunc
+    frac = _phase_acc(ms, los, n.reshape(-1)) * 2.0**-64
+    frac -= np.floor(frac)
+    return frac.reshape(n.shape)[()]  # a numpy scalar for 0-d n, as from a ufunc
 
 
 def phase_values(coeffs: Sequence[float], n) -> np.ndarray:
     """e(phi(n)) = exp(2 pi i phi(n)) with phi evaluated mod 1.
 
-    e(r 2^-64) of the exact accumulator r, _PHASE_TILE elements at a time:
-    within TURNS_ERR of e(phi(n)) on the 2^-64 grid, and otherwise within
-    TURNS_ERR + 2 pi (2^-53 + 2^-50 sum_i lo_i |n|^i).
+    e(r 2^-64) of the exact accumulator r, over the flattened n in one
+    pass: within TURNS_ERR of e(phi(n)) on the 2^-64 grid, and otherwise
+    within TURNS_ERR + 2 pi (2^-53 + 2^-50 sum_i lo_i |n|^i).
     """
     ms, los = _split(coeffs)
     n = np.asarray(n, dtype=np.int64)
-    flat_n = n.reshape(-1)
-    return _tiled_turns(n.shape, lambda tile: _phase_acc(ms, los, flat_n[tile]))[()]
+    return _turns(_phase_acc(ms, los, n.reshape(-1))).reshape(n.shape)[()]
 
 
 def characters(angles, ns) -> np.ndarray:
-    """The (len(ns), len(angles)) matrix e(angles[k] * ns[i]).
+    """The (len(ns), len(angles)) matrix e(angles[k] * ns[i]), in one pass
+    over its entries.
 
     Column k has the same bits as phase_values of the linear phase
     (0, angles[k]) at ns.
@@ -518,8 +498,7 @@ def characters(angles, ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     low = None if los is None else (0.0, los)
     acc = _phase_acc((0, ms), low, ns[:, None])
-    flat_acc = acc.reshape(-1)
-    return _tiled_turns(acc.shape, lambda tile: flat_acc[tile])
+    return _turns(acc.reshape(-1)).reshape(acc.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +508,6 @@ def characters(angles, ns) -> np.ndarray:
 def _check_N(table: MoebiusTable, N: int) -> None:
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-
-
-def at_nonzero(weights: np.ndarray, values_at: Callable) -> np.ndarray:
-    """A complex array shaped like weights: values_at(at) at the positions
-    at of the nonzero weights, exact zeros elsewhere.
-
-    With the Moebius values of a run of blocks as weights, its terms are
-    evaluated only at the squarefree n, and np.add.reduce of each block's
-    slice sees the same nonzero terms at the same positions as for the full
-    term array.  The positions come from the bool mask weights != 0, which
-    np.flatnonzero reads faster than the int8 weights themselves.
-    """
-    at = np.flatnonzero(weights != 0)
-    vals = values_at(at)
-    out = np.zeros(weights.shape, dtype=np.complex128)  # after values_at: a lower peak
-    out[at] = vals
-    return out
 
 
 def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
@@ -569,23 +531,46 @@ def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
         start = stop
 
 
+def weighted_sums(
+    table: MoebiusTable,
+    idx: range,
+    values_at: Callable,
+    stops: Sequence[int] = (),
+    *,
+    workers: int = 1,
+) -> list:
+    """blocked_sums of mu(n) f(n) over the n of idx, a progression inside
+    [1, table.n_max], up to each stop and to the end; values_at(ns) is f at
+    an int64 array ns, pointwise.
+
+    The one place where a Moebius sum weights by mu: each run of blocks
+    evaluates values_at once, at its squarefree n only, and scatters
+    mu(n) f(n) into exact zeros, so np.add.reduce of each block's slice
+    sees the same nonzero terms at the same positions as for the full term
+    array.
+    """
+
+    def terms(r):
+        mu = table.mu[r.start : r.stop : r.step]
+        # from the bool mask, which np.flatnonzero reads faster than the int8 mu
+        at = np.flatnonzero(mu != 0)
+        vals = values_at(at * r.step + r.start)  # before the weights: a lower peak
+        vals = mu[at].astype(np.float64) * vals
+        out = np.zeros(mu.size, dtype=np.complex128)  # after the values: a lower peak
+        out[at] = vals
+        return out
+
+    return blocked_sums(idx, terms, stops, workers=workers)
+
+
 def weighted_average(
     table: MoebiusTable, N: int, modulus: int, residue: int, values_at: Callable
 ) -> complex:
     """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) f(n), where
-    values_at(ns) is f at an int64 array ns, pointwise; each run of blocks
-    of the progression evaluates it once, at its squarefree n only
-    (at_nonzero)."""
+    values_at(ns) is f at an int64 array ns, pointwise: one weighted_sums."""
     _check_N(table, N)
-
-    def terms(r):
-        mu = table.mu[r.start : r.stop : r.step]
-        return at_nonzero(
-            mu, lambda at: mu[at].astype(np.float64) * values_at(at * r.step + r.start)
-        )
-
     idx = range(residue if residue >= 1 else modulus, N + 1, modulus)
-    return complex(blocked_sums(idx, terms)[0]) / N
+    return complex(weighted_sums(table, idx, values_at)[0]) / N
 
 
 def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
@@ -615,12 +600,6 @@ def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
         out.append((m, q))
         lo = N + 1
     return out
-
-
-def mertens_series(table: MoebiusTable, checkpoints: Iterable[int]):
-    """[(N, M(N)/N)] at the given checkpoints; integer arithmetic before the division."""
-    cps = checked_checkpoints(table.n_max, checkpoints)
-    return [(N, m / N) for N, (m, _) in zip(cps, prefix_counts(table, cps))]
 
 
 def squarefree_density(table: MoebiusTable, N: int) -> float:

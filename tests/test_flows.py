@@ -49,6 +49,18 @@ def test_rotation_series_matches_exp_sum(table_1m):
     for i, n in enumerate(cps):
         direct = exp_sum(table_1m, PolynomialPhase((0.0, GOLDEN)), n)
         assert abs(series.values[i] - direct) < 1e-12
+    # at a single checkpoint both are one weighted_sums call in the same
+    # blocks, so the bits agree, here past two run edges
+    N = 2 * moebius._SUM_RUN + 777
+    cubic = (0.0, 0.1234, 0.56789, 0.3)
+    phases = {
+        "golden": (rotation_flow(GOLDEN), (0.0, GOLDEN)),
+        "cubic": (Flow(lambda ns: phase_values(cubic, ns), 1.0, "cubic"), cubic),
+    }
+    for name, (flow, coeffs) in phases.items():
+        got = average_series(flow, table_1m, [N]).values[0]
+        want = exp_sum(table_1m, PolynomialPhase(coeffs), N)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), name
 
 
 def test_series_prefix_consistency(table_1m):
@@ -289,9 +301,16 @@ def test_flow_values_are_pointwise_in_n(label, lo, size, data):
     assert flow.at(ns[pick]).tobytes() == full[pick].tobytes()
     one = int(pick[0])
     assert flow.at(ns[one : one + 1]).tobytes() == full[one : one + 1].tobytes()
-    mu = build_table(lo + size).mu[lo + 1 :]
-    squarefree = flow.values(lo, lo + size, where=mu)
+    # the term builder's call: the squarefree n of the range alone, scattered
+    # into exact zeros
+    table = build_table(lo + size)
+    mu = table.mu[lo + 1 :]
+    squarefree = np.zeros(size, dtype=np.complex128)
+    squarefree[mu != 0] = flow.at(ns[mu != 0])
     assert squarefree.tobytes() == np.where(mu != 0, full, 0j).tobytes()
+    got = moebius.weighted_sums(table, range(lo + 1, lo + size + 1), flow.at)[0]
+    want = moebius.tree_sum(np.where(mu != 0, full, 0j) * mu)
+    assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 
 
 @pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
@@ -310,9 +329,10 @@ def test_flow_values_keep_their_bits_across_row_tiles(label):
 
 @pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
 def test_series_is_the_per_block_sums_of_flow_values(label):
-    # average_series evaluates runs of whole blocks; the oracle evaluates
-    # Flow.values one block at a time, cut at _SUM_BLOCK multiples and at the
-    # checkpoints, and folds the blocks' tree_sums: the bits must agree
+    # average_series evaluates runs of whole blocks at the squarefree n; the
+    # oracle evaluates Flow.values at every n one block at a time, cut at
+    # _SUM_BLOCK multiples and at the checkpoints, zeroes the n with
+    # mu(n) = 0 and folds the blocks' tree_sums: the bits must agree
     flow = FLOW_FAMILIES[label]
     N = min(flow.valid_n or 10**9, 2 * moebius._SUM_RUN + 1000)
     cps = [1000, moebius._SUM_BLOCK + 1, N // 2, N]
@@ -321,7 +341,7 @@ def test_series_is_the_per_block_sums_of_flow_values(label):
     sums = []
     for lo, hi in zip(edges, edges[1:]):
         mu = table.mu[lo + 1 : hi + 1]
-        sums.append(moebius.tree_sum(flow.values(lo, hi, where=mu) * mu))
+        sums.append(moebius.tree_sum(np.where(mu != 0, flow.values(lo, hi), 0j) * mu))
     want = [complex(moebius.fold_pairwise(sums[: edges.index(n)])) / n for n in cps]
     got = average_series(flow, table, cps).values
     assert got.tobytes() == np.array(want).tobytes()

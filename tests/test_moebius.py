@@ -27,7 +27,6 @@ from ncflow.moebius import (
     load_or_build_table,
     load_table,
     mertens,
-    mertens_series,
     phase_values,
     poly_phase_frac,
     prefix_counts,
@@ -188,7 +187,6 @@ def test_prefix_counts_are_mertens_and_squarefree_count(table_10k, inner):
     counts = prefix_counts(table_10k, cps)
     assert counts == [(mertens(table_10k, N), squarefree_count(table_10k, N)) for N in cps]
     assert all(type(v) is int for pair in counts for v in pair)
-    assert mertens_series(table_10k, cps) == [(N, m / N) for N, (m, _) in zip(cps, counts)]
 
 
 def test_prefix_counts_refuses_bad_checkpoints(table_10k):
@@ -361,14 +359,18 @@ def _same_bits(got, want):
     )
 
 
+# call lengths around 2^13 and a run of blocks, and bsz_check's largest M: the
+# phase kernel takes each call in one pass, whatever its length
+_LENGTHS = (8191, 8192, 8193, moebius._SUM_RUN - 1, moebius._SUM_RUN + 1, 10**5)
+
+
 @pytest.mark.parametrize("degree", range(6))
 def test_phase_kernel_is_bit_identical_to_the_expression_form(degree):
     rng = np.random.default_rng(degree)
     coeffs = [float(c) for c in rng.random(degree + 1) * 7.0 - 3.0]
-    tile = moebius._PHASE_TILE
     inputs = [np.array(987654), 987654, np.arange(1, 61).reshape(6, 10)]
     inputs += [np.arange(0), np.zeros((3, 0))]
-    for m in (tile - 1, tile, tile + 1, 3 * tile + 7):
+    for m in _LENGTHS:
         inputs.append(rng.integers(1, N_MAX_CAP + 1, size=m))
     for n in inputs:
         want = expression_phase_frac(coeffs, n)
@@ -376,20 +378,18 @@ def test_phase_kernel_is_bit_identical_to_the_expression_form(degree):
         _assert_values_within_bound(coeffs, n, phase_values(coeffs, n))
 
 
-_TILE = moebius._PHASE_TILE
-
-
 def _assert_values_within_bound(coeffs, n, got):
     """got has phase_values' type and shape for n, and lies within the
     documented bound of the exact e(phi(n)) at every n of a small input, and
-    at both ends, both sides of each tile edge and a sample of a large one."""
+    at both ends, both sides of each of _LENGTHS inside it and a sample of a
+    large one."""
     want_type = np.complex128 if np.ndim(n) == 0 else np.ndarray
     assert type(got) is want_type and np.shape(got) == np.shape(n)
     flat_n, flat = np.reshape(n, -1), np.reshape(got, -1)
     if flat.size <= 64:
         at = range(flat.size)
     else:
-        edges = range(_TILE, flat.size, _TILE)
+        edges = [m for m in _LENGTHS if m < flat.size]
         sample = np.random.default_rng(flat.size).integers(0, flat.size, 32).tolist()
         at = {0, flat.size - 1, *edges, *(e - 1 for e in edges), *sample}
     for i in at:
@@ -409,8 +409,7 @@ _ANY_COEFFS = st.lists(
 @given(
     coeffs=_GRID_COEFFS | _ANY_COEFFS,
     shape=st.sampled_from(
-        [(), (0,), (2, 0), (1,), (7,), (3, 4), (_TILE - 1,), (_TILE,), (_TILE + 1,),
-         (2, _TILE + 5)]
+        [(), (0,), (2, 0), (1,), (7,), (3, 4), *((m,) for m in _LENGTHS), (2, 8197)]
     ),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -464,7 +463,8 @@ def test_turn_tables_are_built_on_first_use():
 
 def test_phase_values_depend_on_each_n_alone():
     # the same bits for n alone, as a 0-d input, and anywhere in an array of
-    # any length: a one-element in-place product once rounded otherwise
+    # any length: a one-element in-place product once rounded otherwise, and
+    # one call takes any length in one pass
     rng = np.random.default_rng(3)
     for coeffs in [(0.15769492702791824,), (0.0, 0.37, 0.123, 0.0071), (0.0, 1e-30, 0.3)]:
         ns = rng.integers(1, N_MAX_CAP + 1, size=200)
@@ -474,6 +474,12 @@ def test_phase_values_depend_on_each_n_alone():
             for length in (1, 2, 5):
                 got = phase_values(coeffs, ns[i : i + length])
                 assert np.array_equal(got.view(np.uint64), full[i : i + length].view(np.uint64))
+        ns = rng.integers(1, N_MAX_CAP + 1, size=max(_LENGTHS) + 3)
+        full = phase_values(coeffs, ns)
+        for length in _LENGTHS:
+            for part in (slice(0, length), slice(ns.size - length, None)):
+                got = phase_values(coeffs, ns[part])
+                assert got.tobytes() == full[part].tobytes(), (coeffs, length)
 
 
 def test_phase_values_at_quarter_and_eighth_turns_are_exact():
@@ -538,6 +544,32 @@ def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
     whole = tree_sum(table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns))
     got = exp_sum(table_1m, PolynomialPhase(coeffs), N)
     assert _same_bits(got, complex(whole) / N)
+
+
+def test_phase_sum_memory_is_flat_in_n(table_1m):
+    # the phase kernel's scratch is as long as its call, and a Moebius sum
+    # calls it once per run of blocks: so the run alone bounds it, and no
+    # array grows with N
+    coeffs = (0.0, 0.37, 0.123, 0.0071)
+    flow = Flow(
+        values_at=lambda ns: phase_values(coeffs, ns), declared_bound=1.0, label="poly_phase"
+    )
+    phase_values(coeffs, np.arange(1, 3))  # the turn tables and the split, built once
+    sums = {
+        "exp_sum": lambda N: exp_sum(table_1m, PolynomialPhase(coeffs), N),
+        "average_series": lambda N: average_series(flow, table_1m, [1000, N // 2, N]),
+    }
+    for name, run in sums.items():
+        peaks = []
+        for N in (2 * 10**4, 4 * 10**5):
+            tracemalloc.start()
+            try:
+                run(N)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 2**19, (name, peaks)
 
 
 def _gather(x):
