@@ -72,7 +72,9 @@ SCHEMA_VERSION = 1
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# at _MAX_DIM an 8192-index tile of k x k complex matrices is 128 MiB
+# at _MAX_DIM, k = 32, a 1024-row tile of k x k complex matrices is 16 MiB and
+# ad_flow's 4096-matrix walk group 64 MiB: by tracemalloc at seed 0, matrix-flow
+# to n_max 10^5 peaked at 104 MiB and one trace product (d = 2) at 66 MiB
 _MAX_DIM = 32
 
 # the bsz-check flows by name; the bsz-check record refuses any other name

@@ -7,8 +7,7 @@ on n alone, bit for bit.  spectral_flow builds a finite-dimensional flow as
 a quadratic form in the eigenphase characters e(theta_j n).  average_series
 walks n = 1..max(checkpoints) once as one moebius.weighted_sums call, with
 Flow.at as the term values and the checkpoints as stops, so each run of
-blocks is evaluated at its squarefree n only, and the result is independent
-of how blocks are assigned to workers.
+blocks is evaluated at its squarefree n only, whole, at any worker count.
 """
 
 import math
@@ -35,13 +34,13 @@ class Flow:
     values_at maps an int64 index array to the complex values there; it must
     be pure, vectorized and pointwise: values_at(ns)[i] depends only on
     ns[i], bit for bit, whatever the other n, their order or their number
-    (at() asks for a single n as a pair).  Every consumer evaluates through
-    the checked call at() (or values() on a range), which enforces the
-    domain, the shape, finiteness and the declared bound on the values it
-    computes.  average_series asks at() only for the squarefree n, so these
-    checks cover exactly the values that enter a Moebius sum.  The
-    keyword evaluator is accepted for older call sites and ignored: no value
-    is ever computed through it.
+    (moebius.by_row_tiles never gives a matrix-row evaluator one n).  Every
+    consumer evaluates through the checked call at() (or values() on a
+    range), which enforces the domain, the shape, finiteness and the
+    declared bound on the values it computes.  average_series asks at() only
+    for the squarefree n, so these checks cover exactly the values that
+    enter a Moebius sum.  The keyword evaluator is accepted for older call
+    sites and ignored: no value is ever computed through it.
     """
 
     def __init__(
@@ -69,15 +68,11 @@ class Flow:
                 f"flow {self.label!r} is only defined for n <= {self.valid_n}, "
                 f"requested n = {ns.max()}"
             )
-        # numpy takes a one-row matrix product through gemv or dot, which
-        # round otherwise than gemm: so a single n is evaluated as a pair
-        asked = np.repeat(ns, 2) if ns.size == 1 else ns
-        vals = np.asarray(self.values_at(asked), dtype=np.complex128)
-        if vals.shape != asked.shape:
+        vals = np.asarray(self.values_at(ns), dtype=np.complex128)
+        if vals.shape != ns.shape:
             raise FlowEvaluationError(
-                f"flow {self.label!r} returned {vals.shape} values for {asked.size} indices"
+                f"flow {self.label!r} returned {vals.shape} values for {ns.size} indices"
             )
-        vals = vals[: ns.size].reshape(ns.shape)
         # one pass: a NaN fails the comparison too, and only then are the
         # non-finite and over-bound values told apart
         if np.all(np.abs(vals) <= self.declared_bound + BOUND_SLACK):
@@ -136,8 +131,8 @@ def average_series(
 
     One moebius.weighted_sums call over n = 1..max(checkpoints), with the
     checkpoints as stops: each run of blocks is evaluated through flow.at
-    at its squarefree n only, with exact zeros at the others, so a given
-    call signature yields bit-identical results for any worker count.
+    at its squarefree n only, with exact zeros at the others, and threads
+    take whole runs, so the bits are the same for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     n_max = cps[-1]

@@ -47,7 +47,10 @@ from .moebius import MoebiusTable, characters
 
 TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
 QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
-WALK_GRID = moebius._SUM_BLOCK // 4  # ad_flow's anchors: a block's 4 tiles walk in lockstep
+# ad_flow's anchors 1 + WALK_GRID j: the seed-0 matrix-flow reference pins
+# the walk's rounding to them, so they stay put whatever the summation blocks
+WALK_GRID = 1024
+WALK_ANCHORS = 4  # anchors per lockstep walk: at most 4096 walked matrices
 CONTRACTION_SLACK = 1e-10  # op_norm (an SVD) of an A_j scaled to norm 1 may pass 1 by ulps
 DOMINATES_SLACK = 1e-12  # |s_N| and the bound are rounded: they may cross by ulps where they meet
 T_NORM_SLACK = 1e-9  # likewise op_norm of a T scaled to norm 1 may pass 1 by ulps
@@ -76,10 +79,10 @@ def ad_flow(u, a, rho) -> Flow:
     2 ||A|| (L - 1 + 2 log2 n) sqrt(2) (k + 2) k 2^-53 of the exact trace,
     to first order.
 
-    A call groups its distinct n by anchor, takes up to _SUM_BLOCK / L
+    A call groups its distinct n by anchor, takes up to WALK_ANCHORS
     anchors at a time from one unitary_power call and walks those tiles in
     lockstep, one stacked product per step up to the largest step asked
-    for, so it holds at most _SUM_BLOCK walked matrices; one group's walk
+    for, so it holds at most WALK_ANCHORS L walked matrices; one group's walk
     and walked stack are freed before the next group's walk, so the peak
     does not grow with the groups of a call.  The trace is fused over the
     contiguous stack of the W asked for, _ROW_TILE at a time: tr(rho W A W*)
@@ -92,7 +95,6 @@ def ad_flow(u, a, rho) -> Flow:
     u = check_unitary(u)
     a = check_matrix(a)
     rho = check_density(rho)
-    per_call = moebius._SUM_BLOCK // WALK_GRID
 
     def trace(ws):
         # conj(W) A^T before rho W: the smaller peak of the two orders
@@ -106,14 +108,14 @@ def ad_flow(u, a, rho) -> Flow:
             todo - steps, return_index=True, return_inverse=True
         )
         vals = np.empty(todo.shape, dtype=np.complex128)
-        cuts = [*first[::per_call].tolist(), todo.size]
+        cuts = [*first[::WALK_ANCHORS].tolist(), todo.size]
         for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            grid = anchors[c * per_call : (c + 1) * per_call]
+            grid = anchors[c * WALK_ANCHORS : (c + 1) * WALK_ANCHORS]
             walk = np.empty((steps[lo:hi].max() + 1, grid.size) + u.shape, dtype=np.complex128)
             walk[0] = unitary_power(u, grid)
             for i in range(1, len(walk)):
                 np.matmul(u, walk[i - 1], out=walk[i])
-            ws = walk[steps[lo:hi], tiles[lo:hi] - c * per_call]
+            ws = walk[steps[lo:hi], tiles[lo:hi] - c * WALK_ANCHORS]
             del walk  # before the trace's temporaries: the lower peak
             vals[lo:hi] = moebius.by_row_tiles(trace, ws)
             del ws  # before the next group's walk: one group's peak per call

@@ -26,11 +26,12 @@ both trace-product paths) are one call on it.  ``blocked_sums`` is numpy's
 pairwise reduction in blocks of at most ``_SUM_BLOCK`` consecutive indices,
 also cut at each stop, then a balanced binary fold of the block sums up to
 each stop.  The layout depends only on the index range and the stops, never
-on the worker count.  Terms are evaluated once per run of whole consecutive
-blocks inside one ``_SUM_RUN`` window of indices (four blocks), never
-across a worker's share, and each block's sum is taken on its slice of the
-run's terms; a pointwise term gives the same bits in a run as in a block of
-its own, so the sums keep the block layout's bits, and memory does not grow
+on the worker count.  Terms are evaluated once per run, the whole
+consecutive blocks inside one ``_SUM_RUN`` window of indices (four blocks),
+and threads take whole runs, so every evaluation covers the same indices at
+any worker count.  Each block's sum is taken on its slice of the run's
+terms; a pointwise term gives the same bits in a run as in a block of its
+own, so the sums keep the block layout's bits, and memory does not grow
 with N.  Evaluators whose per-n work is a matrix row take their n
 ``_ROW_TILE`` at a time (``by_row_tiles``), so a run holds no more of their
 scratch than one block did.  Terms with mu(n) = 0 are exact zeros in place
@@ -209,38 +210,32 @@ def blocked_sums(
 
     The positions of idx are cut into consecutive blocks of _SUM_BLOCK and
     at each stop (a count of leading positions).  terms(r) maps a sub-range r of idx
-    to a 1-D array of its terms; it is called once per run of whole
+    to a 1-D array of its terms; it is called once per run, the whole
     consecutive blocks inside one _SUM_RUN window of positions, and each
     block's sum is np.add.reduce of its slice of that array.  Returns
     fold_pairwise of the block sums up to each stop and then up to len(idx),
-    0j for none.  With workers > 1 each thread sums one contiguous run of
-    blocks, and no terms call crosses from one thread's blocks to another's.
+    0j for none.  With workers > 1 threads take whole runs, so every terms
+    call covers the same sub-range of idx at any worker count.
     """
     size = len(idx)
     if any(not 0 <= s <= size for s in stops):
         raise ValueError(f"stops must lie in [0, {size}]")
     edges = sorted({*range(0, size, _SUM_BLOCK), *stops, size})
     blocks = list(zip(edges, edges[1:]))
+    # a multiple of _SUM_RUN is a block edge, so no block straddles a window
+    runs = [list(g) for _, g in itertools.groupby(blocks, key=lambda b: b[0] // _SUM_RUN)]
 
-    def run(part):
-        sums = []
-        # a multiple of _SUM_RUN is a block edge, so no block straddles a window
-        for _, group in itertools.groupby(part, key=lambda b: b[0] // _SUM_RUN):
-            group = list(group)
-            start = group[0][0]
-            vals = terms(idx[start : group[-1][1]])
-            sums += [np.add.reduce(vals[lo - start : hi - start]) for lo, hi in group]
-            del vals  # before the next run's terms: one run's peak
-        return sums
+    def run(group):
+        start = group[0][0]
+        vals = terms(idx[start : group[-1][1]])
+        return [np.add.reduce(vals[lo - start : hi - start]) for lo, hi in group]
 
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
-        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(run, [blocks[a:b] for a, b in zip(cuts, cuts[1:])])
-            sums = [s for part in parts for s in part]
+            sums = [s for part in pool.map(run, runs) for s in part]
     else:
-        sums = run(blocks)
+        sums = [s for group in runs for s in run(group)]
     ends = {0: 0, **{hi: k + 1 for k, (_, hi) in enumerate(blocks)}}
     counts = [ends[s] for s in (*stops, size)]
     folds = {k: fold_pairwise(sums[:k]) if k else 0j for k in set(counts)}
@@ -515,10 +510,13 @@ def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
     array to one value per entry along its first axis, evaluated
     _ROW_TILE entries at a time.  An evaluator whose per-entry work is a
     matrix row so holds the scratch of at most one tile, however long the
-    run of blocks that asks.  A last tile of one entry joins the tile
-    before, because numpy takes a one-row matrix product through gemv or
-    dot, which round otherwise than gemm.
+    run of blocks that asks.  values_at never gets a single entry: numpy
+    takes a one-row matrix product through gemv or dot, which round
+    otherwise than gemm, so a lone entry is evaluated as a pair and a last
+    tile of one entry joins the tile before.
     """
+    if len(rows) == 1:
+        return by_row_tiles(values_at, np.repeat(rows, 2, axis=0))[:1]
     out = np.empty(len(rows), dtype=np.complex128)
     start = 0
     while True:

@@ -108,9 +108,9 @@ def test_series_bits_ignore_workers_and_dropped_checkpoints(table_1m, cps, keep,
 
 
 @pytest.mark.parametrize("cpus, pool_size", [(4, 3), (2, 2), (None, None)])
-def test_series_worker_count_is_clamped(table_10k, monkeypatch, cpus, pool_size):
-    # three blocks: the pool never gets more threads than blocks or CPUs,
-    # and a clamp to one thread starts no pool at all
+def test_series_worker_count_is_clamped(table_1m, monkeypatch, cpus, pool_size):
+    # three runs of blocks: the pool never gets more threads than runs or
+    # CPUs, and a clamp to one thread starts no pool at all
     pools = []
 
     class Recorder:
@@ -129,8 +129,9 @@ def test_series_worker_count_is_clamped(table_10k, monkeypatch, cpus, pool_size)
     monkeypatch.setattr(moebius, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(moebius.os, "cpu_count", lambda: cpus)
     flow = rotation_flow(GOLDEN)
-    serial = average_series(flow, table_10k, [9000])
-    clamped = average_series(flow, table_10k, [9000], workers=100_000)
+    N = 2 * moebius._SUM_RUN + 9000
+    serial = average_series(flow, table_1m, [N])
+    clamped = average_series(flow, table_1m, [N], workers=100_000)
     assert pools == ([] if pool_size is None else [pool_size])
     assert np.array_equal(serial.values, clamped.values)
 
@@ -325,6 +326,18 @@ def test_flow_values_keep_their_bits_across_row_tiles(label):
         full = flow.at(ns)
         for i in {0, tile - 1, tile, size - 2, size - 1} & set(range(size)):
             assert full[i : i + 1].tobytes() == flow.at(ns[i : i + 1]).tobytes(), (size, i)
+
+
+@pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
+def test_flow_values_at_one_n_keep_their_bits(label):
+    # values_at itself, not only the checked Flow.at, is pointwise at a
+    # single n: moebius.by_row_tiles never hands a matrix-row evaluator one
+    # row, which numpy would multiply through gemv or dot
+    flow = FLOW_FAMILIES[label]
+    ns = np.array([1, 2, 3, 7, 100, 1000, 1024, 1025, 4097, 9973, 10**4], dtype=np.int64)
+    full = flow.values_at(ns)
+    for i in range(ns.size):
+        assert flow.values_at(ns[i : i + 1]).tobytes() == full[i : i + 1].tobytes(), ns[i]
 
 
 @pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
