@@ -2,8 +2,9 @@
 
 The package sieves the Moebius function, evaluates exponential sums with
 polynomial phases, averages bounded operator flows (matrix conjugation
-orbits, fermionic quasi-free dynamics, free-group shifts) against mu, and
-ships an experiment CLI that emits reproducible CSV/JSON artifacts.
+orbits, fermionic quasi-free dynamics) against mu, computes free central
+limit moments, and ships an experiment CLI that emits reproducible CSV/JSON
+artifacts.
 """
 
 from .moebius import (
@@ -13,11 +14,8 @@ from .moebius import (
     exp_sum,
     linear_phase,
     load_or_build_table,
-    mertens,
     phase_values,
     prefix_counts,
-    squarefree_count,
-    squarefree_density,
 )
 from .linalg import (
     haar_unitary,
@@ -65,15 +63,11 @@ from .car_fock import (
     quasifree_eval,
 )
 from .free_words import (
-    GroupElementSum,
-    ReducedWord,
     arcsine_moments,
-    bkn_moment_norm,
     catalan,
     cumulants_to_moments,
     free_clt_moments,
     moments_to_cumulants,
-    nc_partitions,
     semicircle_moments,
 )
 
@@ -87,17 +81,14 @@ __all__ = [
     "FiniteAverageBound",
     "Flow",
     "FlowEvaluationError",
-    "GroupElementSum",
     "MoebiusTable",
     "PolynomialPhase",
     "QuantizedUnitary",
-    "ReducedWord",
     "TraceProductSpec",
     "ad_flow",
     "annihilation",
     "arcsine_moments",
     "average_series",
-    "bkn_moment_norm",
     "bsz_check",
     "build_table",
     "catalan",
@@ -118,9 +109,7 @@ __all__ = [
     "hs_norm",
     "linear_phase",
     "load_or_build_table",
-    "mertens",
     "moments_to_cumulants",
-    "nc_partitions",
     "normal_order",
     "op_norm",
     "phase_values",
@@ -134,8 +123,6 @@ __all__ = [
     "rotation_flow",
     "semicircle_moments",
     "spectral_flow",
-    "squarefree_count",
-    "squarefree_density",
     "trace_product_sum",
     "unitary_power",
 ]

@@ -32,7 +32,12 @@ from .linalg import check_square, inner
 from .moebius import MoebiusTable, by_row_tiles, characters
 
 _SYMBOL_ATOL = 1e-10
-MAX_MODES = 12  # the dense Fock oracle holds 2^d x 2^d matrices: 256 MiB each at d = 12
+# the dense Fock oracle holds 2^d x 2^d matrices, and car-demo's ten op_norm
+# SVDs of such anticommutators take 80% of its time at d = 8 and 63% at
+# d = 10, by cProfile.  car-demo in process, seed 0, 1 sample of degree 2:
+# d = 8 took 1.2 s, d = 10 8.1 s and 156 MiB (24 s and 155 MiB at 50 samples
+# of degree 4), d = 11 56 s and 457 MiB, and d = 12 did not finish in 600 s
+MAX_MODES = 10
 
 
 @dataclass(frozen=True)
@@ -458,7 +463,6 @@ class CounterexampleFlows:
 
     bh_flow: Flow
     car_flow: Flow
-    valid_n: int
     dim: int
 
 
@@ -485,7 +489,7 @@ def counterexample_flow(L: int, table: MoebiusTable) -> CounterexampleFlows:
         label=f"shift_quasifree(L={L})",
         valid_n=L,
     )
-    return CounterexampleFlows(bh_flow=bh, car_flow=car, valid_n=L, dim=dim)
+    return CounterexampleFlows(bh_flow=bh, car_flow=car, dim=dim)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from .moebius import (
     load_or_build_table,
     phase_values,
     prefix_counts,
-    squarefree_density,
 )
 
 SCHEMA_VERSION = 1
@@ -443,7 +442,7 @@ def _run_counterexample(cfg, table, workers):
         rows.extend((flow.label,) + r for r in series.csv_rows())
         payload[flow.label] = _series_payload(series)
     bh_abs = payload[flows.bh_flow.label]["final_abs"]
-    density = squarefree_density(table, L)
+    density = prefix_counts(table, [L])[0][1] / L
     result = {
         "L": L,
         "dim": flows.dim,

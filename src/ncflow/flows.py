@@ -35,12 +35,12 @@ class Flow:
     be pure, vectorized and pointwise: values_at(ns)[i] depends only on
     ns[i], bit for bit, whatever the other n, their order or their number
     (moebius.by_row_tiles never gives a matrix-row evaluator one n).  Every
-    consumer evaluates through the checked call at() (or values() on a
-    range), which enforces the domain, the shape, finiteness and the
-    declared bound on the values it computes.  average_series asks at() only
-    for the squarefree n, so these checks cover exactly the values that
-    enter a Moebius sum.  The keyword evaluator is accepted for older call
-    sites and ignored: no value is ever computed through it.
+    consumer evaluates through the checked call at(), which enforces the
+    domain, the shape, finiteness and the declared bound on the values it
+    computes.  average_series asks at() only for the squarefree n, so these
+    checks cover exactly the values that enter a Moebius sum.  The keyword
+    evaluator is accepted for older call sites and ignored: no value is ever
+    computed through it.
     """
 
     def __init__(
@@ -88,10 +88,6 @@ class Flow:
             f"flow {self.label!r} exceeded its declared bound "
             f"{self.declared_bound:g} at n = {ns[np.argmax(over)]}"
         )
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """Checked values for n in (lo, hi]."""
-        return self.at(np.arange(lo + 1, hi + 1, dtype=np.int64))
 
 
 @dataclass(frozen=True)

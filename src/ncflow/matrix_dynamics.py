@@ -150,7 +150,7 @@ def rank_one_flow(u, xi, eta) -> Flow:
 
 @dataclass(frozen=True)
 class TraceProductSpec:
-    """Data for (1/N) sum mu(n) tr_k(prod_j U_j^{phi_j(n)} A_j) over n = residue (mod modulus).
+    """Data for (1/N) sum_{n<=N} mu(n) tr_k(prod_j U_j^{phi_j(n)} A_j).
 
     phase_polys[j] are ascending integer coefficients of phi_j.
     Contractions A_j must satisfy ||A_j|| <= 1.
@@ -159,8 +159,6 @@ class TraceProductSpec:
     unitaries: tuple
     contractions: tuple
     phase_polys: tuple
-    modulus: int = 1
-    residue: int = 0
 
     def __post_init__(self):
         us = tuple(check_unitary(u) for u in self.unitaries)
@@ -181,8 +179,6 @@ class TraceProductSpec:
             if not coeffs:
                 raise ValueError("phase polynomials need at least one coefficient")
             polys.append(coeffs)
-        if self.modulus < 1 or not 0 <= self.residue < self.modulus:
-            raise ValueError("bad congruence restriction")
         object.__setattr__(self, "unitaries", us)
         object.__setattr__(self, "contractions", cs)
         object.__setattr__(self, "phase_polys", tuple(polys))
@@ -211,13 +207,13 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
     """Moebius-weighted trace product average, certified by two paths.
 
     Each path is a pointwise trace n -> tr_k(prod_j U_j^{phi_j(n)} A_j) that
-    moebius.weighted_average evaluates run by run at squarefree n, _ROW_TILE
-    n per call (moebius.by_row_tiles), so memory does not grow with N.  The
-    direct path multiplies batched binary powers of each U_j; the eigen path
-    multiplies scalar phase products into contractions transformed once by
-    each U_j's eigenvectors.  The two values
-    must agree to TRACE_AGREE_TOL or an ArithmeticError is raised: this
-    cross-check certifies the result.  Both paths take phi_j(n) in int64, so
+    moebius.weighted_average evaluates run by run at the squarefree n <= N,
+    _ROW_TILE n per call (moebius.by_row_tiles), so memory does not grow
+    with N.  The direct path multiplies batched binary powers of each U_j;
+    the eigen path multiplies scalar phase products into contractions
+    transformed once by each U_j's eigenvectors.  The two values must agree
+    to TRACE_AGREE_TOL or an ArithmeticError is raised: this cross-check
+    certifies the result.  Both paths take phi_j(n) in int64, so
     every phase polynomial must have sum_i |c_i| N^i < 2^63, or a ValueError
     is raised; that check only guards against int64 wraparound, not against
     powers that lose accuracy.
@@ -237,9 +233,7 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
         return np.trace(m, axis1=1, axis2=2) / spec.k
 
     def average(trace):
-        return moebius.weighted_average(
-            table, N, spec.modulus, spec.residue, lambda ns: moebius.by_row_tiles(trace, ns)
-        )
+        return moebius.weighted_average(table, N, lambda ns: moebius.by_row_tiles(trace, ns))
 
     direct = average(direct_trace)
     eigen = average(_eigen_trace(spec))

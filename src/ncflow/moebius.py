@@ -19,13 +19,12 @@ M(N) and Q(N), the squarefree count, at many N in one pass over the table.
 Summation contract
 ------------------
 Every Moebius average has one layout and one term builder:
-``weighted_sums`` weights f(n) by mu(n) and runs ``blocked_sums`` over an
-index range, n = 1..N or a progression up to N, and both
-``flows.average_series`` and ``weighted_average`` (under ``exp_sum`` and
-both trace-product paths) are one call on it.  ``blocked_sums`` is numpy's
-pairwise reduction in blocks of at most ``_SUM_BLOCK`` consecutive indices,
-also cut at each stop, then a balanced binary fold of the block sums up to
-each stop.  The layout depends only on the index range and the stops, never
+``weighted_sums`` weights f(n) by mu(n) and runs ``blocked_sums`` over the
+index range n = 1..N, and both ``flows.average_series`` and
+``weighted_average`` (under ``exp_sum`` and both trace-product paths) are
+one call on it.  ``blocked_sums`` is numpy's pairwise reduction in blocks
+of at most ``_SUM_BLOCK`` consecutive indices, also cut at each stop, then
+a balanced binary fold of the block sums up to each stop.  The layout depends only on the index range and the stops, never
 on the worker count.  Terms are evaluated once per run, the whole
 consecutive blocks inside one ``_SUM_RUN`` window of indices (four blocks),
 and threads take whole runs, so every evaluation covers the same indices at
@@ -103,26 +102,16 @@ class MoebiusTable:
 
 @dataclass(frozen=True)
 class PolynomialPhase:
-    """Real polynomial phase with a congruence restriction n = residue (mod modulus).
-
-    coeffs are ascending: coeffs[i] is the coefficient of n^i.
-    """
+    """Real polynomial phase; coeffs are ascending: coeffs[i] is the
+    coefficient of n^i."""
 
     coeffs: tuple
-    modulus: int = 1
-    residue: int = 0
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("phase needs at least the constant coefficient")
         if not all(math.isfinite(float(c)) for c in self.coeffs):
             raise ValueError("phase coefficients must be finite")
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(
-                f"residue must lie in [0, {self.modulus}), got {self.residue}"
-            )
 
     @property
     def degree(self) -> int:
@@ -240,17 +229,6 @@ def blocked_sums(
     counts = [ends[s] for s in (*stops, size)]
     folds = {k: fold_pairwise(sums[:k]) if k else 0j for k in set(counts)}
     return [folds[k] for k in counts]
-
-
-def tree_sum(values: np.ndarray):
-    """Sum a whole 1-D array with the fixed blocked pairwise scheme; the
-    oracle that the tests hold blocked_sums to."""
-    values = np.asarray(values)
-    if values.size == 0:
-        return values.dtype.type(0)
-    return fold_pairwise(
-        [np.add.reduce(values[i : i + _SUM_BLOCK]) for i in range(0, values.size, _SUM_BLOCK)]
-    )
 
 
 def fold_pairwise(parts: Sequence):
@@ -500,11 +478,6 @@ def characters(angles, ns) -> np.ndarray:
 # Moebius-weighted sums
 
 
-def _check_N(table: MoebiusTable, N: int) -> None:
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-
-
 def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
     """values_at(rows) as one complex array, for a values_at that maps an
     array to one value per entry along its first axis, evaluated
@@ -537,9 +510,9 @@ def weighted_sums(
     *,
     workers: int = 1,
 ) -> list:
-    """blocked_sums of mu(n) f(n) over the n of idx, a progression inside
-    [1, table.n_max], up to each stop and to the end; values_at(ns) is f at
-    an int64 array ns, pointwise.
+    """blocked_sums of mu(n) f(n) over the n of idx, a contiguous range
+    inside [1, table.n_max], up to each stop and to the end; values_at(ns)
+    is f at an int64 array ns, pointwise.
 
     The one place where a Moebius sum weights by mu: each run of blocks
     evaluates values_at once, at its squarefree n only, and scatters
@@ -549,10 +522,10 @@ def weighted_sums(
     """
 
     def terms(r):
-        mu = table.mu[r.start : r.stop : r.step]
+        mu = table.mu[r.start : r.stop]
         # from the bool mask, which np.flatnonzero reads faster than the int8 mu
         at = np.flatnonzero(mu != 0)
-        vals = values_at(at * r.step + r.start)  # before the weights: a lower peak
+        vals = values_at(at + r.start)  # before the weights: a lower peak
         vals = mu[at].astype(np.float64) * vals
         out = np.zeros(mu.size, dtype=np.complex128)  # after the values: a lower peak
         out[at] = vals
@@ -561,27 +534,17 @@ def weighted_sums(
     return blocked_sums(idx, terms, stops, workers=workers)
 
 
-def weighted_average(
-    table: MoebiusTable, N: int, modulus: int, residue: int, values_at: Callable
-) -> complex:
-    """(1/N) * sum over n <= N, n = residue (mod modulus), of mu(n) f(n), where
-    values_at(ns) is f at an int64 array ns, pointwise: one weighted_sums."""
-    _check_N(table, N)
-    idx = range(residue if residue >= 1 else modulus, N + 1, modulus)
-    return complex(weighted_sums(table, idx, values_at)[0]) / N
+def weighted_average(table: MoebiusTable, N: int, values_at: Callable) -> complex:
+    """(1/N) * sum over n <= N of mu(n) f(n), where values_at(ns) is f at an
+    int64 array ns, pointwise: one weighted_sums."""
+    if not 1 <= N <= table.n_max:
+        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+    return complex(weighted_sums(table, range(1, N + 1), values_at)[0]) / N
 
 
 def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
-    """weighted_average of e(phi(n)) over the phase's progression."""
-    return weighted_average(
-        table, N, phase.modulus, phase.residue, lambda ns: phase_values(phase.coeffs, ns)
-    )
-
-
-def mertens(table: MoebiusTable, N: int) -> int:
-    """M(N) = sum_{n<=N} mu(n), exact."""
-    _check_N(table, N)
-    return int(np.add.reduce(table.mu[1 : N + 1], dtype=np.int64))
+    """weighted_average of e(phi(n))."""
+    return weighted_average(table, N, lambda ns: phase_values(phase.coeffs, ns))
 
 
 def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
@@ -598,16 +561,6 @@ def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
         out.append((m, q))
         lo = N + 1
     return out
-
-
-def squarefree_density(table: MoebiusTable, N: int) -> float:
-    """Fraction of n <= N with mu(n) != 0; exact count before the division."""
-    return squarefree_count(table, N) / N
-
-
-def squarefree_count(table: MoebiusTable, N: int) -> int:
-    _check_N(table, N)
-    return int(np.count_nonzero(table.mu[1 : N + 1]))
 
 
 def checked_checkpoints(n_max: int, checkpoints: Iterable[int]) -> list:

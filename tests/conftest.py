@@ -30,7 +30,7 @@ def word_shift_flow(w, v):
     alpha, evaluated by reducing the word at each n and reading off the
     trace: an oracle that does not assume the closed form [w = e]."""
     from ncflow.flows import Flow
-    from ncflow.free_words import GroupElementSum
+    from oracles import GroupElementSum
 
     def values_at(ns):
         words = (v.inverse() * w.shift(int(n)) * v for n in ns)

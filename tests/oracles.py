@@ -1,0 +1,249 @@
+"""Independent oracles that the tests hold the library to; no ncflow module
+imports them.
+
+- Free group words: reduced words over generators indexed by Z, finite word
+  sums with exact coefficients and the canonical trace, and the free central
+  limit moments by enumerating letter strings.
+- Non-crossing partitions of {1..n}, enumerated, against which the
+  moment-cumulant recursion of ncflow.free_words is checked.
+- Moebius sums: tree_sum, the blocked pairwise scheme over a whole array,
+  and the exact Mertens sum M(N) and squarefree count Q(N), one at a time,
+  against ncflow.moebius.prefix_counts.
+- values(flow, lo, hi): a flow's checked values at n = lo + 1..hi.
+"""
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from ncflow.free_words import NC_ORDER_CAP
+from ncflow.moebius import _SUM_BLOCK, MoebiusTable, fold_pairwise
+
+# ---------------------------------------------------------------------------
+# reduced words and word sums
+
+
+@dataclass(frozen=True)
+class ReducedWord:
+    """Freely reduced word; syllables are (index, power) with power != 0."""
+
+    syllables: tuple = ()
+
+    @staticmethod
+    def from_syllables(pairs) -> "ReducedWord":
+        stack = []
+        for idx, power in pairs:
+            idx = int(idx)
+            power = int(power)
+            if power == 0:
+                continue
+            if stack and stack[-1][0] == idx:
+                merged = stack[-1][1] + power
+                if merged == 0:
+                    stack.pop()
+                else:
+                    stack[-1] = (idx, merged)
+            else:
+                stack.append((idx, power))
+        return ReducedWord(tuple(stack))
+
+    @staticmethod
+    def generator(index: int, power: int = 1) -> "ReducedWord":
+        return ReducedWord.from_syllables([(index, power)])
+
+    @staticmethod
+    def identity() -> "ReducedWord":
+        return ReducedWord(())
+
+    @property
+    def is_identity(self) -> bool:
+        return not self.syllables
+
+    @property
+    def length(self) -> int:
+        return sum(abs(p) for _, p in self.syllables)
+
+    def __mul__(self, other: "ReducedWord") -> "ReducedWord":
+        return ReducedWord.from_syllables(self.syllables + other.syllables)
+
+    def inverse(self) -> "ReducedWord":
+        return ReducedWord(tuple((i, -p) for i, p in reversed(self.syllables)))
+
+    def shift(self, n: int) -> "ReducedWord":
+        return ReducedWord(tuple((i + n, p) for i, p in self.syllables))
+
+    def spread(self) -> int:
+        """max |generator index| appearing (0 for the identity)."""
+        return max((abs(i) for i, _ in self.syllables), default=0)
+
+
+class GroupElementSum:
+    """Finite formal sum of reduced words with exact numeric coefficients."""
+
+    def __init__(self, terms=None):
+        merged = {}
+        if terms:
+            for w, c in (terms.items() if isinstance(terms, dict) else terms):
+                if c == 0:
+                    continue
+                merged[w] = merged.get(w, 0) + c
+                if merged[w] == 0:
+                    del merged[w]
+        self._terms = merged
+
+    @staticmethod
+    def from_word(w: ReducedWord, coeff=1) -> "GroupElementSum":
+        return GroupElementSum({w: coeff})
+
+    def __add__(self, other: "GroupElementSum") -> "GroupElementSum":
+        out = dict(self._terms)
+        for w, c in other._terms.items():
+            out[w] = out.get(w, 0) + c
+        return GroupElementSum(out)
+
+    def __mul__(self, other: "GroupElementSum") -> "GroupElementSum":
+        out = {}
+        for w1, c1 in self._terms.items():
+            for w2, c2 in other._terms.items():
+                w = w1 * w2
+                out[w] = out.get(w, 0) + c1 * c2
+        return GroupElementSum(out)
+
+    def adjoint(self) -> "GroupElementSum":
+        return GroupElementSum(
+            {w.inverse(): _conj(c) for w, c in self._terms.items()}
+        )
+
+    def shift(self, n: int) -> "GroupElementSum":
+        return GroupElementSum({w.shift(n): c for w, c in self._terms.items()})
+
+    def trace(self):
+        """Canonical trace: the coefficient of the empty word."""
+        return self._terms.get(ReducedWord.identity(), 0)
+
+    def power(self, k: int) -> "GroupElementSum":
+        if k < 0:
+            raise ValueError("negative powers are not defined for word sums")
+        out = GroupElementSum({ReducedWord.identity(): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def _conj(c):
+    return c.conjugate() if isinstance(c, complex) else c
+
+
+def arcsine_sum_moment_by_words(q: int, p: int) -> Fraction:
+    """tau(s_q^p) by exact expansion over all (2q)^p letter strings.
+
+    The q summands are (g_i + g_i^-1)/2 for distinct free generators; a string
+    contributes iff its word reduces to the identity.
+    """
+    if q < 1 or p < 1:
+        raise ValueError("need q >= 1 and p >= 1")
+    if (2 * q) ** p > 4_000_000:
+        raise ValueError(f"expansion of (2q)^p = {(2 * q) ** p} letters is over budget")
+    if p % 2 == 1:
+        return Fraction(0)
+    letters = [(i, e) for i in range(q) for e in (1, -1)]
+    count = 0
+    for combo in itertools.product(letters, repeat=p):
+        if ReducedWord.from_syllables(combo).is_identity:
+            count += 1
+    return Fraction(count, 2**p * q ** (p // 2))
+
+
+# ---------------------------------------------------------------------------
+# non-crossing partitions
+
+
+@dataclass(frozen=True)
+class NonCrossingPartition:
+    blocks: tuple  # tuple of ascending tuples, ordered by smallest element
+
+    def is_noncrossing(self) -> bool:
+        for b1, b2 in itertools.combinations(self.blocks, 2):
+            for x, z in itertools.combinations(b1, 2):
+                if any(x < y < z for y in b2) and any(w < x or w > z for w in b2):
+                    return False
+        return True
+
+
+def nc_partitions(n: int):
+    """All non-crossing partitions of {1..n} in a fixed deterministic order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > NC_ORDER_CAP:
+        raise ValueError(f"n = {n} exceeds the enumeration cap {NC_ORDER_CAP}")
+    return [
+        NonCrossingPartition(blocks=p) for p in _nc_rec(tuple(range(1, n + 1)))
+    ]
+
+
+def _nc_rec(elems: tuple):
+    """Choose the block containing the first element; the remaining elements
+    split into gaps between consecutive block members, and non-crossing forces
+    each gap to be partitioned independently."""
+    if not elems:
+        return [()]
+    first, rest = elems[0], elems[1:]
+    out = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            block = (first,) + combo
+            in_block = set(combo)
+            segments, seg = [], []
+            for x in rest:
+                if x in in_block:
+                    segments.append(tuple(seg))
+                    seg = []
+                else:
+                    seg.append(x)
+            segments.append(tuple(seg))
+            for parts in itertools.product(*[_nc_rec(s) for s in segments]):
+                out.append((block,) + tuple(itertools.chain.from_iterable(parts)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Moebius sums
+
+
+def tree_sum(values: np.ndarray):
+    """Sum a whole 1-D array with the fixed blocked pairwise scheme: the bits
+    that blocked_sums must give without stops."""
+    values = np.asarray(values)
+    if values.size == 0:
+        return values.dtype.type(0)
+    return fold_pairwise(
+        [np.add.reduce(values[i : i + _SUM_BLOCK]) for i in range(0, values.size, _SUM_BLOCK)]
+    )
+
+
+def _check_N(table: MoebiusTable, N: int) -> None:
+    if not 1 <= N <= table.n_max:
+        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
+
+
+def mertens(table: MoebiusTable, N: int) -> int:
+    """M(N) = sum_{n<=N} mu(n), exact."""
+    _check_N(table, N)
+    return int(np.add.reduce(table.mu[1 : N + 1], dtype=np.int64))
+
+
+def squarefree_count(table: MoebiusTable, N: int) -> int:
+    """Q(N) = sum_{n<=N} |mu(n)|, exact."""
+    _check_N(table, N)
+    return int(np.count_nonzero(table.mu[1 : N + 1]))
+
+
+# ---------------------------------------------------------------------------
+# flows
+
+
+def values(flow, lo: int, hi: int) -> np.ndarray:
+    """flow's checked values for n in (lo, hi]."""
+    return flow.at(np.arange(lo + 1, hi + 1, dtype=np.int64))

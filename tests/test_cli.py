@@ -21,7 +21,8 @@ from ncflow.cli import (
     main,
     resolve_config,
 )
-from ncflow.moebius import N_MAX_CAP, build_table, load_table, squarefree_count
+from ncflow.moebius import N_MAX_CAP, build_table, load_table
+from oracles import squarefree_count
 
 
 def read_csv(path):
@@ -175,7 +176,7 @@ def test_cli_flag_conflicting_with_config_fails(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"experiment": "car-demo", "seed": 0, "params": {"d": 13}}, "d must be <= 12"),
+        ({"experiment": "car-demo", "seed": 0, "params": {"d": 11}}, "d must be <= 10"),
         ({"experiment": "quantize", "seed": 0, "params": {"epsilon": 1e-9}}, "grid size"),
         (
             {"experiment": "quantize", "seed": 5, "n_max": 100, "params": {"epsilon": 1e-9}},
@@ -771,6 +772,39 @@ def test_package_source_never_imports_scipy():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in modules), (name, node.lineno)
+
+
+def test_public_names_are_sorted_unique_and_resolve():
+    names = ncflow.__all__
+    assert names == sorted(set(names))
+    missing = [name for name in names if not hasattr(ncflow, name)]
+    assert not missing
+
+
+def test_package_runs_from_src_alone(tmp_path):
+    # isolated mode: no PYTHONPATH, no script directory, so sys.path holds
+    # src/ and the interpreter's own paths, never tests/ and its oracles
+    src = os.path.dirname(os.path.dirname(ncflow.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import os, sys\n"
+        "src, tests, out = sys.argv[1:]\n"
+        "sys.path.insert(0, src)\n"
+        "import ncflow\n"
+        "from ncflow.cli import main\n"
+        "assert not any(os.path.abspath(p or '.') == tests for p in sys.path), sys.path\n"
+        "codes = [main([name, '--out', out]) for name in ('free-clt', 'counterexample')]\n"
+        "print(codes, os.path.dirname(ncflow.__file__) == os.path.join(src, 'ncflow'),\n"
+        "      'oracles' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env.pop("NCFLOW_CACHE_DIR", None)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src, tests, str(tmp_path / "out")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] True False", done.stdout + done.stderr
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -13,20 +13,22 @@ from ncflow import free_words
 from ncflow.flows import average_series, geometric_checkpoints
 from ncflow.free_words import (
     NC_ORDER_CAP,
-    GroupElementSum,
-    NonCrossingPartition,
-    ReducedWord,
     arcsine_moments,
-    arcsine_sum_moment_by_words,
-    bkn_moment_norm,
     catalan,
     cumulants_to_moments,
     free_clt_moments,
     moments_to_cumulants,
-    nc_partitions,
     semicircle_moments,
 )
-from ncflow.moebius import build_table, mertens
+from oracles import (
+    GroupElementSum,
+    NonCrossingPartition,
+    ReducedWord,
+    arcsine_sum_moment_by_words,
+    mertens,
+    nc_partitions,
+    values,
+)
 
 
 def random_word(rng, n_gens=3, n_syllables=6):
@@ -218,11 +220,10 @@ def test_cumulant_recursion_matches_nc_sum_oracle(seq):
     assert moments_to_cumulants(seq).kappa == oracle_moments_to_cumulants(seq)
 
 
-def test_cumulant_transforms_do_not_enumerate(monkeypatch):
-    def refuse(n):
-        raise AssertionError("the transforms must not enumerate NC(n)")
-
-    monkeypatch.setattr(free_words, "nc_partitions", refuse)
+def test_cumulant_transforms_do_not_enumerate():
+    # the module holds no enumerator of NC(n), nor the itertools it was built on
+    for name in ("nc_partitions", "_nc_rec", "NonCrossingPartition", "itertools"):
+        assert not hasattr(free_words, name)
     moments = free_clt_moments(10, NC_ORDER_CAP)
     assert len(moments) == NC_ORDER_CAP
     assert moments[3] == Fraction(39, 80)  # (4q - 1) / (8q) at q = 10
@@ -284,41 +285,6 @@ def test_word_enumeration_oracle_value():
     assert arcsine_sum_moment_by_words(2, 4) == Fraction(7, 16)
 
 
-def test_block_sum_report_hand_value():
-    report = bkn_moment_norm(2, ReducedWord.generator(0), 2, 4, coeffs=[1, -1])
-    assert report.raw_trace == 6
-    assert report.normalized_moment == Fraction(3, 8)
-    assert report.step == 5  # blocks spaced 2l + 1 apart stay disjoint
-    assert report.coefficients == (1, -1)
-    assert report.estimate == pytest.approx(float(Fraction(3, 8)) ** 0.25)
-
-
-def test_block_sum_trivial_case():
-    report = bkn_moment_norm(1, ReducedWord.generator(0), 1, 4, coeffs=[1])
-    assert report.raw_trace == 1
-    assert report.estimate == 1.0
-
-
-def test_block_sum_estimate_decays_with_block_count(table_10k):
-    estimates = [
-        bkn_moment_norm(1, ReducedWord.generator(0), q, 4, table=table_10k).estimate
-        for q in (2, 4, 8)
-    ]
-    assert estimates[0] > estimates[1] > estimates[2]
-
-
-def test_block_sum_validation(table_10k):
-    wide = ReducedWord.from_syllables([(0, 1), (3, 1)])
-    with pytest.raises(ValueError, match="spread"):
-        bkn_moment_norm(2, wide, 2, 4, coeffs=[1, -1])
-    with pytest.raises(ValueError, match="even"):
-        bkn_moment_norm(3, ReducedWord.generator(0), 2, 3, table=table_10k)
-    with pytest.raises(ValueError, match="budget"):
-        bkn_moment_norm(1, ReducedWord.generator(0), 2, 12, budget=10, table=table_10k)
-    with pytest.raises(ValueError, match="coeffs or a Moebius table"):
-        bkn_moment_norm(1, ReducedWord.generator(0), 2, 4)
-
-
 def test_free_shift_flow_vanishes_identically(table_10k):
     flow = word_shift_flow(ReducedWord.generator(0, 2), ReducedWord.generator(1))
     assert all(flow.at([n])[0] == 0j for n in range(1, 30))
@@ -340,7 +306,7 @@ def test_free_shift_flow_vanishes_identically(table_10k):
 def test_free_shift_flow_closed_form_matches_word_reduction(w, v):
     # the shift is an injective homomorphism, so v^-1 alpha^n(w) v is the
     # identity exactly when w is: the reduced words' trace is [w = e] at every n
-    got = word_shift_flow(w, v).values(0, 50)
+    got = values(word_shift_flow(w, v), 0, 50)
     assert np.array_equal(got, np.full(50, 1.0 if w.is_identity else 0.0, dtype=complex))
 
 

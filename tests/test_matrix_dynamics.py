@@ -25,7 +25,8 @@ from ncflow.matrix_dynamics import (
     rank_one_flow,
     trace_product_sum,
 )
-from ncflow.moebius import _ROW_TILE, _SUM_BLOCK, _SUM_RUN, build_table, characters, tree_sum
+from ncflow.moebius import _ROW_TILE, _SUM_BLOCK, _SUM_RUN, build_table, characters
+from oracles import tree_sum, values
 
 
 def random_contraction(rng, k):
@@ -52,8 +53,8 @@ def test_ad_flow_diagonal_equals_rotation(table_10k):
     rho = np.full((2, 2), 0.5)
     fl = ad_flow(u, a, rho)
     rot = rotation_flow(theta)
-    got = fl.values(0, 64)
-    want = 0.5 * rot.values(0, 64)
+    got = values(fl, 0, 64)
+    want = 0.5 * values(rot, 0, 64)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -64,7 +65,7 @@ def test_ad_flow_long_run_restarts_from_exact_powers():
     rng = np.random.default_rng(2)
     a = hermitian_contraction(rng, 8)
     rho = random_density(8, rng)
-    vals = ad_flow(u, a, rho).values(0, 30001)
+    vals = values(ad_flow(u, a, rho), 0, 30001)
     for n in (1, 4096, 4097, 9999, 30000, 30001):
         w = unitary_power(u, n)
         direct = np.trace(rho @ w @ a @ w.conj().T)
@@ -100,7 +101,7 @@ def test_ad_flow_block_is_the_plain_walk():
         np.einsum("ab,ab->", rho @ w, w.conj() @ a.T)
         for w in anchored_walk(u, range(lo + 1, lo + 4097))
     ]
-    got = ad_flow(u, a, rho).values(lo, lo + 4096)
+    got = values(ad_flow(u, a, rho), lo, lo + 4096)
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -116,7 +117,7 @@ def test_ad_flow_is_within_1e_15_of_the_product_trace(dim):
     want = [
         np.trace(rho @ w @ a @ w.conj().T) for w in anchored_walk(u, range(lo + 1, lo + 101))
     ]
-    got = ad_flow(u, a, rho).values(lo, lo + 100)
+    got = values(ad_flow(u, a, rho), lo, lo + 100)
     assert np.max(np.abs(got - np.array(want))) <= 1e-15
 
 
@@ -148,9 +149,9 @@ def test_matrix_flows_match_binary_powers(seed):
     xi, eta = unit_vector(rng, dim), unit_vector(rng, dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     aa = g @ g.conj().T
-    ad = ad_flow(u, a, rho).values(0, 1000)
-    r1 = rank_one_flow(u, xi, eta).values(0, 1000)
-    state = finite_vn_state_flow(u, a, g).values(0, 1000)
+    ad = values(ad_flow(u, a, rho), 0, 1000)
+    r1 = values(rank_one_flow(u, xi, eta), 0, 1000)
+    state = values(finite_vn_state_flow(u, a, g), 0, 1000)
     for n in range(1, 1001):
         w = unitary_power(u, n)
         want_ad = np.trace(rho @ w @ a @ w.conj().T)
@@ -189,7 +190,7 @@ def test_ad_flow_block_matches_evaluator():
     a = hermitian_contraction(rng, 5)
     rho = random_density(5, rng)
     fl = ad_flow(u, a, rho)
-    block = fl.values(100, 140)
+    block = values(fl, 100, 140)
     scal = np.array([fl.at([n])[0] for n in range(101, 141)])
     assert np.max(np.abs(block - scal)) < 1e-12
 
@@ -203,7 +204,7 @@ def test_ad_flow_walks_each_run_of_consecutive_n():
     ns = np.array([7, 8, 9, 40, 3, 4, 1000])
     want = np.array([fl.at([n])[0] for n in ns])
     assert np.max(np.abs(fl.at(ns) - want)) < 1e-12
-    assert np.array_equal(fl.at(ns[:3]), fl.values(6, 9))
+    assert np.array_equal(fl.at(ns[:3]), values(fl, 6, 9))
 
 
 def test_ad_flow_peak_does_not_grow_with_the_groups_of_a_call():
@@ -239,7 +240,7 @@ def test_ad_flow_conjugation_invariance(seed):
     base = ad_flow(u, a, rho)
     moved = ad_flow(v @ u @ v.conj().T, v @ a @ v.conj().T, v @ rho @ v.conj().T)
     ns = np.arange(1, 200)
-    assert np.max(np.abs(base.values(0, 199) - moved.values(0, 199))) < 1e-12
+    assert np.max(np.abs(values(base, 0, 199) - values(moved, 0, 199))) < 1e-12
 
 
 def test_ad_flow_block_embedding_restriction():
@@ -258,7 +259,7 @@ def test_ad_flow_block_embedding_restriction():
     )
     small = ad_flow(u1, a1, rho1)
     big = ad_flow(u, a, rho)
-    assert np.max(np.abs(small.values(0, 100) - big.values(0, 100))) < 1e-12
+    assert np.max(np.abs(values(small, 0, 100) - values(big, 0, 100))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -281,7 +282,7 @@ def test_rank_one_flow_values_are_nonnegative():
     rng = np.random.default_rng(3)
     u = haar_unitary(5, rng)
     fl = rank_one_flow(u, unit_vector(rng, 5), unit_vector(rng, 5))
-    vals = fl.values(0, 50)
+    vals = values(fl, 0, 50)
     assert np.max(np.abs(vals.imag)) < 1e-14
     assert vals.real.min() > -1e-14
 
@@ -360,10 +361,10 @@ def test_trace_product_refuses_paths_that_disagree(seed, d, coeff, gap, table_10
 
 
 def per_n_direct_sum(spec, table, N):
-    """The direct path as one matrix_power chain per squarefree n of the
-    progression, with exact zeros at mu(n) = 0, summed by tree_sum."""
+    """The direct path as one matrix_power chain per squarefree n <= N,
+    with exact zeros at mu(n) = 0, summed by tree_sum."""
     parts = []
-    for n in range(spec.residue or spec.modulus, N + 1, spec.modulus):
+    for n in range(1, N + 1):
         parts.append(0j)
         if table.mu[n]:
             m = np.eye(spec.k, dtype=np.complex128)
@@ -372,7 +373,7 @@ def per_n_direct_sum(spec, table, N):
                 m = m @ np.linalg.matrix_power(u if phi >= 0 else u.conj().T, abs(phi))
                 m = m @ a
             parts[-1] = int(table.mu[n]) * np.trace(m) / spec.k
-    return complex(tree_sum(np.array(parts))) / N if parts else 0j
+    return complex(tree_sum(np.array(parts))) / N
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -386,27 +387,15 @@ def test_trace_product_direct_path_is_the_per_n_loop(seed, table_10k):
             assert complex(got) == per_n_direct_sum(spec, table_10k, N)
 
 
-def test_trace_product_direct_path_negative_phase_and_congruence(table_10k):
+def test_trace_product_direct_path_negative_phase(table_10k):
     base = make_spec(np.random.default_rng(9), 3, 2, degree=2)
-    specs = [
-        TraceProductSpec(
-            unitaries=base.unitaries,
-            contractions=base.contractions,
-            phase_polys=((2, -5), (0, 3, -1)),
-        ),
-        TraceProductSpec(
-            unitaries=base.unitaries,
-            contractions=base.contractions,
-            phase_polys=base.phase_polys,
-            modulus=2,
-            residue=1,
-        ),
-        # n = 0 (mod 4) is never squarefree: both paths sum no terms
-        dataclasses.replace(base, modulus=4, residue=0),
-    ]
-    for spec in specs:
-        got = trace_product_sum(spec, table_10k, 2000).value
-        assert complex(got) == per_n_direct_sum(spec, table_10k, 2000)
+    spec = TraceProductSpec(
+        unitaries=base.unitaries,
+        contractions=base.contractions,
+        phase_polys=((2, -5), (0, 3, -1)),
+    )
+    got = trace_product_sum(spec, table_10k, 2000).value
+    assert complex(got) == per_n_direct_sum(spec, table_10k, 2000)
 
 
 def test_trace_product_eigen_path_is_one_tree_sum():
@@ -437,16 +426,13 @@ def test_trace_product_eigen_path_is_one_tree_sum():
     assert got == want
 
 
-@pytest.mark.parametrize("q, residue", [(1, 0), (3, 1), (6, 5)])
-def test_trace_product_paths_evaluate_squarefree_n_block_by_block(
-    table_1m, monkeypatch, q, residue
-):
+def test_trace_product_paths_evaluate_squarefree_n_block_by_block(table_1m, monkeypatch):
     # with phi_j(n) = n the powers and the characters each path asks for are
     # its n: every call must stay within one run of blocks, a _SUM_RUN window
-    # of the progression, and take at most _ROW_TILE + 1 of its n, and each
-    # factor's calls must cover its squarefree n once
+    # of n, and take at most _ROW_TILE + 1 of its n, and each factor's calls
+    # must cover its squarefree n once
     base = make_spec(np.random.default_rng(2), 3, 2)
-    spec = dataclasses.replace(base, phase_polys=((0, 1), (0, 1)), modulus=q, residue=residue)
+    spec = dataclasses.replace(base, phase_polys=((0, 1), (0, 1)))
     calls = {"unitary_power": [], "characters": []}
     for name, seen in calls.items():
 
@@ -455,16 +441,16 @@ def test_trace_product_paths_evaluate_squarefree_n_block_by_block(
             return original(x, ns)
 
         monkeypatch.setattr(matrix_dynamics, name, recording)
-    N = 5 * _SUM_BLOCK * q + 17  # two runs, the second of two blocks
+    N = 5 * _SUM_BLOCK + 17  # two runs, the second of two blocks
     trace_product_sum(spec, table_1m, N)
-    cls = np.arange(residue if residue else q, N + 1, q)
+    every = np.arange(1, N + 1)
     for name, seen in calls.items():
-        windows = [np.unique((ns - cls[0]) // (q * _SUM_RUN)) for ns in seen]
+        windows = [np.unique((ns - 1) // _SUM_RUN) for ns in seen]
         assert all(w.size <= 1 for w in windows), (name, [w.tolist() for w in windows])
         assert max(ns.size for ns in seen) <= _ROW_TILE + 1, name
         for j in range(spec.d):
             got = np.concatenate(seen[j :: spec.d])
-            assert np.array_equal(got, cls[table_1m.mu[cls] != 0]), (name, j)
+            assert np.array_equal(got, every[table_1m.mu[every] != 0]), (name, j)
 
 
 def test_trace_product_memory_is_flat_in_n(table_1m):
@@ -496,31 +482,6 @@ def test_trace_product_d1_matches_direct_sum(table_10k):
             acc += m * np.trace(unitary_power(u, c * n) @ a) / 3
     res = trace_product_sum(spec, table_10k, n_max)
     assert abs(res.value - acc / n_max) < 1e-10
-
-
-def test_trace_product_respects_congruence_restriction(table_10k):
-    rng = np.random.default_rng(6)
-    base = make_spec(rng, 3, 2)
-    spec0 = TraceProductSpec(
-        unitaries=base.unitaries,
-        contractions=base.contractions,
-        phase_polys=base.phase_polys,
-        modulus=2,
-        residue=0,
-    )
-    spec1 = TraceProductSpec(
-        unitaries=base.unitaries,
-        contractions=base.contractions,
-        phase_polys=base.phase_polys,
-        modulus=2,
-        residue=1,
-    )
-    full = trace_product_sum(base, table_10k, 400).value
-    split = (
-        trace_product_sum(spec0, table_10k, 400).value
-        + trace_product_sum(spec1, table_10k, 400).value
-    )
-    assert abs(full - split) < 1e-12
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.01])

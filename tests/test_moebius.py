@@ -26,15 +26,13 @@ from ncflow.moebius import (
     linear_phase,
     load_or_build_table,
     load_table,
-    mertens,
     phase_values,
     poly_phase_frac,
     prefix_counts,
     save_table,
-    squarefree_count,
-    squarefree_density,
-    tree_sum,
+    weighted_sums,
 )
+from oracles import mertens, squarefree_count, tree_sum
 
 
 def mu_trial(n: int) -> int:
@@ -198,16 +196,12 @@ def test_prefix_counts_refuses_bad_checkpoints(table_10k):
 def test_squarefree_counts(table_1m):
     assert squarefree_count(table_1m, 10) == 7  # 1,2,3,5,6,7,10
     assert squarefree_count(table_1m, 10**6) == 607926
-    assert abs(squarefree_density(table_1m, 10**6) - 6 / math.pi**2) < 5e-4
+    assert abs(squarefree_count(table_1m, 10**6) / 10**6 - 6 / math.pi**2) < 5e-4
 
 
 def test_polynomial_phase_validation():
     with pytest.raises(ValueError):
         PolynomialPhase(())
-    with pytest.raises(ValueError):
-        PolynomialPhase((0.0, 1.0), modulus=0)
-    with pytest.raises(ValueError):
-        PolynomialPhase((0.0, 1.0), modulus=3, residue=3)
     assert linear_phase(0.25).degree == 1
 
 
@@ -668,38 +662,41 @@ def test_blocked_sums_reject_stops_outside_the_range():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    q=st.integers(2, 12),
-    residue=st.integers(0, 11),
     N=st.integers(1, 3 * 10**5),
     coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
 )
-def test_exp_sum_in_a_residue_class_is_one_tree_sum(table_1m, q, residue, N, coeffs):
-    residue %= q
-    ns = np.arange(residue if residue else q, N + 1, q)
+def test_exp_sum_is_one_tree_sum_of_the_signed_zero_terms(table_1m, N, coeffs):
+    # the full terms mu(n) e(phi(n)) carry zeros of either sign at mu(n) = 0,
+    # where exp_sum leaves exact +0
+    ns = np.arange(1, N + 1)
     terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
     want = complex(tree_sum(terms)) / N
-    got = exp_sum(table_1m, PolynomialPhase(tuple(coeffs), q, residue), N)
+    got = exp_sum(table_1m, PolynomialPhase(tuple(coeffs)), N)
     assert _same_bits(got, want)
 
 
-@pytest.mark.parametrize("q, residue", [(4, 0), (9, 0), (8, 4)])
-def test_exp_sum_on_a_class_without_squarefree_n_is_the_tree_sum_of_zeros(
-    table_1m, q, residue
+# 48..50 = 2^4 3, 7^2, 2 5^2; 242..245 = 2 11^2, 3^5, 2^2 61, 5 7^2; and
+# 22020..22025, the first six consecutive n without a squarefree one (no
+# longer such run starts below 2 10^5)
+@pytest.mark.parametrize("lo, hi", [(48, 50), (242, 245), (22020, 22025)])
+def test_weighted_sums_on_a_range_without_squarefree_n_is_the_tree_sum_of_zeros(
+    table_1m, lo, hi
 ):
-    rng = np.random.default_rng(q)
-    for N in (q, q + 1, 2 * q, 4096 * q + 3 * q, 10**5):
-        ns = np.arange(residue if residue else q, N + 1, q)
-        assert not table_1m.mu[ns].any()
-        # every phase quadrant, so the full terms 0 * e(phi) carry zeros of both signs
-        for coeffs in [(0.0,), (0.3,), (0.6,), (0.85,)] + [tuple(rng.random(3)) for _ in range(4)]:
-            terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
-            want = complex(tree_sum(terms)) / N
-            got = exp_sum(table_1m, PolynomialPhase(coeffs, q, residue), N)
-            assert _same_bits(got, want), (N, coeffs)
+    rng = np.random.default_rng(lo)
+    ns = np.arange(lo, hi + 1)
+    assert not table_1m.mu[ns].any()
+    stops = range(1, ns.size)
+    # every phase quadrant, so the full terms 0 * e(phi) carry zeros of both signs
+    for coeffs in [(0.0,), (0.3,), (0.6,), (0.85,)] + [tuple(rng.random(3)) for _ in range(4)]:
+        terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
+        got = weighted_sums(
+            table_1m, range(lo, hi + 1), lambda n: phase_values(coeffs, n), stops
+        )
+        for s, part in zip([*stops, ns.size], got):
+            assert _same_bits(complex(part), complex(tree_sum(terms[:s]))), (s, coeffs)
 
 
-@pytest.mark.parametrize("q, residue", [(1, 0), (3, 1), (6, 5)])
-def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch, q, residue):
+def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch):
     seen = []
 
     def recording(coeffs, n):
@@ -707,28 +704,13 @@ def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch, q,
         return phase_values(coeffs, n)
 
     monkeypatch.setattr(moebius, "phase_values", recording)
-    N = 3 * 4096 * q + 17
-    exp_sum(table_1m, PolynomialPhase((0.0, 0.37, 0.123), q, residue), N)
+    N = 3 * 4096 + 17
+    exp_sum(table_1m, PolynomialPhase((0.0, 0.37, 0.123)), N)
     ns = np.concatenate(seen)
-    cls = np.arange(residue if residue else q, N + 1, q)
+    every = np.arange(1, N + 1)
     assert np.all(table_1m.mu[ns] != 0)
-    assert ns.size == np.count_nonzero(table_1m.mu[cls])
-    assert np.array_equal(np.sort(ns), cls[table_1m.mu[cls] != 0])
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    q=st.integers(1, 12),
-    N=st.integers(1, 3 * 10**5),
-    coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-)
-def test_exp_sum_residue_classes_add_up(table_1m, q, N, coeffs):
-    # raw sums, so the tolerance is 1e-12 * N
-    full = exp_sum(table_1m, PolynomialPhase(tuple(coeffs)), N) * N
-    parts = sum(
-        exp_sum(table_1m, PolynomialPhase(tuple(coeffs), q, r), N) * N for r in range(q)
-    )
-    assert abs(parts - full) <= 1e-12 * N
+    assert ns.size == np.count_nonzero(table_1m.mu[every])
+    assert np.array_equal(np.sort(ns), every[table_1m.mu[every] != 0])
 
 
 def test_exp_sum_half_phase(table_1m):
@@ -743,17 +725,6 @@ def test_exp_sum_integer_phase_is_mertens(table_1m):
     for n in (10, 997, 10**4):
         s = exp_sum(table_1m, PolynomialPhase((0.0, 0.0)), n)
         assert s == pytest.approx(mertens(table_1m, n) / n, abs=1e-15)
-
-
-def test_exp_sum_residue_classes_partition(table_1m):
-    theta = (math.sqrt(5) - 1) / 2
-    n = 99991
-    full = exp_sum(table_1m, PolynomialPhase((0.0, theta)), n)
-    parts = sum(
-        exp_sum(table_1m, PolynomialPhase((0.0, theta), modulus=3, residue=r), n)
-        for r in range(3)
-    )
-    assert abs(full - parts) < 1e-12
 
 
 def test_exp_sum_dyadic_phase_periodicity(table_1m):
