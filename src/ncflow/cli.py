@@ -71,9 +71,10 @@ SCHEMA_VERSION = 1
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# at _MAX_DIM, k = 32, a 1024-row tile of k x k complex matrices is 16 MiB and
-# ad_flow's 4096-matrix walk group 64 MiB: by tracemalloc at seed 0, matrix-flow
-# to n_max 10^5 peaked at 104 MiB and one trace product (d = 2) at 66 MiB
+# at _MAX_DIM, k = 32, a 1024-row tile of k x k complex matrices is 16 MiB, and
+# ad_flow holds one tile of walked matrices and one trace tile: matrix-flow to
+# n_max 10^5 at seed 0 peaked at 48 MiB by tracemalloc and 86 MiB of RSS in
+# process, and one trace product (d = 2) at 66 MiB by tracemalloc
 _MAX_DIM = 32
 
 # the bsz-check flows by name; the bsz-check record refuses any other name
@@ -324,11 +325,29 @@ def _run_matrix_flow(cfg, table, workers):
 # but its time does not: one product (k = 4, d = 2) took 8.6-9.0 s and peaked
 # at 41.9 MiB at n_max 10^6 on 2 cores, about 15 minutes at the 10^8 cap
 TRACE_PRODUCT_N_MAX = 10**6
+# its time also grows with k, d and count, and with the bits of the largest
+# phase coeff_max * n_max, one binary-power product each in the direct path.
+# Seconds per factor, n and phase bit of one product, for k up to each key, on
+# 2 cores at d = 2, coeff_max 7 and n_max 20000: 0.28e-6 at k = 4 (0.32e-6 at
+# n_max 10^5), 0.40e-6 at 8, 1.05e-6 at 16 and 5.2e-6 at 32 (4.5e-6 with
+# coeff_max at its cap)
+TRACE_PRODUCT_COST = {4: 0.3e-6, 8: 0.4e-6, 16: 1.1e-6, 32: 5.5e-6}
+TRACE_PRODUCT_SECONDS = 120  # cap on count * d * n_max * bits * cost(k)
 
 
 def _check_trace_product(params, n_max):
     if n_max > TRACE_PRODUCT_N_MAX:
         raise ValueError(f"trace-product n_max must be <= {TRACE_PRODUCT_N_MAX}, got {n_max}")
+    k, d, count = params["k"], params["d"], params["count"]
+    bits = (params["coeff_max"] * n_max).bit_length()
+    cost = next(cost for top, cost in TRACE_PRODUCT_COST.items() if k <= top)
+    seconds = count * d * n_max * bits * cost
+    if seconds > TRACE_PRODUCT_SECONDS:
+        raise ValueError(
+            f"trace-product work count * d * n_max * bits * cost(k) = {count} * {d} *"
+            f" {n_max} * {bits} * {cost:g} s = {seconds:.3g} s is past its cap of"
+            f" {TRACE_PRODUCT_SECONDS} s"
+        )
 
 
 def _run_trace_product(cfg, table, workers):

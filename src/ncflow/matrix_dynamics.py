@@ -11,13 +11,14 @@ directly.  ad_flow walks powers (one multiply per step) from exact binary
 powers at the fixed anchors 1 + WALK_GRID j, so its value at n depends on n
 alone; the seed-0 matrix-flow reference in perfbench pins its decay-fit
 constant to a walk's rounding, which a spectral evaluation would move past
-the reference tolerance.  A call walks up to four tiles in lockstep and
-takes the trace tr(rho W A W*) over the stack of walked W it needs, as
-sum_ab (rho W)_ab (conj(W) A^T)_ab, in three numpy calls per _ROW_TILE of
-W.  Exact powers come in batches from unitary_power, here and in the
-trace-product direct path, and both trace-product paths are pointwise
-traces in n that moebius.weighted_average evaluates per run of blocks at
-squarefree n, _ROW_TILE n per call.
+the reference tolerance.  A call walks the tiles of up to one run's anchors
+(_SUM_RUN / WALK_GRID) in lockstep, in chunks of at most _ROW_TILE walked W,
+and takes the trace tr(rho W A W*) of the W each chunk holds for it, as
+sum_ab (rho W)_ab (conj(W) A^T)_ab in three numpy calls, so it holds at most
+_ROW_TILE walked matrices and one trace tile.  Exact powers come in batches
+from unitary_power, here and in the trace-product direct path, and both
+trace-product paths are pointwise traces in n that moebius.weighted_average
+evaluates per run of blocks at squarefree n, _ROW_TILE n per call.
 quantize_unitary rounds the eigenphase of each eigenvector column to its
 grid; columns that land on the same grid point stay separate rank-one
 projections, and the bound chain sums exponential sums against coefficients
@@ -50,7 +51,6 @@ QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power
 # ad_flow's anchors 1 + WALK_GRID j: the seed-0 matrix-flow reference pins
 # the walk's rounding to them, so they stay put whatever the summation blocks
 WALK_GRID = 1024
-WALK_ANCHORS = 4  # anchors per lockstep walk: at most 4096 walked matrices
 CONTRACTION_SLACK = 1e-10  # op_norm (an SVD) of an A_j scaled to norm 1 may pass 1 by ulps
 DOMINATES_SLACK = 1e-12  # |s_N| and the bound are rounded: they may cross by ulps where they meet
 T_NORM_SLACK = 1e-9  # likewise op_norm of a T scaled to norm 1 may pass 1 by ulps
@@ -79,13 +79,16 @@ def ad_flow(u, a, rho) -> Flow:
     2 ||A|| (L - 1 + 2 log2 n) sqrt(2) (k + 2) k 2^-53 of the exact trace,
     to first order.
 
-    A call groups its distinct n by anchor, takes up to WALK_ANCHORS
-    anchors at a time from one unitary_power call and walks those tiles in
-    lockstep, one stacked product per step up to the largest step asked
-    for, so it holds at most WALK_ANCHORS L walked matrices; one group's walk
-    and walked stack are freed before the next group's walk, so the peak
-    does not grow with the groups of a call.  The trace is fused over the
-    contiguous stack of the W asked for, _ROW_TILE at a time: tr(rho W A W*)
+    A call groups its distinct n by anchor and takes up to _SUM_RUN / L
+    anchors at a time, one run's worth, with their exact powers from one
+    unitary_power call.  It walks a group's tiles in lockstep, one stacked
+    product per step up to the largest step asked of the group, in chunks of
+    at most _ROW_TILE walked matrices (64 steps of 16 anchors), carrying each
+    chunk's last step into the next.  A searchsorted per anchor on the
+    sorted distinct n finds a chunk's n, and their W are gathered and traced
+    at once (moebius.by_row_tiles).  One buffer holds every group's walk, so
+    a call holds at most _ROW_TILE walked matrices and one trace tile: the
+    gathered W and the two products of the fused trace, where tr(rho W A W*)
     is the sum over a, b of (rho W)_ab (conj(W) A^T)_ab, one stacked product
     conj(W) A^T, one stacked rho W and one row-wise contraction.  An
     isolated n costs up to L - 1 steps of its tile; the Moebius averages ask
@@ -103,22 +106,32 @@ def ad_flow(u, a, rho) -> Flow:
 
     def values_at(ns):
         todo, back = np.unique(ns, return_inverse=True)
-        steps = (todo - 1) % WALK_GRID
-        anchors, first, tiles = np.unique(
-            todo - steps, return_index=True, return_inverse=True
-        )
+        anchors = np.unique(todo - (todo - 1) % WALK_GRID)
+        # each tile is walked up to the largest step asked of it
+        reach = todo[np.searchsorted(todo, anchors + WALK_GRID) - 1] - anchors + 1
+        per_group = moebius._SUM_RUN // WALK_GRID  # one run's anchors
+        size = min(moebius._ROW_TILE, int(reach.max(initial=0)) * min(per_group, anchors.size))
+        held = np.empty((size,) + u.shape, dtype=np.complex128)  # every group's walk
         vals = np.empty(todo.shape, dtype=np.complex128)
-        cuts = [*first[::WALK_ANCHORS].tolist(), todo.size]
-        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            grid = anchors[c * WALK_ANCHORS : (c + 1) * WALK_ANCHORS]
-            walk = np.empty((steps[lo:hi].max() + 1, grid.size) + u.shape, dtype=np.complex128)
+        for g in range(0, anchors.size, per_group):
+            grid = anchors[g : g + per_group]
+            top = int(reach[g : g + per_group].max())
+            span = min(moebius._ROW_TILE // grid.size, top)  # steps per chunk
+            walk = held[: span * grid.size].reshape((span, grid.size) + u.shape)
             walk[0] = unitary_power(u, grid)
-            for i in range(1, len(walk)):
-                np.matmul(u, walk[i - 1], out=walk[i])
-            ws = walk[steps[lo:hi], tiles[lo:hi] - c * WALK_ANCHORS]
-            del walk  # before the trace's temporaries: the lower peak
-            vals[lo:hi] = moebius.by_row_tiles(trace, ws)
-            del ws  # before the next group's walk: one group's peak per call
+            for s in range(0, top, span):
+                stop = min(s + span, top)
+                if s:  # carry the last step into the next chunk
+                    np.matmul(u, walk[-1], out=walk[0])
+                for i in range(1, stop - s):
+                    np.matmul(u, walk[i - 1], out=walk[i])
+                lo = np.searchsorted(todo, grid + s)
+                hi = np.searchsorted(todo, grid + stop)
+                if not (hi > lo).any():
+                    continue
+                at = np.concatenate([np.arange(*cut) for cut in zip(lo, hi)])
+                col = np.repeat(np.arange(grid.size), hi - lo)
+                vals[at] = moebius.by_row_tiles(trace, walk[todo[at] - grid[col] - s, col])
         return vals[back].reshape(ns.shape)
 
     return Flow(

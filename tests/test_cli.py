@@ -396,6 +396,43 @@ def test_trace_product_refuses_n_max_above_its_cap_before_any_table(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "params, n_max, seconds",
+    [
+        ({"count": 10**8}, 1000, "7.8e+05"),  # the default k, d at the default n_max
+        ({"k": 32, "count": 1}, 10**6, "253"),
+        ({"k": 32, "count": 1, "coeff_max": (2**63 - 1) // N_MAX_CAP}, 2 * 10**5, "121"),
+    ],
+)
+def test_trace_product_refuses_work_past_its_cap_before_any_table(
+    tmp_path, capsys, monkeypatch, params, n_max, seconds
+):
+    def no_table(*a, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "load_or_build_table", no_table)
+    config = tmp_path / "tp.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "experiment": "trace-product", "seed": 0,
+        "n_max": n_max, "params": params,
+    }))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncflow: error: trace-product work count * d * n_max * bits * cost(k)")
+    assert err.endswith(f" = {seconds} s is past its cap of {cli.TRACE_PRODUCT_SECONDS} s\n")
+    assert not out.exists()
+
+
+def test_trace_product_work_rule_admits_one_product_at_k_32_to_10_5():
+    # about 24 s on 2 cores, under the 120 s cap; the default five products
+    # at k = 4 to n_max 10^6 are admitted by the n_max cap test above
+    cfg = ExperimentConfig(
+        experiment="trace-product", seed=0, n_max=10**5, params={"k": 32, "count": 1}
+    )
+    assert resolve_config(cfg).params["k"] == 32
+
+
 def test_a_trace_product_disagreement_names_its_spec(tmp_path, capsys):
     # coefficients near the cap put the direct path's binary powers of a
     # Haar unitary about 2e-5 off the eigen path at N = 1000

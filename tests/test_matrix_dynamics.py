@@ -207,26 +207,94 @@ def test_ad_flow_walks_each_run_of_consecutive_n():
     assert np.array_equal(fl.at(ns[:3]), values(fl, 6, 9))
 
 
+def walked_traces(u, a, rho, ns):
+    """The fused trace of anchored_walk's W(n) at each n of ns, in any order,
+    each tile walked from its anchor up to the largest n asked of it."""
+    want, asked = {}, set(ns)
+    for anchor in sorted({1 + WALK_GRID * ((n - 1) // WALK_GRID) for n in asked}):
+        top = max(n for n in asked if anchor <= n < anchor + WALK_GRID)
+        for n, w in zip(range(anchor, top + 1), anchored_walk(u, range(anchor, top + 1))):
+            if n in asked:
+                want[n] = np.einsum("ab,ab->", rho @ w, w.conj() @ a.T)
+    return np.array([want[n] for n in ns], dtype=np.complex128)
+
+
+# 35 anchors: two full groups of _SUM_RUN / WALK_GRID = 16, then a group of
+# three, whose chunks of 1024 // 3 = 341 steps do not divide a tile; the
+# steps sit at chunk edges of each group size and at a tile's last step
+SPREAD = [
+    int(anchor + step)
+    for anchor in 1 + WALK_GRID * np.arange(35)
+    for step in (0, 1, 63, 64, 340, 341, 682, 700, 1023)
+]
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [SPREAD, [1, 10**6], [5000, 3, 5000, 1025, 3, 2048, 1, 4096, 1025], [777]],
+    ids=["35 anchors", "1 and 10^6", "repeated and unsorted", "one n"],
+)
+def test_ad_flow_is_the_anchored_walk_bit_for_bit(ns):
+    # however the n fall on anchors, groups and chunks, each value has the
+    # bits of its own anchored walk and fused trace
+    rng = np.random.default_rng(11)
+    u, a, rho = haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng)
+    got = ad_flow(u, a, rho).values_at(np.array(ns, dtype=np.int64))
+    assert got.tobytes() == walked_traces(u, a, rho, ns).tobytes()
+
+
+def test_ad_flow_of_no_n_is_empty():
+    rng = np.random.default_rng(12)
+    flow = ad_flow(haar_unitary(4, rng), hermitian_contraction(rng, 4), random_density(4, rng))
+    assert flow.values_at(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def traced_peak(call, ns):
+    """tracemalloc's peak over one call(ns), after a warm-up call that
+    takes numpy's one-time imports out of the measure."""
+    call(ns[:2])
+    tracemalloc.start()
+    try:
+        call(ns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ad_flow_peak_does_not_grow_with_the_groups_of_a_call():
-    # a call walks _SUM_BLOCK / WALK_GRID anchors at a time; one group's walk
-    # and walked stack are freed before the next group's walk, so one call
-    # over four groups peaks above a call over one group only by its
-    # per-n index and value arrays, far below one group's walked stack
-    # (4096 matrices of 8 x 8, 4 MiB)
+    # a call holds one walk buffer of at most _ROW_TILE matrices for all its
+    # groups of anchors, and traces each chunk's W as it is walked, so a call
+    # over four runs of n peaks above a call over one block only by its
+    # per-n index and value arrays, far below one chunk's walked matrices
+    # (1024 matrices of 8 x 8, 1 MiB)
     rng = np.random.default_rng(6)
     flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
-    sizes = (_SUM_BLOCK, 4 * _SUM_BLOCK)
-    peaks = []
-    for size in sizes:
-        ns = np.arange(1, size + 1, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            flow.values_at(ns)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
+    sizes = (_SUM_BLOCK, 4 * _SUM_RUN)
+    peaks = [traced_peak(flow.values_at, np.arange(1, size + 1, dtype=np.int64)) for size in sizes]
     assert peaks[1] - peaks[0] <= 64 * (sizes[1] - sizes[0]), peaks
+
+
+def test_ad_flow_call_over_one_run_of_n_peaks_below_5_5_mib():
+    # 16384 consecutive n at k = 8: _ROW_TILE walked matrices (1 MiB), the
+    # gathered W of one chunk and the trace's two products over them (3 MiB),
+    # and the per-n arrays
+    rng = np.random.default_rng(6)
+    flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
+    peak = traced_peak(flow.values_at, np.arange(1, _SUM_RUN + 1, dtype=np.int64))
+    assert peak < 5.5 * 2**20, peak
+
+
+def test_ad_flow_holds_at_most_a_row_tile_of_walked_matrices():
+    # the last step of 64 tiles: every tile is walked to its end, while the
+    # 64 traces and their index arrays take a few KiB, so the peak is the
+    # walk; a group's exact powers and a chunk's gathered W are under 128
+    # matrices more
+    rng = np.random.default_rng(13)
+    flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
+    ns = WALK_GRID * np.arange(1, 65, dtype=np.int64)
+    matrix = 8 * 8 * np.dtype(np.complex128).itemsize
+    peak = traced_peak(flow.values_at, ns)
+    assert peak <= (_ROW_TILE + 128) * matrix, peak / matrix
 
 
 @pytest.mark.parametrize("seed", range(5))
