@@ -5,9 +5,9 @@ A Flow is a pure vectorized map from index arrays to values with a declared
 sup bound, evaluated only through one checked call; its value at n depends
 on n alone, bit for bit.  spectral_flow builds a finite-dimensional flow as
 a quadratic form in the eigenphase characters e(theta_j n).  average_series
-walks n = 1..max(checkpoints) once as one moebius.weighted_sums call, with
-Flow.at as the term values and the checkpoints as stops, so each run of
-blocks is evaluated at its squarefree n only, whole, at any worker count.
+is one moebius.weighted_average call over all its checkpoints, with Flow.at
+as f, so each run of blocks is evaluated at its squarefree n only, whole,
+at any worker count.
 """
 
 import math
@@ -125,20 +125,18 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    One moebius.weighted_sums call over n = 1..max(checkpoints), with the
-    checkpoints as stops: each run of blocks is evaluated through flow.at
-    at its squarefree n only, with exact zeros at the others, and threads
-    take whole runs, so the bits are the same for any worker count.
+    One moebius.weighted_average call at all the checkpoints: each run of
+    blocks is evaluated through flow.at at its squarefree n only, with exact
+    zeros at the others, and threads take whole runs, so the bits are the
+    same for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
-    n_max = cps[-1]
-    if flow.valid_n is not None and n_max > flow.valid_n:
+    if flow.valid_n is not None and cps[-1] > flow.valid_n:
         raise ValueError(
             f"flow {flow.label!r} is only defined for n <= {flow.valid_n}, "
-            f"requested series up to N = {n_max}"
+            f"requested series up to N = {cps[-1]}"
         )
-    sums = moebius.weighted_sums(table, range(1, n_max + 1), flow.at, cps, workers=workers)
-    values = [complex(s) / N for N, s in zip(cps, sums)]
+    values = moebius.weighted_average(table, cps, flow.at, workers=workers)
     counts = [q for _, q in moebius.prefix_counts(table, cps)]
     return AverageSeries(
         label=flow.label,

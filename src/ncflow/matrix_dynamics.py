@@ -17,8 +17,9 @@ and takes the trace tr(rho W A W*) of the W each chunk holds for it, as
 sum_ab (rho W)_ab (conj(W) A^T)_ab in three numpy calls, so it holds at most
 _ROW_TILE walked matrices and one trace tile.  Exact powers come in batches
 from unitary_power, here and in the trace-product direct path, and both
-trace-product paths are pointwise traces in n that moebius.weighted_average
-evaluates per run of blocks at squarefree n, _ROW_TILE n per call.
+trace-product paths are pointwise traces in n, each averaged by one
+moebius.weighted_average call that evaluates it per run of blocks at
+squarefree n, _ROW_TILE n per call.
 quantize_unitary rounds the eigenphase of each eigenvector column to its
 grid; columns that land on the same grid point stay separate rank-one
 projections, and the bound chain sums exponential sums against coefficients
@@ -219,17 +220,17 @@ class TraceProductResult:
 def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> TraceProductResult:
     """Moebius-weighted trace product average, certified by two paths.
 
-    Each path is a pointwise trace n -> tr_k(prod_j U_j^{phi_j(n)} A_j) that
-    moebius.weighted_average evaluates run by run at the squarefree n <= N,
-    _ROW_TILE n per call (moebius.by_row_tiles), so memory does not grow
-    with N.  The direct path multiplies batched binary powers of each U_j;
-    the eigen path multiplies scalar phase products into contractions
-    transformed once by each U_j's eigenvectors.  The two values must agree
-    to TRACE_AGREE_TOL or an ArithmeticError is raised: this cross-check
-    certifies the result.  Both paths take phi_j(n) in int64, so
-    every phase polynomial must have sum_i |c_i| N^i < 2^63, or a ValueError
-    is raised; that check only guards against int64 wraparound, not against
-    powers that lose accuracy.
+    Each path is a pointwise trace n -> tr_k(prod_j U_j^{phi_j(n)} A_j),
+    averaged by one moebius.weighted_average call at the one checkpoint N,
+    which evaluates it run by run at the squarefree n <= N, _ROW_TILE n per
+    call (moebius.by_row_tiles), so memory does not grow with N.  The direct
+    path multiplies batched binary powers of each U_j; the eigen path
+    multiplies scalar phase products into contractions transformed once by
+    each U_j's eigenvectors.  The two values must agree to TRACE_AGREE_TOL
+    or an ArithmeticError is raised: this cross-check certifies the result.
+    Both paths take phi_j(n) in int64, so every phase polynomial must have
+    sum_i |c_i| N^i < 2^63, or a ValueError is raised; that check only
+    guards against int64 wraparound, not against powers that lose accuracy.
     """
     for coeffs in spec.phase_polys:
         reach = sum(abs(c) * N**i for i, c in enumerate(coeffs))
@@ -246,7 +247,10 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
         return np.trace(m, axis1=1, axis2=2) / spec.k
 
     def average(trace):
-        return moebius.weighted_average(table, N, lambda ns: moebius.by_row_tiles(trace, ns))
+        (value,) = moebius.weighted_average(
+            table, [N], lambda ns: moebius.by_row_tiles(trace, ns)
+        )
+        return value
 
     direct = average(direct_trace)
     eigen = average(_eigen_trace(spec))

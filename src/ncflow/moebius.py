@@ -18,23 +18,24 @@ M(N) and Q(N), the squarefree count, at many N in one pass over the table.
 
 Summation contract
 ------------------
-Every Moebius average has one layout and one term builder:
-``weighted_sums`` weights f(n) by mu(n) and runs ``blocked_sums`` over the
-index range n = 1..N, and both ``flows.average_series`` and
-``weighted_average`` (under ``exp_sum`` and both trace-product paths) are
-one call on it.  ``blocked_sums`` is numpy's pairwise reduction in blocks
-of at most ``_SUM_BLOCK`` consecutive indices, also cut at each stop, then
-a balanced binary fold of the block sums up to each stop.  The layout depends only on the index range and the stops, never
-on the worker count.  Terms are evaluated once per run, the whole
-consecutive blocks inside one ``_SUM_RUN`` window of indices (four blocks),
-and threads take whole runs, so every evaluation covers the same indices at
-any worker count.  Each block's sum is taken on its slice of the run's
-terms; a pointwise term gives the same bits in a run as in a block of its
-own, so the sums keep the block layout's bits, and memory does not grow
-with N.  Evaluators whose per-n work is a matrix row take their n
-``_ROW_TILE`` at a time (``by_row_tiles``), so a run holds no more of their
-scratch than one block did.  Terms with mu(n) = 0 are exact zeros in place
-that no sum evaluates (about 39% of n); numpy's add.reduce of a block
+Every Moebius average is one ``weighted_average`` call: (1/N) sum_{n<=N}
+mu(n) f(n) at each of its ascending checkpoints N, for a pointwise f.
+``flows.average_series``, ``exp_sum`` and both trace-product paths are each
+one call, and it is the one place that weights by mu.  n = 1..max(checkpoints)
+is cut into blocks of at most ``_SUM_BLOCK`` consecutive n, also cut at
+each checkpoint; each block is summed by numpy's pairwise reduction, and
+each average is a balanced binary fold of the block sums up to its
+checkpoint.  The layout depends only on the checkpoints, never on the
+worker count.  f is evaluated once per run, the whole consecutive blocks
+inside one ``_SUM_RUN`` window of n (four blocks), and threads take whole
+runs, so every evaluation covers the same n at any worker count.  Each
+block's sum is taken on its slice of the run's terms; a pointwise term
+gives the same bits in a run as in a block of its own, so the sums keep
+the block layout's bits, and memory does not grow with N.  Evaluators
+whose per-n work is a matrix row take their n ``_ROW_TILE`` at a time
+(``by_row_tiles``), so a run holds no more of their scratch than one block
+did.  f is evaluated at squarefree n only, and the terms with mu(n) = 0
+(about 39% of n) are exact zeros in place; numpy's add.reduce of a block
 starts from +0, so a zero of either sign leaves every block sum's bits
 unchanged.
 
@@ -186,64 +187,6 @@ def primes_upto(n: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.nonzero(flags)[0].astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# deterministic blocked pairwise summation
-
-
-def blocked_sums(
-    idx: range, terms: Callable, stops: Sequence[int] = (), *, workers: int = 1
-) -> list:
-    """Blocked pairwise sums of terms over idx, up to each stop and to the end.
-
-    The positions of idx are cut into consecutive blocks of _SUM_BLOCK and
-    at each stop (a count of leading positions).  terms(r) maps a sub-range r of idx
-    to a 1-D array of its terms; it is called once per run, the whole
-    consecutive blocks inside one _SUM_RUN window of positions, and each
-    block's sum is np.add.reduce of its slice of that array.  Returns
-    fold_pairwise of the block sums up to each stop and then up to len(idx),
-    0j for none.  With workers > 1 threads take whole runs, so every terms
-    call covers the same sub-range of idx at any worker count.
-    """
-    size = len(idx)
-    if any(not 0 <= s <= size for s in stops):
-        raise ValueError(f"stops must lie in [0, {size}]")
-    edges = sorted({*range(0, size, _SUM_BLOCK), *stops, size})
-    blocks = list(zip(edges, edges[1:]))
-    # a multiple of _SUM_RUN is a block edge, so no block straddles a window
-    runs = [list(g) for _, g in itertools.groupby(blocks, key=lambda b: b[0] // _SUM_RUN)]
-
-    def run(group):
-        start = group[0][0]
-        vals = terms(idx[start : group[-1][1]])
-        return [np.add.reduce(vals[lo - start : hi - start]) for lo, hi in group]
-
-    workers = min(workers, len(runs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = [s for part in pool.map(run, runs) for s in part]
-    else:
-        sums = [s for group in runs for s in run(group)]
-    ends = {0: 0, **{hi: k + 1 for k, (_, hi) in enumerate(blocks)}}
-    counts = [ends[s] for s in (*stops, size)]
-    folds = {k: fold_pairwise(sums[:k]) if k else 0j for k in set(counts)}
-    return [folds[k] for k in counts]
-
-
-def fold_pairwise(parts: Sequence):
-    """Balanced binary fold, deterministic in the sequence order."""
-    vals = list(parts)
-    if not vals:
-        raise ValueError("nothing to fold")
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,49 +445,67 @@ def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
         start = stop
 
 
-def weighted_sums(
-    table: MoebiusTable,
-    idx: range,
-    values_at: Callable,
-    stops: Sequence[int] = (),
-    *,
-    workers: int = 1,
+def fold_pairwise(parts: Sequence):
+    """Balanced binary fold, deterministic in the sequence order."""
+    vals = list(parts)
+    if not vals:
+        raise ValueError("nothing to fold")
+    while len(vals) > 1:
+        nxt = []
+        for i in range(0, len(vals) - 1, 2):
+            nxt.append(vals[i] + vals[i + 1])
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def weighted_average(
+    table: MoebiusTable, checkpoints: Iterable[int], values_at: Callable, *, workers: int = 1
 ) -> list:
-    """blocked_sums of mu(n) f(n) over the n of idx, a contiguous range
-    inside [1, table.n_max], up to each stop and to the end; values_at(ns)
+    """[(1/N) sum_{n<=N} mu(n) f(n)] at each checkpoint N, where values_at(ns)
     is f at an int64 array ns, pointwise.
 
-    The one place where a Moebius sum weights by mu: each run of blocks
-    evaluates values_at once, at its squarefree n only, and scatters
-    mu(n) f(n) into exact zeros, so np.add.reduce of each block's slice
-    sees the same nonzero terms at the same positions as for the full term
-    array.
+    n = 1..max(checkpoints) is cut into blocks of _SUM_BLOCK consecutive n
+    and at each checkpoint.  values_at is called once per run, the whole
+    consecutive blocks inside one _SUM_RUN window, at its squarefree n only,
+    and mu(n) f(n) is scattered into exact zeros, so np.add.reduce of each
+    block's slice sees the same nonzero terms at the same positions as for
+    the full term array.  Each average is fold_pairwise of the block sums up
+    to its checkpoint, over N.  With workers > 1 threads take whole runs, so
+    every values_at call covers the same n at any worker count.
     """
+    cps = checked_checkpoints(table.n_max, checkpoints)
+    edges = sorted({*range(0, cps[-1], _SUM_BLOCK), *cps})
+    blocks = list(zip(edges, edges[1:]))
+    # a multiple of _SUM_RUN is a block edge, so no block straddles a window
+    runs = [list(g) for _, g in itertools.groupby(blocks, key=lambda b: b[0] // _SUM_RUN)]
 
-    def terms(r):
-        mu = table.mu[r.start : r.stop]
+    def run(group):
+        start = group[0][0]  # the run is n = start + 1 .. its last edge
+        mu = table.mu[start + 1 : group[-1][1] + 1]
         # from the bool mask, which np.flatnonzero reads faster than the int8 mu
         at = np.flatnonzero(mu != 0)
-        vals = values_at(at + r.start)  # before the weights: a lower peak
+        vals = values_at(at + (start + 1))  # before the weights: a lower peak
         vals = mu[at].astype(np.float64) * vals
-        out = np.zeros(mu.size, dtype=np.complex128)  # after the values: a lower peak
-        out[at] = vals
-        return out
+        terms = np.zeros(mu.size, dtype=np.complex128)  # after the values: a lower peak
+        terms[at] = vals
+        return [np.add.reduce(terms[lo - start : hi - start]) for lo, hi in group]
 
-    return blocked_sums(idx, terms, stops, workers=workers)
-
-
-def weighted_average(table: MoebiusTable, N: int, values_at: Callable) -> complex:
-    """(1/N) * sum over n <= N of mu(n) f(n), where values_at(ns) is f at an
-    int64 array ns, pointwise: one weighted_sums."""
-    if not 1 <= N <= table.n_max:
-        raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
-    return complex(weighted_sums(table, range(1, N + 1), values_at)[0]) / N
+    workers = min(workers, len(runs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = [s for part in pool.map(run, runs) for s in part]
+    else:
+        sums = [s for group in runs for s in run(group)]
+    ends = {hi: k + 1 for k, (_, hi) in enumerate(blocks)}
+    return [complex(fold_pairwise(sums[: ends[N]])) / N for N in cps]
 
 
 def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
-    """weighted_average of e(phi(n))."""
-    return weighted_average(table, N, lambda ns: phase_values(phase.coeffs, ns))
+    """weighted_average of e(phi(n)) at N."""
+    (value,) = weighted_average(table, [N], lambda ns: phase_values(phase.coeffs, ns))
+    return value
 
 
 def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:

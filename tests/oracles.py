@@ -213,8 +213,9 @@ def _nc_rec(elems: tuple):
 
 
 def tree_sum(values: np.ndarray):
-    """Sum a whole 1-D array with the fixed blocked pairwise scheme: the bits
-    that blocked_sums must give without stops."""
+    """Sum a whole 1-D array with the fixed blocked pairwise scheme.  Over
+    the terms mu(n) f(n) for n = 1..N, this sum over N has the bits that
+    moebius.weighted_average must give at the one checkpoint N."""
     values = np.asarray(values)
     if values.size == 0:
         return values.dtype.type(0)

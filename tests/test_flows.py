@@ -43,7 +43,7 @@ def test_rotation_series_matches_exp_sum(table_1m):
     for i, n in enumerate(cps):
         direct = exp_sum(table_1m, PolynomialPhase((0.0, GOLDEN)), n)
         assert abs(series.values[i] - direct) < 1e-12
-    # at a single checkpoint both are one weighted_sums call in the same
+    # at a single checkpoint both are one weighted_average call in the same
     # blocks, so the bits agree, here past two run edges
     N = 2 * moebius._SUM_RUN + 777
     cubic = (0.0, 0.1234, 0.56789, 0.3)
@@ -301,8 +301,15 @@ def test_flow_values_are_pointwise_in_n(label, lo, size, data):
     squarefree = np.zeros(size, dtype=np.complex128)
     squarefree[mu != 0] = flow.at(ns[mu != 0])
     assert squarefree.tobytes() == np.where(mu != 0, full, 0j).tobytes()
-    got = moebius.weighted_sums(table, range(lo + 1, lo + size + 1), flow.at)[0]
-    want = tree_sum(np.where(mu != 0, full, 0j) * mu)
+    # and summed over a table with mu = 0 below lo + 1, against the
+    # zero-padded terms
+    padded = table.mu.copy()
+    padded[: lo + 1] = 0
+    (got,) = moebius.weighted_average(
+        moebius.MoebiusTable(n_max=lo + size, mu=padded), [lo + size], flow.at
+    )
+    terms = np.concatenate([np.zeros(lo, dtype=np.complex128), np.where(mu != 0, full, 0j) * mu])
+    want = complex(tree_sum(terms)) / (lo + size)
     assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 
 

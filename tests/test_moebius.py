@@ -17,7 +17,6 @@ from ncflow.flows import Flow, average_series
 from ncflow.moebius import (
     N_MAX_CAP,
     PolynomialPhase,
-    blocked_sums,
     build_table,
     cache_path,
     characters,
@@ -30,7 +29,6 @@ from ncflow.moebius import (
     poly_phase_frac,
     prefix_counts,
     save_table,
-    weighted_sums,
 )
 from oracles import mertens, squarefree_count, tree_sum
 
@@ -566,98 +564,97 @@ def test_phase_sum_memory_is_flat_in_n(table_1m):
         assert peaks[1] <= peaks[0] + 2**19, (name, peaks)
 
 
-def _gather(x):
-    """terms for blocked_sums: the entries of x at a sub-range, as a fresh 1-D array."""
-    return lambda r: x[np.arange(r.start, r.stop, r.step)]
-
-
-def _check_runs(calls, serial, start, step, size, stops):
-    """Each terms call of blocked_sums spans a run of whole blocks inside one
-    _SUM_RUN window, the calls tile the range once, and they are the same
-    ranges as the serial calls, whatever the worker count."""
-    edges = {*range(0, size, moebius._SUM_BLOCK), *stops, size}
-    assert all(r.step == step for r in calls)
-    spans = sorted(((r.start - start) // step, len(r)) for r in calls)
-    for lo, length in spans:
-        assert lo in edges and lo + length in edges, (lo, length)
-        assert 0 < length <= moebius._SUM_RUN
-        assert lo // moebius._SUM_RUN == (lo + length - 1) // moebius._SUM_RUN
-    ends = [0] + [lo + length for lo, length in spans]
-    assert [lo for lo, _ in spans] == ends[:-1] and ends[-1] == size
-    assert sorted(calls, key=lambda r: r.start) == sorted(serial, key=lambda r: r.start)
+def _window_calls(table, n_max):
+    """The values_at calls weighted_average must make up to n_max, sorted:
+    per _SUM_RUN window of n, one call at the window's squarefree n."""
+    calls = []
+    for lo in range(0, n_max, moebius._SUM_RUN):
+        ns = np.arange(lo + 1, min(lo + moebius._SUM_RUN, n_max) + 1)
+        calls.append(tuple(ns[table.mu[ns] != 0].tolist()))
+    return sorted(calls)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    start=st.integers(0, 40),
-    step=st.integers(1, 3),
-    size=st.integers(0, 3 * moebius._SUM_RUN + 100),
-    raw_stops=st.lists(st.integers(0, 10**6), max_size=6),
+    n_max=st.integers(1, 3 * moebius._SUM_RUN + 100),
+    raw_cps=st.lists(st.integers(0, 10**6), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_sums_are_worker_invariant_and_match_tree_sum(
-    start, step, size, raw_stops, seed
-):
-    # sizes and stops cross the edges of the runs of blocks that terms is
-    # called on; the block sums must not see the runs
+def test_weighted_average_is_worker_invariant_and_matches_tree_sum(n_max, raw_cps, seed):
+    # the horizon and the checkpoints cross the edges of the runs of blocks
+    # that values_at is called on; the block sums must not see the runs
     rng = np.random.default_rng(seed)
-    idx = range(start, start + step * size, step)
-    x = rng.standard_normal(idx.stop + 1) * 10.0 ** rng.integers(-6, 6, idx.stop + 1)
+    mu = rng.integers(-1, 2, n_max + 1, dtype=np.int8)  # random mu, which no sieve made
+    mu[0] = 0
+    table = moebius.MoebiusTable(n_max=n_max, mu=mu)
+    x = rng.standard_normal(n_max + 1) * 10.0 ** rng.integers(-6, 6, n_max + 1)
     x = x + 1j * rng.standard_normal(x.size)
-    stops = [s % (size + 1) for s in raw_stops]  # uneven cuts anywhere in [0, size]
+    cps = sorted({1 + c % n_max for c in raw_cps} | {n_max})  # uneven cuts anywhere
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moebius.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):
             calls = []
 
-            def terms(r, calls=calls):
-                calls.append(r)
-                return _gather(x)(r)
+            def values_at(ns, calls=calls):
+                calls.append(tuple(ns.tolist()))
+                return x[ns]
 
-            runs.append(blocked_sums(idx, terms, stops, workers=workers))
-            if workers == 1:
-                serial = calls
-            _check_runs(calls, serial, start, step, size, stops)
-    assert len(runs[0]) == len(stops) + 1
+            runs.append(moebius.weighted_average(table, cps, values_at, workers=workers))
+            # each call is one run of whole blocks: a _SUM_RUN window's
+            # squarefree n, the same calls at every worker count
+            assert sorted(calls) == _window_calls(table, n_max)
+    assert len(runs[0]) == len(cps)
     for run in runs[1:]:
-        assert all(_same_bits(complex(a), complex(b)) for a, b in zip(run, runs[0]))
-    # without stops the blocks are tree_sum's blocks over the whole term array
-    ns = np.arange(idx.start, idx.stop, idx.step)
-    (total,) = blocked_sums(idx, _gather(x))
-    assert _same_bits(complex(total), complex(tree_sum(x[ns])))
-    # the first stop cuts only the block it falls in, so its prefix is tree_sum's
-    if stops:
-        first = min(stops)
-        got = runs[0][stops.index(first)]
-        assert _same_bits(complex(got), complex(tree_sum(x[ns[:first]])))
+        assert all(_same_bits(a, b) for a, b in zip(run, runs[0]))
+    terms = table.mu.astype(np.float64) * x  # signed zeros at mu(n) = 0
+    # at one checkpoint the blocks are tree_sum's blocks over the whole term array
+    (total,) = moebius.weighted_average(table, [n_max], lambda ns: x[ns])
+    assert _same_bits(total, complex(tree_sum(terms[1:])) / n_max)
+    # the first checkpoint cuts only the block it falls in, so its prefix is tree_sum's
+    assert _same_bits(runs[0][0], complex(tree_sum(terms[1 : cps[0] + 1])) / cps[0])
 
 
-def test_blocked_sums_calls_do_not_depend_on_workers(monkeypatch):
-    # terms that depend on the length of their call, as a matrix evaluator's
+def test_weighted_average_calls_do_not_depend_on_workers(monkeypatch):
+    # values that depend on the length of their call, as a matrix evaluator's
     # rounding may: threads take whole runs, so every worker count makes the
     # same calls and gets the same bits, whatever the pointwise contract
-    size = 3 * moebius._SUM_RUN
-    x = np.random.default_rng(5).standard_normal(size) + 0j
+    n_max = 3 * moebius._SUM_RUN
+    table = build_table(n_max)
+    x = np.random.default_rng(5).standard_normal(n_max + 1) + 0j
     monkeypatch.setattr(moebius.os, "cpu_count", lambda: 3)
     sums, calls = [], []
     for workers in (1, 2, 3):
         seen = []
 
-        def terms(r, seen=seen):
-            seen.append(r)
-            return x[r.start : r.stop] + len(r) * 2.0**-60
+        def values_at(ns, seen=seen):
+            seen.append(tuple(ns.tolist()))
+            return x[ns] + ns.size * 2.0**-60
 
-        sums.append(blocked_sums(range(size), terms, workers=workers))
-        calls.append(sorted(seen, key=lambda r: r.start))
+        sums.append(moebius.weighted_average(table, [n_max], values_at, workers=workers))
+        calls.append(sorted(seen))
     for got, spans in zip(sums[1:], calls[1:]):
-        assert _same_bits(complex(got[0]), complex(sums[0][0]))
+        assert _same_bits(got[0], sums[0][0])
         assert spans == calls[0]
 
 
-def test_blocked_sums_reject_stops_outside_the_range():
-    with pytest.raises(ValueError, match="stops"):
-        blocked_sums(range(10), _gather(np.ones(10)), [11])
+@pytest.mark.parametrize(
+    "checkpoints, message",
+    [
+        ([], "at least one checkpoint"),
+        ([5, 5], "strictly ascending"),
+        ([7, 3], "strictly ascending"),
+        ([0, 3], r"checkpoints must lie in \[1, 10\]"),
+        ([3, 11], r"checkpoints must lie in \[1, 10\]"),
+    ],
+    ids=["empty", "repeated", "unsorted", "below_1", "above_n_max"],
+)
+def test_weighted_average_refuses_bad_checkpoints(checkpoints, message):
+    def values_at(ns):
+        raise AssertionError("evaluated before the checkpoints were checked")
+
+    with pytest.raises(ValueError, match=message):
+        moebius.weighted_average(build_table(10), checkpoints, values_at)
 
 
 @settings(max_examples=30, deadline=None)
@@ -679,21 +676,21 @@ def test_exp_sum_is_one_tree_sum_of_the_signed_zero_terms(table_1m, N, coeffs):
 # 22020..22025, the first six consecutive n without a squarefree one (no
 # longer such run starts below 2 10^5)
 @pytest.mark.parametrize("lo, hi", [(48, 50), (242, 245), (22020, 22025)])
-def test_weighted_sums_on_a_range_without_squarefree_n_is_the_tree_sum_of_zeros(
-    table_1m, lo, hi
-):
+def test_weighted_average_where_mu_vanishes_is_the_tree_sum_of_zeros(table_1m, lo, hi):
     rng = np.random.default_rng(lo)
-    ns = np.arange(lo, hi + 1)
-    assert not table_1m.mu[ns].any()
-    stops = range(1, ns.size)
+    assert not table_1m.mu[lo : hi + 1].any()
+    # the sieve's stretch, with mu = 0 below it too: no squarefree n <= hi
+    mu = table_1m.mu[: hi + 1].copy()
+    mu[:lo] = 0
+    table = moebius.MoebiusTable(n_max=hi, mu=mu)
+    ns = np.arange(1, hi + 1)
+    cps = range(lo, hi + 1)  # a block cut at every n of the stretch
     # every phase quadrant, so the full terms 0 * e(phi) carry zeros of both signs
     for coeffs in [(0.0,), (0.3,), (0.6,), (0.85,)] + [tuple(rng.random(3)) for _ in range(4)]:
-        terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
-        got = weighted_sums(
-            table_1m, range(lo, hi + 1), lambda n: phase_values(coeffs, n), stops
-        )
-        for s, part in zip([*stops, ns.size], got):
-            assert _same_bits(complex(part), complex(tree_sum(terms[:s]))), (s, coeffs)
+        terms = mu[ns].astype(np.float64) * phase_values(coeffs, ns)
+        got = moebius.weighted_average(table, cps, lambda n: phase_values(coeffs, n))
+        for N, part in zip(cps, got):
+            assert _same_bits(part, complex(tree_sum(terms[:N])) / N), (N, coeffs)
 
 
 def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch):
@@ -755,9 +752,9 @@ def test_exp_sum_quadratic_phase_small_oracle(table_10k):
 
 
 def test_exp_sum_rejects_bad_range(table_10k):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10000\]"):
         exp_sum(table_10k, PolynomialPhase((0.0, 0.5)), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10000\]"):
         exp_sum(table_10k, PolynomialPhase((0.0, 0.5)), 10**5)
 
 
