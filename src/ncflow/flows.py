@@ -6,8 +6,8 @@ sup bound, evaluated only through one checked call; its value at n depends
 on n alone, bit for bit.  spectral_flow builds a finite-dimensional flow as
 a quadratic form in the eigenphase characters e(theta_j n).  average_series
 is one moebius.weighted_average call over all its checkpoints, with Flow.at
-as f, so each run of blocks is evaluated at its squarefree n only, whole,
-at any worker count.
+as f, so each run is evaluated at its squarefree n only, whole, at any
+worker count.
 """
 
 import math
@@ -125,10 +125,9 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    One moebius.weighted_average call at all the checkpoints: each run of
-    blocks is evaluated through flow.at at its squarefree n only, with exact
-    zeros at the others, and threads take whole runs, so the bits are the
-    same for any worker count.
+    One moebius.weighted_average call at all the checkpoints: each run is
+    evaluated through flow.at at its squarefree n only, and threads take
+    whole runs, so the bits are the same for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     if flow.valid_n is not None and cps[-1] > flow.valid_n:

@@ -18,8 +18,8 @@ sum_ab (rho W)_ab (conj(W) A^T)_ab in three numpy calls, so it holds at most
 _ROW_TILE walked matrices and one trace tile.  Exact powers come in batches
 from unitary_power, here and in the trace-product direct path, and both
 trace-product paths are pointwise traces in n, each averaged by one
-moebius.weighted_average call that evaluates it per run of blocks at
-squarefree n, _ROW_TILE n per call.
+moebius.weighted_average call that evaluates it per run at its squarefree
+n, _ROW_TILE n per call.
 quantize_unitary rounds the eigenphase of each eigenvector column to its
 grid; columns that land on the same grid point stay separate rank-one
 projections, and the bound chain sums exponential sums against coefficients
@@ -50,7 +50,7 @@ from .moebius import MoebiusTable, characters
 TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
 QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
 # ad_flow's anchors 1 + WALK_GRID j: the seed-0 matrix-flow reference pins
-# the walk's rounding to them, so they stay put whatever the summation blocks
+# the walk's rounding to them, so they stay put whatever the summation runs
 WALK_GRID = 1024
 CONTRACTION_SLACK = 1e-10  # op_norm (an SVD) of an A_j scaled to norm 1 may pass 1 by ulps
 DOMINATES_SLACK = 1e-12  # |s_N| and the bound are rounded: they may cross by ulps where they meet
@@ -93,7 +93,7 @@ def ad_flow(u, a, rho) -> Flow:
     is the sum over a, b of (rho W)_ab (conj(W) A^T)_ab, one stacked product
     conj(W) A^T, one stacked rho W and one row-wise contraction.  An
     isolated n costs up to L - 1 steps of its tile; the Moebius averages ask
-    for the squarefree n of runs of whole blocks, whose tiles are walked
+    for the squarefree n of whole _SUM_RUN windows, whose tiles are walked
     anyway.
     """
     u = check_unitary(u)
@@ -222,8 +222,9 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
 
     Each path is a pointwise trace n -> tr_k(prod_j U_j^{phi_j(n)} A_j),
     averaged by one moebius.weighted_average call at the one checkpoint N,
-    which evaluates it run by run at the squarefree n <= N, _ROW_TILE n per
-    call (moebius.by_row_tiles), so memory does not grow with N.  The direct
+    which evaluates it run by run at the squarefree n <= N and sums each
+    run's terms in one reduction, _ROW_TILE n per evaluator call
+    (moebius.by_row_tiles), so memory does not grow with N.  The direct
     path multiplies batched binary powers of each U_j; the eigen path
     multiplies scalar phase products into contractions transformed once by
     each U_j's eigenvectors.  The two values must agree to TRACE_AGREE_TOL

@@ -22,22 +22,16 @@ Every Moebius average is one ``weighted_average`` call: (1/N) sum_{n<=N}
 mu(n) f(n) at each of its ascending checkpoints N, for a pointwise f.
 ``flows.average_series``, ``exp_sum`` and both trace-product paths are each
 one call, and it is the one place that weights by mu.  n = 1..max(checkpoints)
-is cut into blocks of at most ``_SUM_BLOCK`` consecutive n, also cut at
-each checkpoint; each block is summed by numpy's pairwise reduction, and
-each average is a balanced binary fold of the block sums up to its
-checkpoint.  The layout depends only on the checkpoints, never on the
-worker count.  f is evaluated once per run, the whole consecutive blocks
-inside one ``_SUM_RUN`` window of n (four blocks), and threads take whole
-runs, so every evaluation covers the same n at any worker count.  Each
-block's sum is taken on its slice of the run's terms; a pointwise term
-gives the same bits in a run as in a block of its own, so the sums keep
-the block layout's bits, and memory does not grow with N.  Evaluators
-whose per-n work is a matrix row take their n ``_ROW_TILE`` at a time
-(``by_row_tiles``), so a run holds no more of their scratch than one block
-did.  f is evaluated at squarefree n only, and the terms with mu(n) = 0
-(about 39% of n) are exact zeros in place; numpy's add.reduce of a block
-starts from +0, so a zero of either sign leaves every block sum's bits
-unchanged.
+is cut into runs at the multiples of ``_SUM_RUN`` and into pieces at each
+checkpoint.  f is evaluated once per run, at its squarefree n only (mu(n) = 0
+for about 39% of n), and each piece is one numpy pairwise reduction of its
+slice of the run's mu-weighted values; each average is a balanced binary
+fold of the piece sums up to its checkpoint.  The layout depends only on the
+checkpoints, never on the worker count: threads take whole runs, so every
+evaluation covers the same n at any worker count, and memory does not grow
+with N.  Evaluators whose per-n work is a matrix row take their n
+``_ROW_TILE`` at a time (``by_row_tiles``), so their scratch does not grow
+with the run.
 
 Phase evaluation
 ----------------
@@ -58,8 +52,8 @@ within an ulp, times 1 + 2 pi i t for the low 28 bits t 2^-64 < 2^-36.  Three
 complex products and the tables' rounding keep it within
 ``TURNS_ERR = 11 * 2^-53`` of e(r 2^-64); quarter turns are exact.  The
 tables are built on the first evaluation, not at import.  One kernel does
-this for a whole call at once, since every caller bounds its input (a run of
-blocks, a row tile, bsz_check's M), and ``characters`` evaluates many linear
+this for a whole call at once, since every caller bounds its input (a run, a
+row tile, bsz_check's M), and ``characters`` evaluates many linear
 phases e(theta_k n) in one broadcast.  The tests check the phase bounds
 against an exact rational oracle and the values against 40-digit mpmath.
 """
@@ -79,9 +73,8 @@ import numpy as np
 
 N_MAX_CAP = 10**8
 
-_SUM_BLOCK = 4096
-_SUM_RUN = 4 * _SUM_BLOCK  # terms evaluated per call: whole blocks in one window
-_ROW_TILE = _SUM_BLOCK // 4  # rows per matrix-row evaluator call: under half a block's squarefree n
+_SUM_RUN = 16384  # n per values_at call and per summation window: bounds a run's scratch
+_ROW_TILE = 1024  # rows per matrix-row evaluator call: bounds its scratch, as ad_flow's walk buffer
 _SIEVE_SEGMENT = 1 << 19
 _WHEEL_PRIME_MAX = 7  # 2, 3, 5, 7: a cofactor pattern of period 44100, 172 KiB of int32
 
@@ -350,8 +343,8 @@ def _turns(r) -> np.ndarray:
     within sqrt(2) 2^-53; each complex product adds below sqrt(5) 2^-53
     (Brent, Percival & Zimmermann 2007); and e(x / 2 pi) - (1 + i x) is below
     x^2 / 2 < 2^-67.  Hence the result is within TURNS_ERR of e(r 2^-64).
-    The scratch is as long as r: callers bound r (a run of blocks, a row
-    tile, bsz_check's M), and concurrent callers share no buffer.
+    The scratch is as long as r: callers bound r (a run, a row tile,
+    bsz_check's M), and concurrent callers share no buffer.
 
     No product is written over one of its factors: numpy takes an in-place
     product of one element for a reduction and runs its scalar loop, which
@@ -426,7 +419,7 @@ def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
     array to one value per entry along its first axis, evaluated
     _ROW_TILE entries at a time.  An evaluator whose per-entry work is a
     matrix row so holds the scratch of at most one tile, however long the
-    run of blocks that asks.  values_at never gets a single entry: numpy
+    run that asks.  values_at never gets a single entry: numpy
     takes a one-row matrix product through gemv or dot, which round
     otherwise than gemm, so a lone entry is evaluated as a pair and a last
     tile of one entry joins the tile before.
@@ -466,20 +459,19 @@ def weighted_average(
     """[(1/N) sum_{n<=N} mu(n) f(n)] at each checkpoint N, where values_at(ns)
     is f at an int64 array ns, pointwise.
 
-    n = 1..max(checkpoints) is cut into blocks of _SUM_BLOCK consecutive n
-    and at each checkpoint.  values_at is called once per run, the whole
-    consecutive blocks inside one _SUM_RUN window, at its squarefree n only,
-    and mu(n) f(n) is scattered into exact zeros, so np.add.reduce of each
-    block's slice sees the same nonzero terms at the same positions as for
-    the full term array.  Each average is fold_pairwise of the block sums up
-    to its checkpoint, over N.  With workers > 1 threads take whole runs, so
-    every values_at call covers the same n at any worker count.
+    n = 1..max(checkpoints) is cut at the multiples of _SUM_RUN into runs
+    and at each checkpoint into pieces.  values_at is called once per run,
+    at its squarefree n only; each piece's sum is one np.add.reduce of its
+    slice of the run's mu-weighted values, cut where np.searchsorted puts
+    the checkpoints among the squarefree n.  Each average is fold_pairwise
+    of the piece sums up to its checkpoint, over N.  With workers > 1
+    threads take whole runs, so every values_at call covers the same n at
+    any worker count.
     """
     cps = checked_checkpoints(table.n_max, checkpoints)
-    edges = sorted({*range(0, cps[-1], _SUM_BLOCK), *cps})
-    blocks = list(zip(edges, edges[1:]))
-    # a multiple of _SUM_RUN is a block edge, so no block straddles a window
-    runs = [list(g) for _, g in itertools.groupby(blocks, key=lambda b: b[0] // _SUM_RUN)]
+    edges = sorted({*range(0, cps[-1], _SUM_RUN), *cps})
+    pieces = list(zip(edges, edges[1:]))
+    runs = [list(g) for _, g in itertools.groupby(pieces, key=lambda p: p[0] // _SUM_RUN)]
 
     def run(group):
         start = group[0][0]  # the run is n = start + 1 .. its last edge
@@ -487,10 +479,9 @@ def weighted_average(
         # from the bool mask, which np.flatnonzero reads faster than the int8 mu
         at = np.flatnonzero(mu != 0)
         vals = values_at(at + (start + 1))  # before the weights: a lower peak
-        vals = mu[at].astype(np.float64) * vals
-        terms = np.zeros(mu.size, dtype=np.complex128)  # after the values: a lower peak
-        terms[at] = vals
-        return [np.add.reduce(terms[lo - start : hi - start]) for lo, hi in group]
+        terms = mu[at].astype(np.float64) * vals  # out of place: values_at may keep vals
+        cuts = np.searchsorted(at, [hi - start for _, hi in group[:-1]])
+        return [np.add.reduce(part) for part in np.split(terms, cuts)]
 
     workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
@@ -498,7 +489,7 @@ def weighted_average(
             sums = [s for part in pool.map(run, runs) for s in part]
     else:
         sums = [s for group in runs for s in run(group)]
-    ends = {hi: k + 1 for k, (_, hi) in enumerate(blocks)}
+    ends = {hi: k + 1 for k, (_, hi) in enumerate(pieces)}
     return [complex(fold_pairwise(sums[: ends[N]])) / N for N in cps]
 
 

@@ -6,9 +6,10 @@ imports them.
   limit moments by enumerating letter strings.
 - Non-crossing partitions of {1..n}, enumerated, against which the
   moment-cumulant recursion of ncflow.free_words is checked.
-- Moebius sums: tree_sum, the blocked pairwise scheme over a whole array,
-  and the exact Mertens sum M(N) and squarefree count Q(N), one at a time,
-  against ncflow.moebius.prefix_counts.
+- Moebius sums: tree_sum, the summation layout that
+  ncflow.moebius.weighted_average must keep bit for bit, restated piece by
+  piece; and the exact Mertens sum M(N) and squarefree count Q(N), one at
+  a time, against ncflow.moebius.prefix_counts.
 - values(flow, lo, hi): a flow's checked values at n = lo + 1..hi.
 """
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from ncflow.free_words import NC_ORDER_CAP
-from ncflow.moebius import _SUM_BLOCK, MoebiusTable, fold_pairwise
+from ncflow.moebius import _SUM_RUN, MoebiusTable, fold_pairwise
 
 # ---------------------------------------------------------------------------
 # reduced words and word sums
@@ -212,16 +213,28 @@ def _nc_rec(elems: tuple):
 # Moebius sums
 
 
-def tree_sum(values: np.ndarray):
-    """Sum a whole 1-D array with the fixed blocked pairwise scheme.  Over
-    the terms mu(n) f(n) for n = 1..N, this sum over N has the bits that
-    moebius.weighted_average must give at the one checkpoint N."""
-    values = np.asarray(values)
-    if values.size == 0:
-        return values.dtype.type(0)
-    return fold_pairwise(
-        [np.add.reduce(values[i : i + _SUM_BLOCK]) for i in range(0, values.size, _SUM_BLOCK)]
-    )
+def tree_sum(mu: np.ndarray, values: np.ndarray, checkpoints) -> list:
+    """sum_{n<=N} mu(n) f(n) at each ascending checkpoint N, for mu and
+    values = f indexed by n (entry 0 unused).  Over N, each sum has the
+    bits that moebius.weighted_average must give at that checkpoint.
+
+    n = 1..max(checkpoints) is taken piece by piece: a piece ends at the
+    next multiple of _SUM_RUN or the next checkpoint, whichever comes first.
+    A piece's sum is one np.add.reduce of mu(n) f(n) over its squarefree n
+    in ascending order, with mu(n) as float64, and each checkpoint's sum is
+    fold_pairwise of the piece sums up to it.
+    """
+    cps = [int(N) for N in checkpoints]
+    sums, out, lo = [], [], 0
+    for N in cps:
+        while lo < N:
+            hi = min(N, (lo // _SUM_RUN + 1) * _SUM_RUN)
+            ns = np.arange(lo + 1, hi + 1)
+            ns = ns[mu[ns] != 0]
+            sums.append(np.add.reduce(mu[ns].astype(np.float64) * values[ns]))
+            lo = hi
+        out.append(fold_pairwise(sums))
+    return out
 
 
 def _check_N(table: MoebiusTable, N: int) -> None:

@@ -44,7 +44,7 @@ def test_rotation_series_matches_exp_sum(table_1m):
         direct = exp_sum(table_1m, PolynomialPhase((0.0, GOLDEN)), n)
         assert abs(series.values[i] - direct) < 1e-12
     # at a single checkpoint both are one weighted_average call in the same
-    # blocks, so the bits agree, here past two run edges
+    # runs, so the bits agree, here past two run edges
     N = 2 * moebius._SUM_RUN + 777
     cubic = (0.0, 0.1234, 0.56789, 0.3)
     phases = {
@@ -72,8 +72,8 @@ def test_series_worker_count_does_not_change_bits(table_1m, monkeypatch):
     s4 = average_series(flow, table_1m, cps, workers=4)
     assert np.array_equal(s1.values, s4.values)
     assert s1.abs_mu_counts == s4.abs_mu_counts
-    # three threads, each summing one contiguous run of blocks, with
-    # checkpoints that cut blocks short at uneven places inside the runs
+    # three threads, each summing whole runs, with checkpoints that cut
+    # the runs at uneven places
     monkeypatch.setattr(moebius.os, "cpu_count", lambda: 3)
     cps = sorted({*cps, 4097, 8191, 12289, 50001, 77777})
     s1 = average_series(flow, table_1m, cps, workers=1)
@@ -96,14 +96,14 @@ def test_series_bits_ignore_workers_and_dropped_checkpoints(table_1m, cps, keep,
         runs = [average_series(flow, table_1m, cps, workers=w) for w in (1, 2, 3)]
     for series in runs[1:]:
         assert series.values.tobytes() == runs[0].values.tobytes()
-    # dropping trailing checkpoints keeps every block below the last one kept
+    # dropping trailing checkpoints keeps every piece below the last one kept
     kept = average_series(flow, table_1m, cps[:keep])
     assert kept.values.tobytes() == runs[0].values[:keep].tobytes()
 
 
 @pytest.mark.parametrize("cpus, pool_size", [(4, 3), (2, 2), (None, None)])
 def test_series_worker_count_is_clamped(table_1m, monkeypatch, cpus, pool_size):
-    # three runs of blocks: the pool never gets more threads than runs or
+    # three runs: the pool never gets more threads than runs or
     # CPUs, and a clamp to one thread starts no pool at all
     pools = []
 
@@ -294,22 +294,19 @@ def test_flow_values_are_pointwise_in_n(label, lo, size, data):
     assert flow.at(ns[pick]).tobytes() == full[pick].tobytes()
     one = int(pick[0])
     assert flow.at(ns[one : one + 1]).tobytes() == full[one : one + 1].tobytes()
-    # the term builder's call: the squarefree n of the range alone, scattered
-    # into exact zeros
+    # weighted_average's call: the squarefree n of the range alone
     table = build_table(lo + size)
     mu = table.mu[lo + 1 :]
-    squarefree = np.zeros(size, dtype=np.complex128)
-    squarefree[mu != 0] = flow.at(ns[mu != 0])
-    assert squarefree.tobytes() == np.where(mu != 0, full, 0j).tobytes()
-    # and summed over a table with mu = 0 below lo + 1, against the
-    # zero-padded terms
+    assert flow.at(ns[mu != 0]).tobytes() == full[mu != 0].tobytes()
+    # and summed over a table with mu = 0 below lo + 1, against tree_sum of
+    # the values of the whole range
     padded = table.mu.copy()
     padded[: lo + 1] = 0
     (got,) = moebius.weighted_average(
         moebius.MoebiusTable(n_max=lo + size, mu=padded), [lo + size], flow.at
     )
-    terms = np.concatenate([np.zeros(lo, dtype=np.complex128), np.where(mu != 0, full, 0j) * mu])
-    want = complex(tree_sum(terms)) / (lo + size)
+    (total,) = tree_sum(padded, np.concatenate([np.zeros(lo + 1, complex), full]), [lo + size])
+    want = complex(total) / (lo + size)
     assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 
 
@@ -341,20 +338,19 @@ def test_flow_values_at_one_n_keep_their_bits(label):
 
 @pytest.mark.parametrize("label", sorted(FLOW_FAMILIES))
 def test_series_is_the_per_block_sums_of_flow_values(label):
-    # average_series evaluates runs of whole blocks at the squarefree n; the
-    # oracle evaluates Flow.values at every n one block at a time, cut at
-    # _SUM_BLOCK multiples and at the checkpoints, zeroes the n with
-    # mu(n) = 0 and folds the blocks' tree_sums: the bits must agree
+    # average_series evaluates whole runs at the squarefree n; the oracle
+    # evaluates Flow.values at every n, one piece between two cuts at a
+    # time, and tree_sum reduces the pieces' squarefree terms and folds the
+    # sums: the bits must agree
     flow = FLOW_FAMILIES[label]
     N = min(flow.valid_n or 10**9, 2 * moebius._SUM_RUN + 1000)
-    cps = [1000, moebius._SUM_BLOCK + 1, N // 2, N]
+    cps = [1000, moebius._SUM_RUN // 4 + 1, N // 2, N]
     table = build_table(N)
-    edges = sorted({*range(0, N, moebius._SUM_BLOCK), *cps})
-    sums = []
+    edges = sorted({*range(0, N, moebius._SUM_RUN), *cps})
+    f = np.zeros(N + 1, dtype=np.complex128)
     for lo, hi in zip(edges, edges[1:]):
-        mu = table.mu[lo + 1 : hi + 1]
-        sums.append(tree_sum(np.where(mu != 0, values(flow, lo, hi), 0j) * mu))
-    want = [complex(moebius.fold_pairwise(sums[: edges.index(n)])) / n for n in cps]
+        f[lo + 1 : hi + 1] = values(flow, lo, hi)
+    want = [complex(s) / n for s, n in zip(tree_sum(table.mu, f, cps), cps)]
     got = average_series(flow, table, cps).values
     assert got.tobytes() == np.array(want).tobytes()
 

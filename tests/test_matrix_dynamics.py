@@ -25,7 +25,7 @@ from ncflow.matrix_dynamics import (
     rank_one_flow,
     trace_product_sum,
 )
-from ncflow.moebius import _ROW_TILE, _SUM_BLOCK, _SUM_RUN, build_table, characters
+from ncflow.moebius import _ROW_TILE, _SUM_RUN, build_table, characters
 from oracles import tree_sum, values
 
 
@@ -264,12 +264,12 @@ def traced_peak(call, ns):
 def test_ad_flow_peak_does_not_grow_with_the_groups_of_a_call():
     # a call holds one walk buffer of at most _ROW_TILE matrices for all its
     # groups of anchors, and traces each chunk's W as it is walked, so a call
-    # over four runs of n peaks above a call over one block only by its
+    # over four runs of n peaks above a call over four row tiles only by its
     # per-n index and value arrays, far below one chunk's walked matrices
     # (1024 matrices of 8 x 8, 1 MiB)
     rng = np.random.default_rng(6)
     flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
-    sizes = (_SUM_BLOCK, 4 * _SUM_RUN)
+    sizes = (4 * _ROW_TILE, 4 * _SUM_RUN)
     peaks = [traced_peak(flow.values_at, np.arange(1, size + 1, dtype=np.int64)) for size in sizes]
     assert peaks[1] - peaks[0] <= 64 * (sizes[1] - sizes[0]), peaks
 
@@ -430,18 +430,18 @@ def test_trace_product_refuses_paths_that_disagree(seed, d, coeff, gap, table_10
 
 def per_n_direct_sum(spec, table, N):
     """The direct path as one matrix_power chain per squarefree n <= N,
-    with exact zeros at mu(n) = 0, summed by tree_sum."""
-    parts = []
+    summed by tree_sum."""
+    traces = np.zeros(N + 1, dtype=np.complex128)
     for n in range(1, N + 1):
-        parts.append(0j)
         if table.mu[n]:
             m = np.eye(spec.k, dtype=np.complex128)
             for u, a, coeffs in zip(spec.unitaries, spec.contractions, spec.phase_polys):
                 phi = sum(c * n**i for i, c in enumerate(coeffs))
                 m = m @ np.linalg.matrix_power(u if phi >= 0 else u.conj().T, abs(phi))
                 m = m @ a
-            parts[-1] = int(table.mu[n]) * np.trace(m) / spec.k
-    return complex(tree_sum(np.array(parts))) / N
+            traces[n] = np.trace(m) / spec.k
+    (total,) = tree_sum(table.mu, traces, [N])
+    return complex(total) / N
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -467,16 +467,15 @@ def test_trace_product_direct_path_negative_phase(table_10k):
 
 
 def test_trace_product_eigen_path_is_one_tree_sum():
-    # the eigen path streams its terms block by block over n = 1..N; the sum
-    # keeps the bits of tree_sum over the whole term array, with exact zeros
-    # at mu(n) = 0
+    # the eigen path streams its terms run by run over n = 1..N; the sum
+    # keeps the bits of tree_sum over the whole range
     N = 20000
     table = build_table(N)
     spec = make_spec(np.random.default_rng(11), 4, 3)
     ns = np.arange(1, N + 1)
     squarefree = table.mu[ns] != 0
     ns = ns[squarefree]
-    assert N > 4 * _SUM_BLOCK
+    assert N > _SUM_RUN
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
     d = spec.d
     a_tilde = [
@@ -487,18 +486,19 @@ def test_trace_product_eigen_path_is_one_tree_sum():
     for j in range(1, d):
         chain = np.einsum("nab,nb,bc->nac", chain, es[j], a_tilde[j], optimize=True)
     vals = np.einsum("naa->n", chain) / spec.k
-    terms = np.zeros(N, dtype=np.complex128)
-    terms[squarefree] = table.mu[ns].astype(np.float64) * vals
-    want = complex(tree_sum(terms)) / N
+    f = np.zeros(N + 1, dtype=np.complex128)
+    f[ns] = vals
+    (total,) = tree_sum(table.mu, f, [N])
+    want = complex(total) / N
     got = trace_product_sum(spec, table, N).eigen_value
     assert got == want
 
 
 def test_trace_product_paths_evaluate_squarefree_n_block_by_block(table_1m, monkeypatch):
     # with phi_j(n) = n the powers and the characters each path asks for are
-    # its n: every call must stay within one run of blocks, a _SUM_RUN window
-    # of n, and take at most _ROW_TILE + 1 of its n, and each factor's calls
-    # must cover its squarefree n once
+    # its n: every call must stay within one run, a _SUM_RUN window of n, and
+    # take at most _ROW_TILE + 1 of its n, and each factor's calls must cover
+    # its squarefree n once
     base = make_spec(np.random.default_rng(2), 3, 2)
     spec = dataclasses.replace(base, phase_polys=((0, 1), (0, 1)))
     calls = {"unitary_power": [], "characters": []}
@@ -509,7 +509,7 @@ def test_trace_product_paths_evaluate_squarefree_n_block_by_block(table_1m, monk
             return original(x, ns)
 
         monkeypatch.setattr(matrix_dynamics, name, recording)
-    N = 5 * _SUM_BLOCK + 17  # two runs, the second of two blocks
+    N = _SUM_RUN + 4 * _ROW_TILE + 17  # two runs, the second of 4113 n
     trace_product_sum(spec, table_1m, N)
     every = np.arange(1, N + 1)
     for name, seen in calls.items():
@@ -522,7 +522,7 @@ def test_trace_product_paths_evaluate_squarefree_n_block_by_block(table_1m, monk
 
 
 def test_trace_product_memory_is_flat_in_n(table_1m):
-    # both paths hold one block's terms at a time, so no array grows with N
+    # both paths hold one run's terms at a time, so no array grows with N
     spec = make_spec(np.random.default_rng(3), 4, 2)
     peaks = []
     for N in (2 * 10**4, 4 * 10**5):

@@ -351,7 +351,7 @@ def _same_bits(got, want):
     )
 
 
-# call lengths around 2^13 and a run of blocks, and bsz_check's largest M: the
+# call lengths around 2^13 and a run, and bsz_check's largest M: the
 # phase kernel takes each call in one pass, whatever its length
 _LENGTHS = (8191, 8192, 8193, moebius._SUM_RUN - 1, moebius._SUM_RUN + 1, 10**5)
 
@@ -515,7 +515,7 @@ def test_characters_match_stacked_phase_values():
 
 
 def test_a_series_splits_its_coefficients_once(table_1m):
-    # exp_sum evaluates its phase once per run of blocks, here five runs; the
+    # exp_sum evaluates its phase once per run, here five runs; the
     # split is cached by the coefficient tuple, read-only, and the same as a
     # fresh one
     coeffs = (0.0, 0.37, 0.123, 1e-30)
@@ -532,15 +532,15 @@ def test_a_series_splits_its_coefficients_once(table_1m):
 def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
     coeffs = (0.0, 0.37, 0.123, 0.0071)
     N = 10**5 + 3
-    ns = np.arange(1, N + 1)
-    whole = tree_sum(table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns))
+    ns = np.arange(N + 1)
+    (whole,) = tree_sum(table_1m.mu, phase_values(coeffs, ns), [N])
     got = exp_sum(table_1m, PolynomialPhase(coeffs), N)
     assert _same_bits(got, complex(whole) / N)
 
 
 def test_phase_sum_memory_is_flat_in_n(table_1m):
     # the phase kernel's scratch is as long as its call, and a Moebius sum
-    # calls it once per run of blocks: so the run alone bounds it, and no
+    # calls it once per run: so the run alone bounds it, and no
     # array grows with N
     coeffs = (0.0, 0.37, 0.123, 0.0071)
     flow = Flow(
@@ -581,8 +581,8 @@ def _window_calls(table, n_max):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_weighted_average_is_worker_invariant_and_matches_tree_sum(n_max, raw_cps, seed):
-    # the horizon and the checkpoints cross the edges of the runs of blocks
-    # that values_at is called on; the block sums must not see the runs
+    # the horizon and the checkpoints cross the edges of the runs that
+    # values_at is called on, and cut them at uneven places
     rng = np.random.default_rng(seed)
     mu = rng.integers(-1, 2, n_max + 1, dtype=np.int8)  # random mu, which no sieve made
     mu[0] = 0
@@ -601,18 +601,20 @@ def test_weighted_average_is_worker_invariant_and_matches_tree_sum(n_max, raw_cp
                 return x[ns]
 
             runs.append(moebius.weighted_average(table, cps, values_at, workers=workers))
-            # each call is one run of whole blocks: a _SUM_RUN window's
-            # squarefree n, the same calls at every worker count
+            # each call is one run: a _SUM_RUN window's squarefree n, the
+            # same calls at every worker count
             assert sorted(calls) == _window_calls(table, n_max)
     assert len(runs[0]) == len(cps)
     for run in runs[1:]:
         assert all(_same_bits(a, b) for a, b in zip(run, runs[0]))
-    terms = table.mu.astype(np.float64) * x  # signed zeros at mu(n) = 0
-    # at one checkpoint the blocks are tree_sum's blocks over the whole term array
+    # at one checkpoint the pieces are the runs
     (total,) = moebius.weighted_average(table, [n_max], lambda ns: x[ns])
-    assert _same_bits(total, complex(tree_sum(terms[1:])) / n_max)
-    # the first checkpoint cuts only the block it falls in, so its prefix is tree_sum's
-    assert _same_bits(runs[0][0], complex(tree_sum(terms[1 : cps[0] + 1])) / cps[0])
+    assert _same_bits(total, complex(tree_sum(mu, x, [n_max])[0]) / n_max)
+    # the first checkpoint cuts only the run it falls in, so its prefix is tree_sum's
+    assert _same_bits(runs[0][0], complex(tree_sum(mu, x, cps[:1])[0]) / cps[0])
+    # and every checkpoint is tree_sum's fold of the pieces up to it
+    want = [complex(s) / N for s, N in zip(tree_sum(mu, x, cps), cps)]
+    assert all(_same_bits(a, b) for a, b in zip(runs[0], want))
 
 
 def test_weighted_average_calls_do_not_depend_on_workers(monkeypatch):
@@ -663,11 +665,11 @@ def test_weighted_average_refuses_bad_checkpoints(checkpoints, message):
     coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
 )
 def test_exp_sum_is_one_tree_sum_of_the_signed_zero_terms(table_1m, N, coeffs):
-    # the full terms mu(n) e(phi(n)) carry zeros of either sign at mu(n) = 0,
-    # where exp_sum leaves exact +0
-    ns = np.arange(1, N + 1)
-    terms = table_1m.mu[ns].astype(np.float64) * phase_values(coeffs, ns)
-    want = complex(tree_sum(terms)) / N
+    # the full terms mu(n) e(phi(n)) carry zeros of either sign at mu(n) = 0;
+    # neither exp_sum nor tree_sum adds them, so they cannot reach the sum
+    ns = np.arange(N + 1)
+    (total,) = tree_sum(table_1m.mu, phase_values(coeffs, ns), [N])
+    want = complex(total) / N
     got = exp_sum(table_1m, PolynomialPhase(tuple(coeffs)), N)
     assert _same_bits(got, want)
 
@@ -683,14 +685,14 @@ def test_weighted_average_where_mu_vanishes_is_the_tree_sum_of_zeros(table_1m, l
     mu = table_1m.mu[: hi + 1].copy()
     mu[:lo] = 0
     table = moebius.MoebiusTable(n_max=hi, mu=mu)
-    ns = np.arange(1, hi + 1)
-    cps = range(lo, hi + 1)  # a block cut at every n of the stretch
-    # every phase quadrant, so the full terms 0 * e(phi) carry zeros of both signs
+    ns = np.arange(hi + 1)
+    cps = range(lo, hi + 1)  # a piece cut at every n of the stretch
+    # every phase quadrant, so the full terms 0 * e(phi) would carry zeros of both signs
     for coeffs in [(0.0,), (0.3,), (0.6,), (0.85,)] + [tuple(rng.random(3)) for _ in range(4)]:
-        terms = mu[ns].astype(np.float64) * phase_values(coeffs, ns)
+        want = tree_sum(mu, phase_values(coeffs, ns), cps)
         got = moebius.weighted_average(table, cps, lambda n: phase_values(coeffs, n))
-        for N, part in zip(cps, got):
-            assert _same_bits(part, complex(tree_sum(terms[:N])) / N), (N, coeffs)
+        for N, part, total in zip(cps, got, want):
+            assert _same_bits(part, complex(total) / N), (N, coeffs)
 
 
 def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch):
@@ -783,26 +785,42 @@ def test_average_series_bounded_by_abs_average(table_10k):
 @pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 9973, 12289, 10**6])
 @pytest.mark.parametrize("coeffs", [(0.0, 0.137), (0.25, 0.7312, 0.1)])
 def test_average_series_of_a_phase_is_exp_sum_bitwise(table_1m, coeffs, N):
-    # both sum mu(n) e(phi(n)) in the same blocks and fold, so the bits agree
+    # both sum mu(n) e(phi(n)) in the same runs and fold, so the bits agree
     s = _mu_average(table_1m, lambda ns: phase_values(coeffs, ns), N)
     ref = exp_sum(table_1m, PolynomialPhase(coeffs), N)
     assert np.complex128(s).tobytes() == np.complex128(ref).tobytes()
 
 
-def test_tree_sum_matches_fsum():
+def test_tree_sum_matches_fsum(table_1m):
+    # three runs and a checkpoint inside each: every sum within 1e-12 of the
+    # correctly rounded sum of the same terms
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(10000) * 10.0 ** rng.integers(-8, 8, size=10000)
-    assert tree_sum(x) == pytest.approx(math.fsum(x), rel=1e-12)
+    N = 3 * moebius._SUM_RUN
+    x = rng.standard_normal(N + 1) * 10.0 ** rng.integers(-8, 8, size=N + 1)
+    cps = [5000, 20000, 40000, N]
+    terms = table_1m.mu[: N + 1] * x
+    for got, cp in zip(tree_sum(table_1m.mu, x, cps), cps):
+        assert got == pytest.approx(math.fsum(terms[: cp + 1]), rel=1e-12)
 
 
-def test_tree_sum_is_blockwise_stable():
-    # summing [0, n) equals folding the block partial sums, by construction
+def test_tree_sum_is_runwise_stable(table_1m):
+    # the sum at N folds one reduce per _SUM_RUN window of squarefree terms,
+    # by construction, and a checkpoint splits only the run it falls in
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(3 * 4096 + 123)
-    parts = [
-        np.add.reduce(x[i : i + 4096]) for i in range(0, len(x), 4096)
-    ]
-    assert tree_sum(x) == fold_pairwise(parts)
+    run = moebius._SUM_RUN
+    N = 3 * run + 123
+    x = rng.standard_normal(N + 1)
+    mu = table_1m.mu[: N + 1]
+
+    def piece(lo, hi):
+        terms = mu[lo + 1 : hi + 1] * x[lo + 1 : hi + 1]
+        return np.add.reduce(terms[mu[lo + 1 : hi + 1] != 0])
+
+    parts = [piece(lo, min(lo + run, N)) for lo in range(0, N, run)]
+    assert tree_sum(mu, x, [N]) == [fold_pairwise(parts)]
+    cut = run + 99
+    split = parts[:1] + [piece(run, cut), piece(cut, 2 * run)] + parts[2:]
+    assert tree_sum(mu, x, [cut, N]) == [fold_pairwise(split[:2]), fold_pairwise(split)]
 
 
 def test_fold_pairwise_order():
