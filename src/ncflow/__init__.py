@@ -9,10 +9,8 @@ artifacts.
 
 from .moebius import (
     MoebiusTable,
-    PolynomialPhase,
     build_table,
     exp_sum,
-    linear_phase,
     load_or_build_table,
     phase_values,
     prefix_counts,
@@ -82,7 +80,6 @@ __all__ = [
     "Flow",
     "FlowEvaluationError",
     "MoebiusTable",
-    "PolynomialPhase",
     "QuantizedUnitary",
     "TraceProductSpec",
     "ad_flow",
@@ -107,7 +104,6 @@ __all__ = [
     "geometric_checkpoints",
     "haar_unitary",
     "hs_norm",
-    "linear_phase",
     "load_or_build_table",
     "moments_to_cumulants",
     "normal_order",

@@ -115,10 +115,6 @@ class CARMonomial:
     factors: tuple
 
     @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    @property
     def normal_ordered(self) -> bool:
         seen_plain = False
         for _, star in self.factors:
@@ -166,18 +162,10 @@ class CARPolynomial:
     def monomials(self) -> tuple:
         return tuple(self._terms.values())
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = constant(other)
         return CARPolynomial(self.monomials + other.monomials)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):

@@ -59,7 +59,6 @@ from .matrix_dynamics import (
 )
 from .moebius import (
     N_MAX_CAP,
-    PolynomialPhase,
     checked_checkpoints,
     exp_sum,
     load_or_build_table,
@@ -300,15 +299,14 @@ def _run_sieve(cfg, table, workers):
 
 def _run_decay(cfg, table, workers):
     coeffs = tuple(float(c) for c in cfg.params["coeffs"])
-    phase = PolynomialPhase(coeffs)
     flow = Flow(
         values_at=lambda ns: phase_values(coeffs, ns),
         declared_bound=1.0,
-        label=f"poly_phase(degree={phase.degree})",
+        label=f"poly_phase(degree={len(coeffs) - 1})",
     )
     return _fitted_series(
         cfg, table, workers, flow,
-        exp_sum_abs_at_n_max=abs(exp_sum(table, phase, cfg.n_max)),
+        exp_sum_abs_at_n_max=abs(exp_sum(table, coeffs, cfg.n_max)),
     )
 
 

@@ -39,8 +39,8 @@ class Flow:
     domain, the shape, finiteness and the declared bound on the values it
     computes.  average_series asks at() only for the squarefree n, so these
     checks cover exactly the values that enter a Moebius sum.  The keyword
-    evaluator is accepted for older call sites and ignored: no value is ever
-    computed through it.
+    evaluator is accepted and ignored, for its one caller,
+    perfbench/trace_run.py: no value is ever computed through it.
     """
 
     def __init__(

@@ -440,7 +440,7 @@ def finite_vn_average_bound(
     for i in range(r):
         for j in range(r):
             theta = (angles[j] - angles[i]) % 1.0
-            s_mat[i, j] = moebius.exp_sum(table, moebius.linear_phase(theta), N)
+            s_mat[i, j] = moebius.exp_sum(table, (0.0, float(theta)), N)
     # tr_k(P_i T P_j AA*) = tr(AA* P_i T P_j) / k
     coeffs = _sandwich_coefficients(quantized.projections, t, aa)
     s_v = (s_mat * coeffs).sum() / (u.shape[0] * denom)

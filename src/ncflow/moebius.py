@@ -35,7 +35,13 @@ with the run.
 
 Phase evaluation
 ----------------
-Polynomial phases ``a_d n^d + ... + a_0`` are evaluated mod 1 at integer n.
+A polynomial phase ``a_d n^d + ... + a_0`` is its tuple of ascending
+coefficients ``(a_0, ..., a_d)``, with no wrapper: ``phase_values``,
+``poly_phase_frac``, ``exp_sum`` and ``characters`` (whose angles are the
+tuple) all take it as it is.  Each evaluation goes through ``_split_tuple``,
+cached by the tuple, which refuses an empty or non-finite tuple with
+``ValueError``, so each distinct phase is checked once.  Phases are evaluated
+mod 1 at integer n.
 Each coefficient splits exactly into ``M 2^-64 + lo`` with
 ``M = floor(a 2^64) mod 2^64`` and ``0 <= lo < 2^-64``.  Horner's rule on
 the M runs in wrapping uint64 arithmetic, exact mod 2^64 (one turn).  When
@@ -92,28 +98,6 @@ class MoebiusTable:
 
     n_max: int
     mu: np.ndarray
-
-
-@dataclass(frozen=True)
-class PolynomialPhase:
-    """Real polynomial phase; coeffs are ascending: coeffs[i] is the
-    coefficient of n^i."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("phase needs at least the constant coefficient")
-        if not all(math.isfinite(float(c)) for c in self.coeffs):
-            raise ValueError("phase coefficients must be finite")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def linear_phase(theta: float) -> PolynomialPhase:
-    return PolynomialPhase((0.0, float(theta)))
 
 
 def build_table(n_max: int) -> MoebiusTable:
@@ -188,6 +172,10 @@ def primes_upto(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _split_tuple(coeffs: tuple):
+    if not coeffs:
+        raise ValueError("phase needs at least the constant coefficient")
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError("phase coefficients must be finite")
     ms, los = [], []
     for c in coeffs:
         num, den = c.as_integer_ratio()
@@ -209,7 +197,8 @@ def _split(coeffs):
     computed in Python ints from c.as_integer_ratio(), so lo is exact.  The
     lo come back as None when all of them are zero (the 2^-64 grid).  Both
     arrays are read-only and cached by the coefficient tuple, so a series
-    that evaluates one phase run by run splits it once.
+    that evaluates one phase run by run splits and checks it once.  Raises
+    ValueError for no coefficients or a non-finite one.
     """
     return _split_tuple(tuple(np.asarray(coeffs, dtype=np.float64).ravel().tolist()))
 
@@ -401,7 +390,8 @@ def characters(angles, ns) -> np.ndarray:
     over its entries.
 
     Column k has the same bits as phase_values of the linear phase
-    (0, angles[k]) at ns.
+    (0, angles[k]) at ns.  The angles are checked as a phase tuple, so
+    none, or a non-finite one, raises ValueError.
     """
     ms, los = _split(angles)
     ns = np.asarray(ns, dtype=np.int64)
@@ -493,9 +483,10 @@ def weighted_average(
     return [complex(fold_pairwise(sums[: ends[N]])) / N for N in cps]
 
 
-def exp_sum(table: MoebiusTable, phase: PolynomialPhase, N: int) -> complex:
-    """weighted_average of e(phi(n)) at N."""
-    (value,) = weighted_average(table, [N], lambda ns: phase_values(phase.coeffs, ns))
+def exp_sum(table: MoebiusTable, coeffs: Sequence[float], N: int) -> complex:
+    """(1/N) sum_{n<=N} mu(n) e(phi(n)) for the phase phi with ascending
+    coefficients coeffs, as one weighted_average of phase_values at N."""
+    (value,) = weighted_average(table, [N], lambda ns: phase_values(coeffs, ns))
     return value
 
 

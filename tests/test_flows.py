@@ -24,7 +24,7 @@ from ncflow.flows import (
 )
 from ncflow.linalg import haar_unitary, random_density
 from ncflow.matrix_dynamics import ad_flow, finite_vn_state_flow, rank_one_flow
-from ncflow.moebius import PolynomialPhase, build_table, exp_sum, phase_values
+from ncflow.moebius import build_table, exp_sum, phase_values
 from oracles import mertens, squarefree_count, tree_sum, values
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -41,7 +41,7 @@ def test_rotation_series_matches_exp_sum(table_1m):
     cps = geometric_checkpoints(10**5)
     series = average_series(rotation_flow(GOLDEN), table_1m, cps)
     for i, n in enumerate(cps):
-        direct = exp_sum(table_1m, PolynomialPhase((0.0, GOLDEN)), n)
+        direct = exp_sum(table_1m, (0.0, GOLDEN), n)
         assert abs(series.values[i] - direct) < 1e-12
     # at a single checkpoint both are one weighted_average call in the same
     # runs, so the bits agree, here past two run edges
@@ -53,7 +53,7 @@ def test_rotation_series_matches_exp_sum(table_1m):
     }
     for name, (flow, coeffs) in phases.items():
         got = average_series(flow, table_1m, [N]).values[0]
-        want = exp_sum(table_1m, PolynomialPhase(coeffs), N)
+        want = exp_sum(table_1m, coeffs, N)
         assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), name
 
 

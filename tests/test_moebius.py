@@ -16,13 +16,11 @@ from ncflow import moebius
 from ncflow.flows import Flow, average_series
 from ncflow.moebius import (
     N_MAX_CAP,
-    PolynomialPhase,
     build_table,
     cache_path,
     characters,
     exp_sum,
     fold_pairwise,
-    linear_phase,
     load_or_build_table,
     load_table,
     phase_values,
@@ -197,10 +195,21 @@ def test_squarefree_counts(table_1m):
     assert abs(squarefree_count(table_1m, 10**6) / 10**6 - 6 / math.pi**2) < 5e-4
 
 
-def test_polynomial_phase_validation():
-    with pytest.raises(ValueError):
-        PolynomialPhase(())
-    assert linear_phase(0.25).degree == 1
+def test_phase_functions_refuse_empty_and_non_finite_coefficients(table_10k):
+    # every phase passes through the one cached split, which checks it
+    ns = np.arange(1, 10)
+    for coeffs, message in (
+        ((), "phase needs at least the constant coefficient"),
+        ((math.nan,), "phase coefficients must be finite"),
+        ((math.inf, 1.0), "phase coefficients must be finite"),
+    ):
+        for evaluate in (phase_values, poly_phase_frac):
+            with pytest.raises(ValueError, match=message):
+                evaluate(coeffs, ns)
+        with pytest.raises(ValueError, match=message):
+            exp_sum(table_10k, coeffs, 100)
+    with pytest.raises(ValueError, match="phase coefficients must be finite"):
+        characters([math.nan], ns)
 
 
 def _frac_error(coeffs, n, got) -> float:
@@ -520,7 +529,7 @@ def test_a_series_splits_its_coefficients_once(table_1m):
     # fresh one
     coeffs = (0.0, 0.37, 0.123, 1e-30)
     moebius._split_tuple.cache_clear()
-    exp_sum(table_1m, PolynomialPhase(coeffs), 5 * moebius._SUM_RUN)
+    exp_sum(table_1m, coeffs, 5 * moebius._SUM_RUN)
     info = moebius._split_tuple.cache_info()
     assert info.misses == 1 and info.hits >= 4
     ms, los = moebius._split(np.array(coeffs))
@@ -534,7 +543,7 @@ def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
     N = 10**5 + 3
     ns = np.arange(N + 1)
     (whole,) = tree_sum(table_1m.mu, phase_values(coeffs, ns), [N])
-    got = exp_sum(table_1m, PolynomialPhase(coeffs), N)
+    got = exp_sum(table_1m, coeffs, N)
     assert _same_bits(got, complex(whole) / N)
 
 
@@ -548,7 +557,7 @@ def test_phase_sum_memory_is_flat_in_n(table_1m):
     )
     phase_values(coeffs, np.arange(1, 3))  # the turn tables and the split, built once
     sums = {
-        "exp_sum": lambda N: exp_sum(table_1m, PolynomialPhase(coeffs), N),
+        "exp_sum": lambda N: exp_sum(table_1m, coeffs, N),
         "average_series": lambda N: average_series(flow, table_1m, [1000, N // 2, N]),
     }
     for name, run in sums.items():
@@ -670,7 +679,7 @@ def test_exp_sum_is_one_tree_sum_of_the_signed_zero_terms(table_1m, N, coeffs):
     ns = np.arange(N + 1)
     (total,) = tree_sum(table_1m.mu, phase_values(coeffs, ns), [N])
     want = complex(total) / N
-    got = exp_sum(table_1m, PolynomialPhase(tuple(coeffs)), N)
+    got = exp_sum(table_1m, tuple(coeffs), N)
     assert _same_bits(got, want)
 
 
@@ -704,7 +713,7 @@ def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch):
 
     monkeypatch.setattr(moebius, "phase_values", recording)
     N = 3 * 4096 + 17
-    exp_sum(table_1m, PolynomialPhase((0.0, 0.37, 0.123)), N)
+    exp_sum(table_1m, (0.0, 0.37, 0.123), N)
     ns = np.concatenate(seen)
     every = np.arange(1, N + 1)
     assert np.all(table_1m.mu[ns] != 0)
@@ -714,7 +723,7 @@ def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch):
 
 def test_exp_sum_half_phase(table_1m):
     # e(n/2) = (-1)^n against mu(1..4) = 1,-1,-1,0: (-1) + (-1) + 1 + 0 = -1
-    assert exp_sum(table_1m, PolynomialPhase((0.0, 0.5)), 4) == pytest.approx(
+    assert exp_sum(table_1m, (0.0, 0.5), 4) == pytest.approx(
         -0.25, abs=1e-15
     )
 
@@ -722,7 +731,7 @@ def test_exp_sum_half_phase(table_1m):
 def test_exp_sum_integer_phase_is_mertens(table_1m):
     # theta = 0 collapses to M(N)/N
     for n in (10, 997, 10**4):
-        s = exp_sum(table_1m, PolynomialPhase((0.0, 0.0)), n)
+        s = exp_sum(table_1m, (0.0, 0.0), n)
         assert s == pytest.approx(mertens(table_1m, n) / n, abs=1e-15)
 
 
@@ -734,7 +743,7 @@ def test_exp_sum_dyadic_phase_periodicity(table_1m):
         int(table_1m.mu[n]) * np.exp(2j * np.pi * ((theta * n) % 1.0))
         for n in range(1, N + 1)
     )
-    s = exp_sum(table_1m, PolynomialPhase((0.0, theta)), N)
+    s = exp_sum(table_1m, (0.0, theta), N)
     assert abs(s - direct / N) < 1e-12
 
 
@@ -749,15 +758,15 @@ def test_exp_sum_quadratic_phase_small_oracle(table_10k):
         )
         / N
     )
-    s = exp_sum(table_10k, PolynomialPhase(coeffs), N)
+    s = exp_sum(table_10k, coeffs, N)
     assert abs(s - direct) < 1e-10
 
 
 def test_exp_sum_rejects_bad_range(table_10k):
     with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10000\]"):
-        exp_sum(table_10k, PolynomialPhase((0.0, 0.5)), 0)
+        exp_sum(table_10k, (0.0, 0.5), 0)
     with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10000\]"):
-        exp_sum(table_10k, PolynomialPhase((0.0, 0.5)), 10**5)
+        exp_sum(table_10k, (0.0, 0.5), 10**5)
 
 
 def _mu_average(table, f, N):
@@ -770,7 +779,7 @@ def test_average_series_matches_exp_sum(table_10k):
     theta = 0.137
     f = lambda ns: np.exp(2j * np.pi * theta * np.asarray(ns))
     s1 = _mu_average(table_10k, f, 9973)
-    s2 = exp_sum(table_10k, PolynomialPhase((0.0, theta)), 9973)
+    s2 = exp_sum(table_10k, (0.0, theta), 9973)
     assert abs(s1 - s2) < 1e-12
 
 
@@ -787,7 +796,7 @@ def test_average_series_bounded_by_abs_average(table_10k):
 def test_average_series_of_a_phase_is_exp_sum_bitwise(table_1m, coeffs, N):
     # both sum mu(n) e(phi(n)) in the same runs and fold, so the bits agree
     s = _mu_average(table_1m, lambda ns: phase_values(coeffs, ns), N)
-    ref = exp_sum(table_1m, PolynomialPhase(coeffs), N)
+    ref = exp_sum(table_1m, coeffs, N)
     assert np.complex128(s).tobytes() == np.complex128(ref).tobytes()
 
 

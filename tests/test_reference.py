@@ -1,11 +1,15 @@
-"""The seed-0 operator-flows outputs against the benchmark's stored reference.
+"""The benchmark's view of ncflow: its stored reference and its imports.
 
 Runs every invocation of the operator-flows workload in perfbench/workloads.py
 in-process at seed 0 and checks its outputs with the benchmark's own
 check_outputs against perfbench/reference.json, so a change that moves an
-output past the reference tolerance fails here too.  perfbench/ is only read.
+output past the reference tolerance fails here too, and checks that every
+name perfbench/trace_run.py imports from ncflow exists, so deleting a public
+name cannot break the benchmark's traced pass unseen.  perfbench/ is only read.
 """
 
+import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -50,3 +54,25 @@ def test_operator_flows_at_seed_0_pass_the_benchmark_reference(tmp_path, monkeyp
             inv.name, csv_text, sidecar, reference[inv.name]
         )
     assert failures == {inv.name: [] for inv in workload.invocations}
+
+
+def test_the_traced_run_imports_only_names_ncflow_has():
+    with open(os.path.join(PERFBENCH, "trace_run.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = []  # (module, name), with name None for "import module"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ncflow":
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(a.name, None) for a in node.names if a.name.split(".")[0] == "ncflow"]
+    assert imported
+    missing = []
+    for module, name in imported:
+        if importlib.util.find_spec(module) is None:
+            missing.append(module)
+        elif name is not None and not (
+            hasattr(importlib.import_module(module), name)
+            or importlib.util.find_spec(f"{module}.{name}") is not None
+        ):
+            missing.append(f"{module}.{name}")
+    assert missing == []
