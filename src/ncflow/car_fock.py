@@ -463,7 +463,7 @@ def counterexample_flow(L: int, table: MoebiusTable) -> CounterexampleFlows:
     dim = 2 * L + 1
     # index of basis vector xi_k is k + L for k in [-L, L]
     tdiag = np.zeros(dim, dtype=np.int64)
-    tdiag[:L] = table.mu[1 : L + 1][::-1]  # position L - k holds mu(k)
+    tdiag[:L] = table.window(1, L + 1)[::-1]  # position L - k holds mu(k)
 
     bh = Flow(
         values_at=lambda ns: tdiag[np.mod(L - ns, dim)].astype(np.complex128),

@@ -588,7 +588,7 @@ EXPERIMENTS = {
     "bsz-check": Experiment(
         {"epsilon": 0.25, "M": 10_000, "flow": "golden"}, _run_bsz_check, n_max=10**6,
         # M values per prime up to 200, 74 MB at M = 10^5: at n_max 10^8 that
-        # peaked with the table at 174 MiB, and M = 10^7 at 909 MiB
+        # peaked with the 2-bit table at 87 MiB, and M = 10^7 at 909 MiB
         caps={"M": 10**5}, check=_check_bsz,
     ),
 }

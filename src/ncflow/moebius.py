@@ -10,11 +10,28 @@ shows up as the cofactor falling short of n.  A segment starts from a copy of
 a pre-sieved wheel: the cofactor pattern of the primes up to 7 (squares
 included), one period of 2^2 3^2 5^2 7^2 = 44100 entries, built per call.
 The sign flip for the large prime is arithmetic, sign(cofactor) times
-1 - 2 [|cofactor| != n] in int8, with no masked ufunc.  Memory is the
-``n_max + 1`` byte table plus two int32 and one int8 array of one segment and
-the pattern: 9 bytes per segment entry and 172 KiB, inside the
-12 ``_SIEVE_SEGMENT`` bytes the tests hold it to.  ``prefix_counts`` reads
-M(N) and Q(N), the squarefree count, at many N in one pass over the table.
+1 - 2 [|cofactor| != n] in int8, with no masked ufunc.  Each segment
+starts at n = 1 mod 4 and is packed into the table's codes as soon as it is
+sieved.  Memory is the ``(n_max + 3) // 4`` code bytes plus two int32 and two
+int8 arrays of one segment and the pattern: 10 bytes per segment entry and
+172 KiB, inside the 12 ``_SIEVE_SEGMENT`` bytes the tests hold it to.
+``prefix_counts`` reads M(N) and Q(N), the squarefree count, at many N in one
+pass over the table, ``_COUNT_BLOCK`` n at a time.
+
+Table and cache
+---------------
+A ``MoebiusTable`` holds mu(1..n_max) as ``codes``, the read-only 2-bit form
+that the sieve cache file stores: the code mu(n) + 1 of n = 4k + 1 .. 4k + 4
+in byte k, low bits first, with code 0 in the padding slots past n_max.  It
+is a quarter of an int8 table: 24 MiB at the 10^8 cap.  No reader unpacks
+the whole table: ``MoebiusTable.window(lo, hi)`` unpacks mu(lo..hi - 1) from
+just the bytes that hold it, one ``np.take`` of a 256-entry table of four
+int8 mu per byte, and never returns a padding slot.  ``weighted_average``
+unpacks one run at a time and ``prefix_counts`` one block.  The cache file
+is a 16-byte header (magic ``NCF2``, n_max, the crc32 of the payload) and
+then ``codes`` byte for byte: ``save_table`` writes them, and ``load_table``
+reads them into one read-only array, checks the checksum, refuses any code 3
+(padding slots included) in one chunked pass, and spot-checks six known mu.
 
 Summation contract
 ------------------
@@ -82,6 +99,14 @@ N_MAX_CAP = 10**8
 _SUM_RUN = 16384  # n per values_at call and per summation window: bounds a run's scratch
 _ROW_TILE = 1024  # rows per matrix-row evaluator call: bounds its scratch, as ad_flow's walk buffer
 _SIEVE_SEGMENT = 1 << 19
+_COUNT_BLOCK = 1 << 18  # n per unpacked block in prefix_counts: bounds its scratch
+# cache bytes per pass of load_table's code-3 check.  Under glibc, freeing
+# this mapped scratch also raises malloc's mmap and trim thresholds to 1 and
+# 2 MiB, so the few hundred KiB of per-run scratch that the sums after a load
+# allocate are reused from the heap, not mapped and faulted in again on every
+# run: bsz-check at 10^7 from the cache took 34,600 minor page faults with
+# 64 KiB chunks and 6,700 with 1 MiB (8,400 when it unpacked an int8 table)
+_CHECK_CHUNK = 1 << 20
 _WHEEL_PRIME_MAX = 7  # 2, 3, 5, 7: a cofactor pattern of period 44100, 172 KiB of int32
 
 _CACHE_MAGIC = b"NCF2"
@@ -89,21 +114,58 @@ _CACHE_HEADER = struct.Struct("<4sQI")  # magic, n_max, crc32 of the payload
 CACHE_ENV_VAR = "NCFLOW_CACHE_DIR"
 
 
+# _UNPACK[b] holds in its four bytes the int8 mu = code - 1 of the four codes
+# of byte b, low bits first, so np.take of code bytes viewed as int8 is their mu
+_UNPACK = (
+    ((np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 3) - 1
+).astype(np.int8).view(np.uint32).ravel()
+_UNPACK.flags.writeable = False
+# the byte of c0 + 4 c1 + 16 c2 + 64 c3 lands in bits 24-31 when the four
+# codes c_j < 4, one per byte of a little-endian uint32, are multiplied by it;
+# the cross terms either wrap past bit 31 or stay below 2^24
+_PACK_SPREAD = (1 << 24) + (1 << 18) + (1 << 12) + (1 << 6)
+
+
 @dataclass(frozen=True)
 class MoebiusTable:
-    """mu(n) for 1 <= n <= n_max.
+    """mu(n) for 1 <= n <= n_max, in the 2-bit form of the sieve cache.
 
-    mu is an int8 array of length n_max + 1 with mu[0] = 0 unused.
+    codes is the read-only uint8 cache payload: the code mu(n) + 1 of
+    n = 4k + 1 .. 4k + 4 in byte k, low bits first.  The slots past n_max
+    in the last byte are padding with code 0, which window never returns.
     """
 
     n_max: int
-    mu: np.ndarray
+    codes: np.ndarray
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """mu(n) for lo <= n < hi as a new int8 array, unpacked from only the
+        code bytes that hold those n.  Scratch is np.take's intp copy of
+        those bytes: 2 bytes per n besides the 1 returned."""
+        if not 1 <= lo <= hi <= self.n_max + 1:
+            raise ValueError(f"window [{lo}, {hi}) is not inside [1, {self.n_max + 1})")
+        first = (lo - 1) // 4
+        mu = np.take(_UNPACK, self.codes[first : (hi + 2) // 4], mode="clip").view(np.int8)
+        skip = lo - 1 - 4 * first
+        return mu[skip : skip + hi - lo]
+
+
+def _pack_codes(mu: np.ndarray, out: np.ndarray) -> None:
+    """Pack the int8 mu(n) of 4 len(out) consecutive n, the first n = 1 mod 4,
+    into out as code bytes; mu is overwritten.  Slots past n_max take
+    mu = -1, the padding code 0."""
+    np.add(mu, 1, out=mu)
+    words = mu.view("<u4")
+    np.multiply(words, _PACK_SPREAD, out=words)
+    np.right_shift(words, 24, out=words)
+    np.copyto(out, words, casting="unsafe")
 
 
 def build_table(n_max: int) -> MoebiusTable:
     """Sieve mu(1..n_max) segment by segment with the primes up to sqrt(n_max).
 
-    Each segment of _SIEVE_SEGMENT integers keeps an int32 cofactor array
+    Each segment of _SIEVE_SEGMENT integers, rounded up to a multiple of 4
+    so that it starts at n = 1 mod 4, keeps an int32 cofactor array
     that every small prime p dividing n multiplies by -p, and that is zeroed
     on multiples of p^2.  The small primes up to _WHEEL_PRIME_MAX are applied
     once, to a pattern of one period prod p^2 indexed by n mod the period,
@@ -112,9 +174,11 @@ def build_table(n_max: int) -> MoebiusTable:
     part of n, and where its absolute value falls short of n the remaining
     cofactor is exactly one prime above sqrt(n_max), which flips the sign
     once more: mu = sign(cofactor) (1 - 2 [|cofactor| != n]) in int8, with n
-    from one int32 array that advances a segment per step.  Scratch is the
-    cofactor and n arrays, one int8 segment and the pattern, so memory is the
-    n_max + 1 byte table plus 9 bytes per segment entry and 172 KiB.
+    from one int32 array that advances a segment per step.  Each segment's
+    mu is packed into its whole code bytes of the table as it is done.
+    Scratch is the cofactor and n arrays, two int8 segments and the pattern,
+    so memory is the (n_max + 3) // 4 code bytes plus 10 bytes per segment
+    entry and 172 KiB.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -128,15 +192,18 @@ def build_table(n_max: int) -> MoebiusTable:
     for p in wheel:
         pattern[::p] *= -p
         pattern[:: p * p] = 0
-    mu = np.zeros(n_max + 1, dtype=np.int8)
-    size = min(_SIEVE_SEGMENT, n_max)
+    # each segment starts at n = 1 mod 4, so it packs into whole code bytes
+    step = -(-_SIEVE_SEGMENT // 4) * 4
+    size = min(step, -(-n_max // 4) * 4)
+    codes = np.empty((n_max + 3) // 4, dtype=np.uint8)
+    mu = np.empty(size, dtype=np.int8)
     # |cofactor| divides n <= N_MAX_CAP < 2^31, so int32 cannot overflow.
     cofactor = np.empty(size, dtype=np.int32)
     ns = np.arange(1, size + 1, dtype=np.int32)  # n over the segment
     flip = np.empty(size, dtype=np.int8)
-    for lo in range(1, n_max + 1, _SIEVE_SEGMENT):
-        hi = min(lo + _SIEVE_SEGMENT, n_max + 1)
-        seg, cof, f = mu[lo:hi], cofactor[: hi - lo], flip[: hi - lo]
+    for lo in range(1, n_max + 1, step):
+        hi = min(lo + step, n_max + 1)
+        seg, cof, f = mu[: hi - lo], cofactor[: hi - lo], flip[: hi - lo]
         at, start = 0, lo % period
         while at < cof.size:
             part = pattern[start : start + cof.size - at]
@@ -152,8 +219,12 @@ def build_table(n_max: int) -> MoebiusTable:
         np.multiply(f, -2, out=f)
         np.add(f, 1, out=f)
         np.multiply(seg, f, out=seg)
-        ns += _SIEVE_SEGMENT
-    return MoebiusTable(n_max=n_max, mu=mu)
+        whole = -(-seg.size // 4) * 4
+        mu[seg.size : whole] = -1  # the padding slots past n_max
+        _pack_codes(mu[:whole], codes[(lo - 1) // 4 : (lo - 1 + whole) // 4])
+        ns += step
+    codes.flags.writeable = False
+    return MoebiusTable(n_max=n_max, codes=codes)
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -358,7 +429,8 @@ def _turns(r) -> np.ndarray:
     linear = gathered  # its last table factor is in product now
     linear.real = 1.0
     np.bitwise_and(r, _LINEAR_MASK, out=idx)
-    np.multiply(idx, _LINEAR_SCALE, out=linear.imag)
+    # below 2^28, so as intp the same value, which converts to float faster
+    np.multiply(at, _LINEAR_SCALE, out=linear.imag)
     np.multiply(product, linear, out=out)  # two swaps left product in the scratch
     return out
 
@@ -465,7 +537,7 @@ def weighted_average(
 
     def run(group):
         start = group[0][0]  # the run is n = start + 1 .. its last edge
-        mu = table.mu[start + 1 : group[-1][1] + 1]
+        mu = table.window(start + 1, group[-1][1] + 1)
         # from the bool mask, which np.flatnonzero reads faster than the int8 mu
         at = np.flatnonzero(mu != 0)
         vals = values_at(at + (start + 1))  # before the weights: a lower peak
@@ -492,17 +564,24 @@ def exp_sum(table: MoebiusTable, coeffs: Sequence[float], N: int) -> complex:
 
 def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
     """[(M(N), Q(N))] at ascending checkpoints, exact: the Mertens sum and
-    the squarefree count sum_{n<=N} |mu(n)|.  One pass: each stretch of the
-    table between two checkpoints is summed and counted once, in integers,
-    and added to the running totals, so nothing is recounted from n = 1."""
-    out, m, q, lo = [], 0, 0, 1
-    for N in checked_checkpoints(table.n_max, checkpoints):
-        part = table.mu[lo : N + 1]
-        # a sum of at most N_MAX_CAP < 2^31 values in {-1, 0, 1} fits int32
+    the squarefree count sum_{n<=N} |mu(n)|.  One pass: the table is unpacked
+    _COUNT_BLOCK n at a time, each stretch of a block between two
+    checkpoints is summed and counted once, in integers, and added to the
+    running totals, so nothing is recounted from n = 1."""
+    cps = checked_checkpoints(table.n_max, checkpoints)
+    edges = sorted({*range(0, cps[-1], _COUNT_BLOCK), *cps})
+    ends = set(cps)
+    out, m, q = [], 0, 0
+    for lo, hi in zip(edges, edges[1:]):
+        base = lo - lo % _COUNT_BLOCK
+        if lo == base:
+            block = table.window(base + 1, min(base + _COUNT_BLOCK, cps[-1]) + 1)
+        part = block[lo - base : hi - base]
+        # a block of _COUNT_BLOCK < 2^31 values in {-1, 0, 1} sums in int32
         m += int(np.add.reduce(part, dtype=np.int32))
         q += int(np.count_nonzero(part))
-        out.append((m, q))
-        lo = N + 1
+        if hi in ends:
+            out.append((m, q))
     return out
 
 
@@ -522,26 +601,18 @@ def checked_checkpoints(n_max: int, checkpoints: Iterable[int]) -> list:
 # sieve cache file: magic "NCF2", little-endian uint64 n_max, uint32
 # zlib.crc32 of the payload, then the payload: 2-bit codes (mu + 1) for
 # n = 1..n_max packed four per byte, low bits first; code 3 never occurs.
+# The payload is MoebiusTable.codes byte for byte.
 
 
 def save_table(table: MoebiusTable, path) -> None:
-    """Write the table to a temporary file beside path, then rename it over
-    path, so path holds either its old content or the whole new file."""
-    n_max = table.n_max
-    payload = np.zeros((n_max + 3) // 4, dtype=np.uint8)
-    lane = np.empty_like(payload)
-    for k in range(4):
-        # mu + 1 in uint8 arithmetic: the int8 -1 reads as 255 and wraps to 0
-        col = table.mu.view(np.uint8)[1 + k :: 4]
-        part = lane[: col.size]
-        np.add(col, 1, out=part)
-        np.left_shift(part, 2 * k, out=part)
-        payload[: col.size] |= part
+    """Write the header and the table's codes to a temporary file beside
+    path, then rename it over path, so path holds either its old content or
+    the whole new file."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, n_max, zlib.crc32(payload)))
-            fh.write(payload)
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, table.n_max, zlib.crc32(table.codes)))
+            fh.write(table.codes)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -549,7 +620,15 @@ def save_table(table: MoebiusTable, path) -> None:
 
 
 def load_table(path) -> MoebiusTable:
-    with open(path, "rb") as fh:
+    """The table a cache file holds, its payload as the table's codes.
+
+    Refuses, with ValueError naming path, a bad header, a payload of the
+    wrong length or checksum, any code 3 (padding slots included), and a
+    table that fails the spot check.
+    """
+    # unbuffered, so the payload is read into one bytes object, not read
+    # whole and then joined to what the header read left in the buffer
+    with open(path, "rb", buffering=0) as fh:
         header = fh.read(_CACHE_HEADER.size)
         payload = fh.read()
     if header[:4] == b"NCF1":
@@ -567,26 +646,27 @@ def load_table(path) -> MoebiusTable:
         )
     if zlib.crc32(payload) != crc:
         raise ValueError(f"sieve cache {path} fails its payload checksum")
-    packed = np.frombuffer(payload, dtype=np.uint8)
-    lane = np.empty_like(packed)
-    mu = np.zeros(n_max + 1, dtype=np.int8)
-    for k in range(4):
-        np.right_shift(packed, 2 * k, out=lane)
-        np.bitwise_and(lane, 3, out=lane)
-        if lane.max(initial=0) == 3:
+    codes = np.frombuffer(payload, dtype=np.uint8)  # read-only, as the bytes are
+    # bit 2k of p & (p >> 1) & 0x55 is set where code k of byte p is 3
+    scratch = np.empty(min(_CHECK_CHUNK, codes.size), dtype=np.uint8)
+    for at in range(0, codes.size, _CHECK_CHUNK):
+        part = codes[at : at + _CHECK_CHUNK]
+        both = scratch[: part.size]
+        np.right_shift(part, 1, out=both)
+        np.bitwise_and(both, part, out=both)
+        np.bitwise_and(both, 0x55, out=both)
+        if both.any():
             raise ValueError(f"sieve cache {path} holds the unused code 3")
-        # code - 1 in uint8 arithmetic: code 0 wraps to 255, the int8 -1
-        dest = mu.view(np.uint8)[1 + k :: 4]
-        np.subtract(lane[: dest.size], 1, out=dest)
-    table = MoebiusTable(n_max=int(n_max), mu=mu)
+    table = MoebiusTable(n_max=int(n_max), codes=codes)
     _spot_check(table, path)
     return table
 
 
 def _spot_check(table: MoebiusTable, path) -> None:
     known = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 30: -1}
+    mu = table.window(1, min(max(known), table.n_max) + 1)
     for n, v in known.items():
-        if n <= table.n_max and table.mu[n] != v:
+        if n <= table.n_max and mu[n - 1] != v:
             raise ValueError(f"sieve cache {path} failed spot check at n = {n}")
 
 

@@ -10,6 +10,9 @@ imports them.
   ncflow.moebius.weighted_average must keep bit for bit, restated piece by
   piece; and the exact Mertens sum M(N) and squarefree count Q(N), one at
   a time, against ncflow.moebius.prefix_counts.
+- Moebius tables as whole int8 arrays: mu_array(table) unpacks mu(0..n_max)
+  through MoebiusTable.window, and table_of(mu) packs an array into a table
+  through the sieve's own pack helper, for mu that no sieve made.
 - values(flow, lo, hi): a flow's checked values at n = lo + 1..hi.
 """
 
@@ -20,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from ncflow.free_words import NC_ORDER_CAP
+from ncflow import moebius
 from ncflow.moebius import _SUM_RUN, MoebiusTable, fold_pairwise
 
 # ---------------------------------------------------------------------------
@@ -237,6 +241,23 @@ def tree_sum(mu: np.ndarray, values: np.ndarray, checkpoints) -> list:
     return out
 
 
+def mu_array(table: MoebiusTable) -> np.ndarray:
+    """mu(0..n_max) as one int8 array, with mu[0] = 0 unused."""
+    return np.concatenate([np.zeros(1, np.int8), table.window(1, table.n_max + 1)])
+
+
+def table_of(mu: np.ndarray) -> MoebiusTable:
+    """The table of mu(n) = mu[n] for 1 <= n <= len(mu) - 1, any int8 values
+    in {-1, 0, 1}, packed by moebius._pack_codes as build_table packs."""
+    n_max = len(mu) - 1
+    padded = np.full(-(-n_max // 4) * 4, -1, dtype=np.int8)  # -1: the padding code 0
+    padded[:n_max] = mu[1:]
+    codes = np.empty(padded.size // 4, dtype=np.uint8)
+    moebius._pack_codes(padded, codes)
+    codes.flags.writeable = False
+    return MoebiusTable(n_max=n_max, codes=codes)
+
+
 def _check_N(table: MoebiusTable, N: int) -> None:
     if not 1 <= N <= table.n_max:
         raise ValueError(f"N must lie in [1, {table.n_max}], got {N}")
@@ -245,13 +266,13 @@ def _check_N(table: MoebiusTable, N: int) -> None:
 def mertens(table: MoebiusTable, N: int) -> int:
     """M(N) = sum_{n<=N} mu(n), exact."""
     _check_N(table, N)
-    return int(np.add.reduce(table.mu[1 : N + 1], dtype=np.int64))
+    return int(np.add.reduce(table.window(1, N + 1), dtype=np.int64))
 
 
 def squarefree_count(table: MoebiusTable, N: int) -> int:
     """Q(N) = sum_{n<=N} |mu(n)|, exact."""
     _check_N(table, N)
-    return int(np.count_nonzero(table.mu[1 : N + 1]))
+    return int(np.count_nonzero(table.window(1, N + 1)))
 
 
 # ---------------------------------------------------------------------------

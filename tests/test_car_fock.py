@@ -349,7 +349,7 @@ def test_counterexample_values_are_exact(table_10k):
     L = 500
     flows = counterexample_flow(L, table_10k)
     for n in range(1, L + 1):
-        mu = int(table_10k.mu[n])
+        mu = int(table_10k.window(n, n + 1)[0])
         assert flows.bh_flow.at([n])[0] == complex(mu)
         assert flows.car_flow.at([n])[0] == complex((mu + 1) / 2)
     with pytest.raises(ValueError):

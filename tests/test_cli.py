@@ -749,7 +749,7 @@ def test_sieve_cache_for_another_n_max_is_rebuilt(tmp_path, monkeypatch, capsys)
     assert len(err.splitlines()) == 1
     assert err.startswith(f"ncflow: rebuilding sieve cache {cached}: ")
     assert (out / "sieve.csv").read_bytes() == (fresh / "sieve.csv").read_bytes()
-    assert np.array_equal(load_table(cached).mu, build_table(2000).mu)
+    assert np.array_equal(load_table(cached).codes, build_table(2000).codes)
 
 
 SMALL_RUNS = {

@@ -25,7 +25,7 @@ from ncflow.flows import (
 from ncflow.linalg import haar_unitary, random_density
 from ncflow.matrix_dynamics import ad_flow, finite_vn_state_flow, rank_one_flow
 from ncflow.moebius import build_table, exp_sum, phase_values
-from oracles import mertens, squarefree_count, tree_sum, values
+from oracles import mertens, mu_array, squarefree_count, table_of, tree_sum, values
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -296,15 +296,13 @@ def test_flow_values_are_pointwise_in_n(label, lo, size, data):
     assert flow.at(ns[one : one + 1]).tobytes() == full[one : one + 1].tobytes()
     # weighted_average's call: the squarefree n of the range alone
     table = build_table(lo + size)
-    mu = table.mu[lo + 1 :]
+    mu = table.window(lo + 1, lo + size + 1)
     assert flow.at(ns[mu != 0]).tobytes() == full[mu != 0].tobytes()
     # and summed over a table with mu = 0 below lo + 1, against tree_sum of
     # the values of the whole range
-    padded = table.mu.copy()
+    padded = mu_array(table)
     padded[: lo + 1] = 0
-    (got,) = moebius.weighted_average(
-        moebius.MoebiusTable(n_max=lo + size, mu=padded), [lo + size], flow.at
-    )
+    (got,) = moebius.weighted_average(table_of(padded), [lo + size], flow.at)
     (total,) = tree_sum(padded, np.concatenate([np.zeros(lo + 1, complex), full]), [lo + size])
     want = complex(total) / (lo + size)
     assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
@@ -350,7 +348,7 @@ def test_series_is_the_per_block_sums_of_flow_values(label):
     f = np.zeros(N + 1, dtype=np.complex128)
     for lo, hi in zip(edges, edges[1:]):
         f[lo + 1 : hi + 1] = values(flow, lo, hi)
-    want = [complex(s) / n for s, n in zip(tree_sum(table.mu, f, cps), cps)]
+    want = [complex(s) / n for s, n in zip(tree_sum(mu_array(table), f, cps), cps)]
     got = average_series(flow, table, cps).values
     assert got.tobytes() == np.array(want).tobytes()
 
@@ -400,7 +398,7 @@ def test_periodic_flow_regrouping_identity(table_1m):
     assert np.max(np.abs(values(flow, 0, 1000) - np.tile(cycle[::-1], 500))) < 1e-13
     n = 10**5
     s = average_series(flow, table_1m, [n]).values[0]
-    mu = table_1m.mu[1 : n + 1].astype(np.float64)
+    mu = table_1m.window(1, n + 1).astype(np.float64)
     ns = np.arange(1, n + 1)
     regroup = sum(cycle[j] * mu[ns % q == j].sum() for j in range(q)) / n
     assert abs(s - regroup) < 1e-12

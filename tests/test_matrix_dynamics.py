@@ -26,7 +26,7 @@ from ncflow.matrix_dynamics import (
     trace_product_sum,
 )
 from ncflow.moebius import _ROW_TILE, _SUM_RUN, build_table, characters
-from oracles import tree_sum, values
+from oracles import mu_array, tree_sum, values
 
 
 def random_contraction(rng, k):
@@ -432,15 +432,16 @@ def per_n_direct_sum(spec, table, N):
     """The direct path as one matrix_power chain per squarefree n <= N,
     summed by tree_sum."""
     traces = np.zeros(N + 1, dtype=np.complex128)
+    mu = mu_array(table)
     for n in range(1, N + 1):
-        if table.mu[n]:
+        if mu[n]:
             m = np.eye(spec.k, dtype=np.complex128)
             for u, a, coeffs in zip(spec.unitaries, spec.contractions, spec.phase_polys):
                 phi = sum(c * n**i for i, c in enumerate(coeffs))
                 m = m @ np.linalg.matrix_power(u if phi >= 0 else u.conj().T, abs(phi))
                 m = m @ a
             traces[n] = np.trace(m) / spec.k
-    (total,) = tree_sum(table.mu, traces, [N])
+    (total,) = tree_sum(mu, traces, [N])
     return complex(total) / N
 
 
@@ -473,7 +474,7 @@ def test_trace_product_eigen_path_is_one_tree_sum():
     table = build_table(N)
     spec = make_spec(np.random.default_rng(11), 4, 3)
     ns = np.arange(1, N + 1)
-    squarefree = table.mu[ns] != 0
+    squarefree = table.window(1, N + 1) != 0
     ns = ns[squarefree]
     assert N > _SUM_RUN
     thetas, ws = zip(*(schur_unitary(u) for u in spec.unitaries))
@@ -488,7 +489,7 @@ def test_trace_product_eigen_path_is_one_tree_sum():
     vals = np.einsum("naa->n", chain) / spec.k
     f = np.zeros(N + 1, dtype=np.complex128)
     f[ns] = vals
-    (total,) = tree_sum(table.mu, f, [N])
+    (total,) = tree_sum(mu_array(table), f, [N])
     want = complex(total) / N
     got = trace_product_sum(spec, table, N).eigen_value
     assert got == want
@@ -512,13 +513,14 @@ def test_trace_product_paths_evaluate_squarefree_n_block_by_block(table_1m, monk
     N = _SUM_RUN + 4 * _ROW_TILE + 17  # two runs, the second of 4113 n
     trace_product_sum(spec, table_1m, N)
     every = np.arange(1, N + 1)
+    squarefree = every[table_1m.window(1, N + 1) != 0]
     for name, seen in calls.items():
         windows = [np.unique((ns - 1) // _SUM_RUN) for ns in seen]
         assert all(w.size <= 1 for w in windows), (name, [w.tolist() for w in windows])
         assert max(ns.size for ns in seen) <= _ROW_TILE + 1, name
         for j in range(spec.d):
             got = np.concatenate(seen[j :: spec.d])
-            assert np.array_equal(got, every[table_1m.mu[every] != 0]), (name, j)
+            assert np.array_equal(got, squarefree), (name, j)
 
 
 def test_trace_product_memory_is_flat_in_n(table_1m):
@@ -544,8 +546,9 @@ def test_trace_product_d1_matches_direct_sum(table_10k):
     n_max = 500
     u, a = spec.unitaries[0], spec.contractions[0]
     acc = 0.0 + 0j
+    mu = mu_array(table_10k)
     for n in range(1, n_max + 1):
-        m = int(table_10k.mu[n])
+        m = int(mu[n])
         if m:
             acc += m * np.trace(unitary_power(u, c * n) @ a) / 3
     res = trace_product_sum(spec, table_10k, n_max)

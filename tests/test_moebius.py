@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +30,7 @@ from ncflow.moebius import (
     prefix_counts,
     save_table,
 )
-from oracles import mertens, squarefree_count, tree_sum
+from oracles import mertens, mu_array, squarefree_count, table_of, tree_sum
 
 
 def mu_trial(n: int) -> int:
@@ -51,23 +53,26 @@ def mu_trial(n: int) -> int:
 
 
 def test_sieve_matches_trial_division(table_1m):
+    mu = table_1m.window(1, 3000)
     for n in range(1, 3000):
-        assert int(table_1m.mu[n]) == mu_trial(n), n
+        assert int(mu[n - 1]) == mu_trial(n), n
 
 
 def test_sieve_matches_trial_division_on_random_sample(table_1m):
     rng = np.random.default_rng(11)
+    mu = mu_array(table_1m)
     for n in rng.integers(1, table_1m.n_max + 1, size=2000).tolist():
-        assert int(table_1m.mu[n]) == mu_trial(n), n
+        assert int(mu[n]) == mu_trial(n), n
 
 
 def test_sieve_matches_trial_division_at_segment_boundaries(table_1m):
     seg = moebius._SIEVE_SEGMENT
     boundaries = list(range(1 + seg, table_1m.n_max + 1, seg)) + [table_1m.n_max]
     assert len(boundaries) >= 2
+    mu = mu_array(table_1m)
     for b in boundaries:
         for n in range(max(1, b - 50), min(table_1m.n_max, b + 50) + 1):
-            assert int(table_1m.mu[n]) == mu_trial(n), n
+            assert int(mu[n]) == mu_trial(n), n
 
 
 def test_sieve_with_short_segments_matches_trial_division(monkeypatch):
@@ -75,9 +80,8 @@ def test_sieve_with_short_segments_matches_trial_division(monkeypatch):
     # q > sqrt(n_max) on both sides of many segment boundaries
     monkeypatch.setattr(moebius, "_SIEVE_SEGMENT", 97)
     for n_max in range(1, 301):
-        mu = build_table(n_max).mu
-        assert mu[0] == 0
-        assert mu[1:].tolist() == [mu_trial(n) for n in range(1, n_max + 1)], n_max
+        mu = build_table(n_max).window(1, n_max + 1)
+        assert mu.tolist() == [mu_trial(n) for n in range(1, n_max + 1)], n_max
 
 
 def _mu_by_every_prime(n_max: int) -> np.ndarray:
@@ -109,7 +113,7 @@ _EDGE_N_MAX = [
 
 @pytest.mark.parametrize("n_max", _EDGE_N_MAX)
 def test_sieve_near_wheel_and_segment_edges_matches_trial_division(n_max):
-    mu = build_table(n_max).mu
+    mu = mu_array(build_table(n_max))
     seg = moebius._SIEVE_SEGMENT
     edges = [*range(_WHEEL_PERIOD, n_max + 2, _WHEEL_PERIOD), *range(seg, n_max + 2, seg), n_max]
     _assert_near_edges_matches_trial_division(mu, edges)
@@ -124,12 +128,13 @@ def test_sieve_with_drawn_segments_matches_every_prime_oracle(n_max, segment):
     # edges inside and across it
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moebius, "_SIEVE_SEGMENT", segment)
-        mu = build_table(n_max).mu
+        mu = mu_array(build_table(n_max))
     assert np.array_equal(mu, _mu_by_every_prime(n_max))
     _assert_near_edges_matches_trial_division(mu, [segment + 1, n_max], reach=3)
 
 
 def test_sieve_memory_is_the_table_plus_one_segment():
+    # the table is its 2-bit codes, each segment packed as it is sieved
     n_max = 8 * 10**6
     tracemalloc.start()
     try:
@@ -137,7 +142,7 @@ def test_sieve_memory_is_the_table_plus_one_segment():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= n_max + 1 + 12 * moebius._SIEVE_SEGMENT, peak
+    assert peak <= (n_max + 3) // 4 + 12 * moebius._SIEVE_SEGMENT, peak
 
 
 def test_sieve_multiplicative_on_coprime_pairs(table_1m):
@@ -146,14 +151,15 @@ def test_sieve_multiplicative_on_coprime_pairs(table_1m):
     b = rng.integers(1, 1000, size=5000)
     keep = np.gcd(a, b) == 1
     a, b = a[keep], b[keep]
-    mu = table_1m.mu
+    mu = mu_array(table_1m)
     assert np.array_equal(mu[a * b], mu[a] * mu[b])
 
 
 def test_sieve_known_prefix(table_1m):
     # mu(1..10) = 1,-1,-1,0,-1,1,-1,0,0,1
-    assert list(table_1m.mu[1:11]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert table_1m.mu[0] == 0
+    assert list(table_1m.window(1, 11)) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    with pytest.raises(ValueError, match="not inside"):
+        table_1m.window(0, 11)  # n = 0 has no mu
     primes = moebius.primes_upto(table_1m.n_max)
     assert primes[0] == 2 and primes[-1] <= 10**6
 
@@ -542,7 +548,7 @@ def test_exp_sum_streaming_matches_one_tree_sum(table_1m):
     coeffs = (0.0, 0.37, 0.123, 0.0071)
     N = 10**5 + 3
     ns = np.arange(N + 1)
-    (whole,) = tree_sum(table_1m.mu, phase_values(coeffs, ns), [N])
+    (whole,) = tree_sum(mu_array(table_1m), phase_values(coeffs, ns), [N])
     got = exp_sum(table_1m, coeffs, N)
     assert _same_bits(got, complex(whole) / N)
 
@@ -573,13 +579,39 @@ def test_phase_sum_memory_is_flat_in_n(table_1m):
         assert peaks[1] <= peaks[0] + 2**19, (name, peaks)
 
 
+def test_weighted_average_and_prefix_counts_memory_is_flat_in_n_max():
+    # a run unpacks only its own _SUM_RUN window of the codes, and
+    # prefix_counts one _COUNT_BLOCK at a time: no array grows with n_max
+    ones = lambda ns: np.ones(ns.size, dtype=np.complex128)
+    steps = {
+        "weighted_average": lambda t: moebius.weighted_average(t, [t.n_max], ones),
+        "prefix_counts": lambda t: prefix_counts(t, [t.n_max // 3, t.n_max]),
+    }
+    peaks = {name: [] for name in steps}
+    for n_max in (10**5, 10**6):
+        table = build_table(n_max)
+        for name, step in steps.items():
+            tracemalloc.start()
+            try:
+                step(table)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[name].append(peak)
+    wa, pc = peaks["weighted_average"], peaks["prefix_counts"]
+    assert wa[1] <= wa[0] + 2**16, wa  # the lists of runs and piece sums: 61 runs, not 7
+    # a block's mu and np.take's intp copy of its code bytes, while the last
+    # block is still held: 4 bytes per n of a block
+    assert pc[1] <= 4 * moebius._COUNT_BLOCK + 2**14, pc
+
+
 def _window_calls(table, n_max):
     """The values_at calls weighted_average must make up to n_max, sorted:
     per _SUM_RUN window of n, one call at the window's squarefree n."""
     calls = []
     for lo in range(0, n_max, moebius._SUM_RUN):
         ns = np.arange(lo + 1, min(lo + moebius._SUM_RUN, n_max) + 1)
-        calls.append(tuple(ns[table.mu[ns] != 0].tolist()))
+        calls.append(tuple(ns[table.window(ns[0], ns[-1] + 1) != 0].tolist()))
     return sorted(calls)
 
 
@@ -595,7 +627,7 @@ def test_weighted_average_is_worker_invariant_and_matches_tree_sum(n_max, raw_cp
     rng = np.random.default_rng(seed)
     mu = rng.integers(-1, 2, n_max + 1, dtype=np.int8)  # random mu, which no sieve made
     mu[0] = 0
-    table = moebius.MoebiusTable(n_max=n_max, mu=mu)
+    table = table_of(mu)
     x = rng.standard_normal(n_max + 1) * 10.0 ** rng.integers(-6, 6, n_max + 1)
     x = x + 1j * rng.standard_normal(x.size)
     cps = sorted({1 + c % n_max for c in raw_cps} | {n_max})  # uneven cuts anywhere
@@ -677,7 +709,7 @@ def test_exp_sum_is_one_tree_sum_of_the_signed_zero_terms(table_1m, N, coeffs):
     # the full terms mu(n) e(phi(n)) carry zeros of either sign at mu(n) = 0;
     # neither exp_sum nor tree_sum adds them, so they cannot reach the sum
     ns = np.arange(N + 1)
-    (total,) = tree_sum(table_1m.mu, phase_values(coeffs, ns), [N])
+    (total,) = tree_sum(mu_array(table_1m), phase_values(coeffs, ns), [N])
     want = complex(total) / N
     got = exp_sum(table_1m, tuple(coeffs), N)
     assert _same_bits(got, want)
@@ -689,11 +721,11 @@ def test_exp_sum_is_one_tree_sum_of_the_signed_zero_terms(table_1m, N, coeffs):
 @pytest.mark.parametrize("lo, hi", [(48, 50), (242, 245), (22020, 22025)])
 def test_weighted_average_where_mu_vanishes_is_the_tree_sum_of_zeros(table_1m, lo, hi):
     rng = np.random.default_rng(lo)
-    assert not table_1m.mu[lo : hi + 1].any()
+    assert not table_1m.window(lo, hi + 1).any()
     # the sieve's stretch, with mu = 0 below it too: no squarefree n <= hi
-    mu = table_1m.mu[: hi + 1].copy()
+    mu = mu_array(table_1m)[: hi + 1]
     mu[:lo] = 0
-    table = moebius.MoebiusTable(n_max=hi, mu=mu)
+    table = table_of(mu)
     ns = np.arange(hi + 1)
     cps = range(lo, hi + 1)  # a piece cut at every n of the stretch
     # every phase quadrant, so the full terms 0 * e(phi) would carry zeros of both signs
@@ -716,9 +748,10 @@ def test_exp_sum_evaluates_phases_only_at_squarefree_n(table_1m, monkeypatch):
     exp_sum(table_1m, (0.0, 0.37, 0.123), N)
     ns = np.concatenate(seen)
     every = np.arange(1, N + 1)
-    assert np.all(table_1m.mu[ns] != 0)
-    assert ns.size == np.count_nonzero(table_1m.mu[every])
-    assert np.array_equal(np.sort(ns), every[table_1m.mu[every] != 0])
+    mu = mu_array(table_1m)
+    assert np.all(mu[ns] != 0)
+    assert ns.size == np.count_nonzero(mu[every])
+    assert np.array_equal(np.sort(ns), every[mu[every] != 0])
 
 
 def test_exp_sum_half_phase(table_1m):
@@ -739,8 +772,9 @@ def test_exp_sum_dyadic_phase_periodicity(table_1m):
     # theta = 3/8 makes e(theta n) exactly 8-periodic; compare with a direct loop
     theta = 3 / 8
     N = 4096 + 17
+    mu = mu_array(table_1m)
     direct = sum(
-        int(table_1m.mu[n]) * np.exp(2j * np.pi * ((theta * n) % 1.0))
+        int(mu[n]) * np.exp(2j * np.pi * ((theta * n) % 1.0))
         for n in range(1, N + 1)
     )
     s = exp_sum(table_1m, (0.0, theta), N)
@@ -750,9 +784,10 @@ def test_exp_sum_dyadic_phase_periodicity(table_1m):
 def test_exp_sum_quadratic_phase_small_oracle(table_10k):
     coeffs = (0.0, 0.2, 0.05)
     N = 500
+    mu = mu_array(table_10k)
     direct = (
         sum(
-            int(table_10k.mu[n])
+            int(mu[n])
             * np.exp(2j * np.pi * (float(Fraction(0.2) * n + Fraction(0.05) * n * n % 1)))
             for n in range(1, N + 1)
         )
@@ -807,8 +842,9 @@ def test_tree_sum_matches_fsum(table_1m):
     N = 3 * moebius._SUM_RUN
     x = rng.standard_normal(N + 1) * 10.0 ** rng.integers(-8, 8, size=N + 1)
     cps = [5000, 20000, 40000, N]
-    terms = table_1m.mu[: N + 1] * x
-    for got, cp in zip(tree_sum(table_1m.mu, x, cps), cps):
+    mu = mu_array(table_1m)
+    terms = mu[: N + 1] * x
+    for got, cp in zip(tree_sum(mu, x, cps), cps):
         assert got == pytest.approx(math.fsum(terms[: cp + 1]), rel=1e-12)
 
 
@@ -819,7 +855,7 @@ def test_tree_sum_is_runwise_stable(table_1m):
     run = moebius._SUM_RUN
     N = 3 * run + 123
     x = rng.standard_normal(N + 1)
-    mu = table_1m.mu[: N + 1]
+    mu = mu_array(table_1m)[: N + 1]
 
     def piece(lo, hi):
         terms = mu[lo + 1 : hi + 1] * x[lo + 1 : hi + 1]
@@ -843,12 +879,13 @@ def test_cache_round_trip(tmp_path, table_10k):
     save_table(table_10k, path)
     loaded = load_table(path)
     assert loaded.n_max == table_10k.n_max
-    assert np.array_equal(loaded.mu, table_10k.mu)
+    assert np.array_equal(loaded.codes, table_10k.codes)
+    assert np.array_equal(mu_array(loaded), mu_array(table_10k))
 
 
 def test_cache_payload_is_the_two_bit_packing(tmp_path):
     table = build_table(10**4 + 3)  # not a multiple of 4: the last byte is padded
-    codes = (table.mu[1:].astype(np.int16) + 1).astype(np.uint8)
+    codes = (table.window(1, table.n_max + 1).astype(np.int16) + 1).astype(np.uint8)
     codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)]).reshape(-1, 4)
     packed = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4 | codes[:, 3] << 6
     assert packed.size == (table.n_max + 3) // 4
@@ -857,15 +894,85 @@ def test_cache_payload_is_the_two_bit_packing(tmp_path):
     assert path.read_bytes()[16:] == packed.tobytes()
 
 
-def test_cache_codec_memory_is_the_table_plus_two_lanes(tmp_path):
-    # the codec works lane by lane in place: save holds the payload and one
-    # lane buffer, load the table, the file's payload and one lane buffer
+@pytest.mark.parametrize("n_max", [40, 41, 42, 43, 10**4 + 4, 10**4 + 5, 10**4 + 6, 10**4 + 7])
+def test_every_window_matches_trial_division_at_each_tail(n_max):
+    # n_max = 0, 1, 2, 3 mod 4 leaves 0 to 3 padding slots of code 0 in the
+    # last byte, which would read as mu = -1: every window ends at n_max
+    table = build_table(n_max)
+    want = np.array([0] + [mu_trial(n) for n in range(1, n_max + 1)], dtype=np.int8)
+    assert table.codes.size == (n_max + 3) // 4 and not table.codes.flags.writeable
+    if n_max % 4:
+        assert table.codes[-1] >> 2 * (n_max % 4) == 0  # the padding slots
+    ends = range(1, n_max + 2) if n_max < 100 else [*range(1, 10), *range(n_max - 9, n_max + 2)]
+    for lo in ends:
+        for hi in ends:
+            if lo <= hi:
+                assert np.array_equal(table.window(lo, hi), want[lo:hi]), (lo, hi)
+    rng = np.random.default_rng(n_max)
+    for lo, hi in np.sort(rng.integers(1, n_max + 2, size=(200, 2)), axis=1).tolist():
+        assert np.array_equal(table.window(lo, hi), want[lo:hi]), (lo, hi)
+    for lo, hi in [(1, n_max + 2), (n_max + 1, n_max + 2), (0, 1), (5, 4)]:
+        with pytest.raises(ValueError, match="not inside"):
+            table.window(lo, hi)
+
+
+def _old_layout_file(mu_1_to_n_max) -> bytes:
+    """A cache file in the NCF2 byte layout, built here: header, crc32, and
+    the codes mu + 1 packed four per byte, low bits first, padded with 0."""
+    codes = np.zeros(-(-len(mu_1_to_n_max) // 4) * 4, dtype=np.uint8)
+    codes[: len(mu_1_to_n_max)] = np.asarray(mu_1_to_n_max) + 1
+    quads = codes.reshape(-1, 4)
+    payload = (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).tobytes()
+    header = struct.pack("<4sQI", b"NCF2", len(mu_1_to_n_max), zlib.crc32(payload))
+    return header + payload
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 40, 41, 42, 43])
+def test_cache_in_the_ncf2_layout_loads_to_trial_division_mu(tmp_path, n_max):
+    want = [mu_trial(n) for n in range(1, n_max + 1)]
+    path = tmp_path / "mu.ncf"
+    path.write_bytes(_old_layout_file(want))
+    table = load_table(path)
+    assert table.n_max == n_max
+    assert table.window(1, n_max + 1).tolist() == want
+    assert not table.codes.flags.writeable
+    save_table(build_table(n_max), tmp_path / "again.ncf")
+    assert (tmp_path / "again.ncf").read_bytes() == path.read_bytes()
+
+
+def test_pack_helper_writes_the_ncf2_layout_of_any_mu():
+    # mu that no sieve made, at every tail length: the packed codes are the
+    # payload of the NCF2 layout, and unpack back to the same mu
+    rng = np.random.default_rng(8)
+    for n_max in [*range(1, 42), 10**4 + 1]:
+        mu = rng.integers(-1, 2, n_max + 1, dtype=np.int8)
+        table = table_of(mu)
+        assert table.codes.tobytes() == _old_layout_file(mu[1:])[16:], n_max
+        assert np.array_equal(table.window(1, n_max + 1), mu[1:]), n_max
+
+
+def test_cache_file_bytes_are_pinned(tmp_path, table_1m):
+    # the sha256 of the files the int8-table codec wrote, so no cache byte moves
+    pinned = {
+        10**4 + 3: "fc669a3333026f45bc79de1cddd9c05ab51a56e2eda7c24a7b37fab3c2082073",
+        10**6: "06f7e1f2959867b4729eb5db3a8ac7f15ea12487ffb1cbfd2aaa95559679d357",
+    }
+    for table in (build_table(10**4 + 3), table_1m):
+        path = tmp_path / f"mu_{table.n_max}.ncf"
+        save_table(table, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[table.n_max]
+
+
+def test_cache_codec_memory_is_the_payload_plus_one_chunk(tmp_path):
+    # the payload is the table's codes: save writes them as they are, and
+    # load keeps the bytes it read as the table and checks them for code 3
+    # one chunk at a time
     n_max = 8 * 10**6
     table = build_table(n_max)
     path = tmp_path / "mu.ncf"
-    lane = (n_max + 3) // 4
-    for step, bound in ((lambda: save_table(table, path), 2 * lane),
-                        (lambda: load_table(path), n_max + 1 + 2 * lane)):
+    payload = (n_max + 3) // 4
+    for step, bound in ((lambda: save_table(table, path), 0),
+                        (lambda: load_table(path), payload + moebius._CHECK_CHUNK)):
         tracemalloc.start()
         try:
             step()
@@ -875,20 +982,35 @@ def test_cache_codec_memory_is_the_table_plus_two_lanes(tmp_path):
         assert peak <= bound + 2**16, (peak, bound)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 7, 41, 10**4 + 3])
-def test_cache_rejects_the_unused_code_3(tmp_path, n_max):
-    # a code-3 lane under a valid checksum used to load as mu = 2
-    path = tmp_path / "mu.ncf"
-    save_table(build_table(n_max), path)
-    assert np.array_equal(load_table(path).mu, build_table(n_max).mu)
+def _assert_code_3_is_refused(path, k):
+    """Set slot k of the payload at path to code 3 under a valid checksum,
+    and check that load_table refuses it."""
     raw = bytearray(path.read_bytes())
-    k = n_max - 1  # the last lane of the payload
     raw[16 + k // 4] |= 3 << 2 * (k % 4)
     crc = zlib.crc32(bytes(raw[16:]))
     path.write_bytes(bytes(raw[:12]) + crc.to_bytes(4, "little") + bytes(raw[16:]))
     with pytest.raises(ValueError, match="code 3") as err:
         load_table(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 7, 41, 10**4 + 3])
+def test_cache_rejects_the_unused_code_3(tmp_path, n_max):
+    # a code-3 lane under a valid checksum used to load as mu = 2
+    path = tmp_path / "mu.ncf"
+    save_table(build_table(n_max), path)
+    assert np.array_equal(mu_array(load_table(path)), mu_array(build_table(n_max)))
+    _assert_code_3_is_refused(path, n_max - 1)  # the last lane of the payload
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 6, 7, 41, 10**4 + 3])
+def test_cache_rejects_code_3_in_a_padding_slot(tmp_path, n_max):
+    # the slots past n_max in the last byte are never read as mu, but the
+    # whole payload is checked, so a code 3 there is refused all the same
+    for k in range(n_max, -(-n_max // 4) * 4):
+        path = tmp_path / f"mu_{k}.ncf"
+        save_table(build_table(n_max), path)
+        _assert_code_3_is_refused(path, k)
 
 
 def test_cache_rejects_bad_magic(tmp_path, table_10k):
@@ -979,7 +1101,7 @@ def test_load_or_build_uses_env_cache(tmp_path, monkeypatch):
     t1 = load_or_build_table(2000)
     assert os.path.exists(cache_path(str(tmp_path), 2000))
     t2 = load_or_build_table(2000)
-    assert np.array_equal(t1.mu, t2.mu)
+    assert np.array_equal(t1.codes, t2.codes)
 
 
 def test_load_or_build_without_cache(monkeypatch):
