@@ -42,9 +42,7 @@ from .matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
     finite_vn_average_bound,
-    finite_vn_state_flow,
     quantize_unitary,
-    rank_one_flow,
     trace_product_sum,
 )
 from .car_fock import (
@@ -97,7 +95,6 @@ __all__ = [
     "decay_fit",
     "exp_sum",
     "finite_vn_average_bound",
-    "finite_vn_state_flow",
     "fock_space",
     "free_clt_moments",
     "gamma",
@@ -115,7 +112,6 @@ __all__ = [
     "quasifree_density_matrix",
     "quasifree_eval",
     "random_density",
-    "rank_one_flow",
     "rotation_flow",
     "semicircle_moments",
     "spectral_flow",

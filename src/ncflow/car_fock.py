@@ -115,16 +115,6 @@ class CARMonomial:
     factors: tuple
 
     @property
-    def normal_ordered(self) -> bool:
-        seen_plain = False
-        for _, star in self.factors:
-            if star and seen_plain:
-                return False
-            if not star:
-                seen_plain = True
-        return True
-
-    @property
     def starred(self) -> tuple:
         """Vectors of the a(.)* factors, in written (left to right) order."""
         return tuple(v for v, star in self.factors if star)
@@ -183,23 +173,12 @@ class CARPolynomial:
                 )
         return CARPolynomial(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
-
     def adjoint(self) -> "CARPolynomial":
         out = []
         for m in self.monomials:
             factors = tuple((v, not star) for v, star in reversed(m.factors))
             out.append(CARMonomial(scalar=np.conj(m.scalar), factors=factors))
         return CARPolynomial(out)
-
-    def map_vectors(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CARPolynomial":
-        return CARPolynomial(
-            _mono(m.scalar, [(fn(v), star) for v, star in m.factors])
-            for m in self.monomials
-        )
 
     def to_matrix(self, space: FockSpace) -> np.ndarray:
         """Concrete Fock realization; the oracle for all symbolic identities."""

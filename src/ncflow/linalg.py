@@ -1,7 +1,9 @@
 """Complex matrix utilities: validated conventions, spectral data for unitaries,
 Haar sampling.
 
-Matrices are plain 2-D complex128 ndarrays, validated at API boundaries.
+Matrices are plain 2-D complex128 ndarrays, validated at API boundaries.  No
+public path takes a bare vector: a rank-one state or observable enters as
+its outer product, and is checked as a matrix.
 Inner products are linear in the first argument: inner(x, y) = sum x_i conj(y_i).
 Eigenphases of unitaries are reported in turns, i.e. angles in [0, 1) with
 eigenvalue e(theta) = exp(2 pi i theta).  schur_unitary is the package's one
@@ -55,22 +57,6 @@ def check_density(rho) -> np.ndarray:
     if np.min(np.linalg.eigvalsh(rho)) < -ATOL_STATE:
         raise ValueError("density matrix is not positive semidefinite")
     return rho
-
-
-def check_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x.view(np.float64))):
-        raise ValueError("vector has non-finite entries")
-    return x
-
-
-def check_unit_vector(x) -> np.ndarray:
-    x = check_vector(x)
-    if abs(np.linalg.norm(x) - 1.0) > ATOL_STATE:
-        raise ValueError("vector is not normalized")
-    return x
 
 
 def inner(x, y) -> complex:

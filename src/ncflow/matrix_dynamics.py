@@ -1,17 +1,18 @@
 """Matrix flows and their Moebius averages: inner conjugation flows, trace
-product sums with an eigenphase-expansion cross-check, rank-one compressions,
-eigenphase quantization, and the finite-dimensional average bound chain.
+product sums with an eigenphase-expansion cross-check, eigenphase
+quantization, and the finite-dimensional average bound chain.
 
-rank_one_flow and the finite_vn state flow are spectral_flows: with
-U = sum_j e(theta_j) q_j q_j* from linalg.schur_unitary (np.linalg.eig, then
-the unitary polar factor q of its eigenvectors and the phases of
-diag(q* U q)), each is the quadratic form z(n)^T C conj(z(n)) in
-z_j(n) = e(theta_j n), with C built once, and values at any n are computed
-directly.  ad_flow walks powers (one multiply per step) from exact binary
-powers at the fixed anchors 1 + WALK_GRID j, so its value at n depends on n
-alone; the seed-0 matrix-flow reference in perfbench pins its decay-fit
-constant to a walk's rounding, which a spectral evaluation would move past
-the reference tolerance.  A call walks the tiles of up to one run's anchors
+A rank-one matrix coefficient |<U^n eta, xi>|^2 is the conjugation flow
+ad_flow(U, eta eta*, xi xi*).  The finite_vn state flow of the bound chain
+is a spectral_flow: with U = sum_j e(theta_j) q_j q_j* from
+linalg.schur_unitary (np.linalg.eig, then the unitary polar factor q of its
+eigenvectors and the phases of diag(q* U q)), it is the quadratic form
+z(n)^T C conj(z(n)) in z_j(n) = e(theta_j n), with C built once, and values
+at any n are computed directly.  ad_flow walks powers (one multiply per
+step) from exact binary powers at the fixed anchors 1 + WALK_GRID j, so its
+value at n depends on n alone; the seed-0 matrix-flow reference in
+perfbench pins its decay-fit constant to a walk's rounding, which a
+spectral evaluation would move past the reference tolerance.  A call walks the tiles of up to one run's anchors
 (_SUM_RUN / WALK_GRID) in lockstep, in chunks of at most _ROW_TILE walked W,
 and takes the trace tr(rho W A W*) of the W each chunk holds for it, as
 sum_ab (rho W)_ab (conj(W) A^T)_ab in three numpy calls, so it holds at most
@@ -38,7 +39,6 @@ from .linalg import (
     check_matrix,
     check_square,
     check_unitary,
-    check_unit_vector,
     hs_norm,
     normalized_trace,
     op_norm,
@@ -139,22 +139,6 @@ def ad_flow(u, a, rho) -> Flow:
         values_at=values_at,
         declared_bound=op_norm(a) * (1.0 + BOUND_SLACK),
         label=f"ad_flow(dim={u.shape[0]})",
-    )
-
-
-def rank_one_flow(u, xi, eta) -> Flow:
-    """Flow n -> <U*^n P_xi U^n eta, eta> = |<U^n eta, xi>|^2."""
-    u = check_unitary(u)
-    xi = check_unit_vector(xi)
-    eta = check_unit_vector(eta)
-    angles, q = schur_unitary(u)
-    # <U^n eta, xi> = sum_j e(theta_j n) <q_j q_j* eta, xi>
-    b = (xi.conj() @ q) * (q.conj().T @ eta)
-    return spectral_flow(
-        angles,
-        np.outer(b, np.conj(b)),
-        declared_bound=1.0,
-        label=f"rank_one_flow(dim={u.shape[0]})",
     )
 
 
@@ -363,7 +347,8 @@ def quantize_drift(u, quantized: QuantizedUnitary, ns) -> list:
 
 
 def _state_flow(u, t, a):
-    """finite_vn_state_flow together with AA* and tr_k(AA*)."""
+    """The flow n -> rho(U*^n T U^n) for the state rho = tr_k(. AA*) / tr_k(AA*),
+    labelled finite_vn_state_flow, together with AA* and tr_k(AA*)."""
     u = check_unitary(u)
     t = check_square(t)
     a = check_square(a)
@@ -384,11 +369,6 @@ def _state_flow(u, t, a):
         label="finite_vn_state_flow",
     )
     return flow, aa, denom
-
-
-def finite_vn_state_flow(u, t, a) -> Flow:
-    """Flow n -> rho(U*^n T U^n) for the state rho = tr_k(. AA*) / tr_k(AA*)."""
-    return _state_flow(u, t, a)[0]
 
 
 @dataclass(frozen=True)

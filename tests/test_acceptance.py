@@ -47,7 +47,6 @@ from ncflow.matrix_dynamics import (
     ad_flow,
     finite_vn_average_bound,
     quantize_unitary,
-    rank_one_flow,
     trace_product_sum,
 )
 from ncflow.moebius import build_table
@@ -272,7 +271,7 @@ def test_08_rank_one_tensor_identity():
         rng = np.random.default_rng(seed)
         u = haar_unitary(4, rng)
         xi, eta = unit_vector(rng, 4), unit_vector(rng, 4)
-        fl = rank_one_flow(u, xi, eta)
+        fl = ad_flow(u, np.outer(eta, eta.conj()), np.outer(xi, xi.conj()))
         w = np.eye(4, dtype=complex)
         for n in range(1, 101):
             w = u @ w

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import symbol_contraction, unit_vector
 from ncflow.car_fock import (
+    CARMonomial,
     CARPolynomial,
     _gram_dets,
     _subset_dets,
@@ -47,7 +48,10 @@ def bogoliubov_apply(u, p, n):
     """The automorphism a(f) -> a(U^n f) applied to every factor of p, with
     U^n from np.linalg.matrix_power: the oracle for the pure-point flows."""
     w = np.linalg.matrix_power(u, n)
-    return p.map_vectors(lambda v: w @ v)
+    return CARPolynomial(
+        CARMonomial(scalar=m.scalar, factors=tuple((w @ v, star) for v, star in m.factors))
+        for m in p.monomials
+    )
 
 
 def test_fock_space_shape():
@@ -179,7 +183,7 @@ def test_normal_order_preserves_matrix(seed):
     no = normal_order(p)
     assert op_norm(p.to_matrix(sp) - no.to_matrix(sp)) < 1e-10
     for m in no.monomials:
-        assert m.normal_ordered
+        assert "01" not in m.key()[0]  # no a(.) left of an a(.)*
 
 
 def test_normal_order_is_idempotent():
@@ -384,7 +388,7 @@ def test_pure_point_flow_matches_bogoliubov_oracle():
     obs = (
         creation(vs[0]) * creation(vs[1]) * annihilation(vs[2]) * annihilation(vs[3])
         + creation(vs[4]) * annihilation(vs[5])
-        + 0.3 * creation(vs[0]) * annihilation(vs[1])
+        + creation(vs[0]) * annihilation(vs[1]) * 0.3
     )
     flow = pure_point_flow(angles, obs, t)
     u = np.diag(np.exp(2j * np.pi * angles))
@@ -404,7 +408,7 @@ def test_pure_point_flow_matches_dense_fock_oracle():
     obs = (
         creation(vs[0]) * creation(vs[1]) * annihilation(vs[2]) * annihilation(vs[3])
         + creation(vs[4]) * annihilation(vs[5])
-        + 0.3 * creation(vs[0]) * annihilation(vs[1])
+        + creation(vs[0]) * annihilation(vs[1]) * 0.3
         + constant(0.2 - 0.1j)
     )
     flow = pure_point_flow(angles, obs, t)

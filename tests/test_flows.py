@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hermitian_contraction, symbol_contraction, unit_vector
-from ncflow import moebius
+from ncflow import matrix_dynamics, moebius
 from ncflow.car_fock import annihilation, counterexample_flow, creation, pure_point_flow
 from ncflow.flows import (
     BOUND_SLACK,
@@ -23,7 +23,7 @@ from ncflow.flows import (
     rotation_flow,
 )
 from ncflow.linalg import haar_unitary, random_density
-from ncflow.matrix_dynamics import ad_flow, finite_vn_state_flow, rank_one_flow
+from ncflow.matrix_dynamics import ad_flow
 from ncflow.moebius import build_table, exp_sum, phase_values
 from oracles import mertens, mu_array, squarefree_count, table_of, tree_sum, values
 
@@ -241,7 +241,9 @@ def test_flow_never_calls_the_evaluator_keyword(table_10k):
 
 def _one_flow_of_each_family():
     """A flow of every family the package builds, the CLI's inline
-    poly_phase flow included; their n may run up to 10^4."""
+    poly_phase flow included, and the rank-one matrix coefficient
+    |<U^n eta, xi>|^2, the ad_flow of the state xi xi* and the observable
+    eta eta*; their n may run up to 10^4."""
     rng = np.random.default_rng(31)
     u = haar_unitary(5, rng)
     a = hermitian_contraction(rng, 5)
@@ -253,6 +255,9 @@ def _one_flow_of_each_family():
     )
     coeffs = (0.0, 0.1234, 0.56789, 0.3)
     shifts = counterexample_flow(10**4, build_table(10**4))
+    ad = ad_flow(u, a, random_density(5, rng))
+    xi, eta = unit_vector(rng, 5), unit_vector(rng, 5)
+    rank_one = ad_flow(u, np.outer(eta, eta.conj()), np.outer(xi, xi.conj()))
     flows = [
         rotation_flow(GOLDEN),
         constant_flow(0.5 - 0.25j),
@@ -261,14 +266,14 @@ def _one_flow_of_each_family():
             declared_bound=1.0,
             label="poly_phase(degree=3)",
         ),
-        ad_flow(u, a, random_density(5, rng)),
-        rank_one_flow(u, unit_vector(rng, 5), unit_vector(rng, 5)),
-        finite_vn_state_flow(u, a, g),
+        ad,
+        matrix_dynamics._state_flow(u, a, g)[0],
         pure_point_flow(rng.random(4), observable, symbol_contraction(rng, 4)),
         shifts.bh_flow,
         shifts.car_flow,
     ]
-    return {flow.label: flow for flow in flows}
+    # keyed apart: its label is ad_flow's own
+    return {**{flow.label: flow for flow in flows}, "rank_one_flow(dim=5)": rank_one}
 
 
 FLOW_FAMILIES = _one_flow_of_each_family()
@@ -450,9 +455,7 @@ def test_bsz_golden_rotation_passes(table_1m):
     assert rep.hypothesis_holds
     assert rep.max_correlation_ratio < 1.0
     assert rep.within_analytic_bound
-    assert rep.analytic_bound == pytest.approx(
-        2.0 * math.sqrt(0.25 * math.log(4.0)) * 10**6
-    )
+    assert rep.analytic_bound == 2.0 * math.sqrt(0.25 * math.log(1.0 / 0.25)) * 10**6
     assert rep.prime_cap <= min(200, int(math.exp(4)), 10**6 // 10**4)
     assert rep.prime_pairs_checked > 0
 
@@ -461,6 +464,13 @@ def test_bsz_constant_flow_fails(table_1m):
     rep = bsz_check(constant_flow(1.0), table_1m, 0.25, 10**4, 10**6)
     assert not rep.hypothesis_holds
     assert rep.max_correlation_ratio == pytest.approx(4.0)
+
+
+def test_bsz_ratio_just_past_one_fails():
+    # |f|^2 = 0.3 at every n: each correlation is 0.3 M, a ratio of 1.2
+    rep = bsz_check(constant_flow(math.sqrt(0.3)), build_table(10**5), 0.25, 1000, 10**5)
+    assert rep.max_correlation_ratio == pytest.approx(1.2)
+    assert not rep.hypothesis_holds
 
 
 def test_bsz_rejects_bad_epsilon(table_10k):

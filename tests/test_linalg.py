@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from conftest import hermitian_contraction, unit_vector
+from ncflow.car_fock import check_symbol
 from ncflow.linalg import (
     check_density,
     check_unitary,
@@ -15,6 +16,7 @@ from ncflow.linalg import (
     schur_unitary,
     unitary_power,
 )
+from ncflow.matrix_dynamics import TraceProductSpec
 
 
 def test_inner_is_linear_in_first_argument():
@@ -50,6 +52,39 @@ def test_random_density_is_a_state():
 def test_check_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         check_unitary(np.diag([1.0, 2.0]))
+
+
+def _unitary_times(delta):
+    check_unitary(haar_unitary(4, 5) * (1.0 + delta))
+
+
+def _symbol_with_top_eigenvalue(delta):
+    v = haar_unitary(4, 6)
+    check_symbol((v * np.array([0.2, 0.5, 0.7, 1.0 + delta])) @ v.conj().T)
+
+
+def _contraction_of_norm(delta):
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    c = g / op_norm(g) * (1.0 + delta)
+    TraceProductSpec(unitaries=(haar_unitary(4, 8),), contractions=(c,), phase_polys=((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (_unitary_times, "not unitary"),
+        (_symbol_with_top_eigenvalue, "eigenvalues must lie in"),
+        (_contraction_of_norm, "operator norm <= 1"),
+    ],
+    ids=["check_unitary", "check_symbol", "TraceProductSpec"],
+)
+def test_input_checks_take_rounding_and_refuse_1e_9_past_the_limit(check, message):
+    # each tolerance is 1e-10: an input 1e-12 past its limit, as rounding
+    # may leave it, passes, and one 1e-9 past it is refused
+    check(1e-12)
+    with pytest.raises(ValueError, match=message):
+        check(1e-9)
 
 
 def schur_projections(q):

@@ -19,10 +19,8 @@ from ncflow.matrix_dynamics import (
     TraceProductSpec,
     ad_flow,
     finite_vn_average_bound,
-    finite_vn_state_flow,
     quantize_drift,
     quantize_unitary,
-    rank_one_flow,
     trace_product_sum,
 )
 from ncflow.moebius import _ROW_TILE, _SUM_RUN, build_table, characters
@@ -150,8 +148,8 @@ def test_matrix_flows_match_binary_powers(seed):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     aa = g @ g.conj().T
     ad = values(ad_flow(u, a, rho), 0, 1000)
-    r1 = values(rank_one_flow(u, xi, eta), 0, 1000)
-    state = values(finite_vn_state_flow(u, a, g), 0, 1000)
+    r1 = values(ad_flow(u, np.outer(eta, eta.conj()), np.outer(xi, xi.conj())), 0, 1000)
+    state = values(matrix_dynamics._state_flow(u, a, g)[0], 0, 1000)
     for n in range(1, 1001):
         w = unitary_power(u, n)
         want_ad = np.trace(rho @ w @ a @ w.conj().T)
@@ -175,8 +173,8 @@ def test_spectral_flows_near_degenerate_spectrum(spread):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     aa = g @ g.conj().T
     ns = np.array([1, 2, 17, 500, 30001, 99991, 100000])
-    r1 = rank_one_flow(u, xi, eta).at(ns)
-    state = finite_vn_state_flow(u, a, g).at(ns)
+    r1 = ad_flow(u, np.outer(eta, eta.conj()), np.outer(xi, xi.conj())).at(ns)
+    state = matrix_dynamics._state_flow(u, a, g)[0].at(ns)
     for i, n in enumerate(ns):
         w = unitary_power(u, int(n))
         want_state = np.trace(w.conj().T @ a @ w @ aa) / np.trace(aa).real
@@ -337,7 +335,7 @@ def test_rank_one_flow_tensor_identity(seed):
     u = haar_unitary(4, rng)
     xi = unit_vector(rng, 4)
     eta = unit_vector(rng, 4)
-    fl = rank_one_flow(u, xi, eta)
+    fl = ad_flow(u, np.outer(eta, eta.conj()), np.outer(xi, xi.conj()))
     w = np.eye(4, dtype=complex)
     for n in range(1, 101):
         w = u @ w
@@ -349,7 +347,8 @@ def test_rank_one_flow_tensor_identity(seed):
 def test_rank_one_flow_values_are_nonnegative():
     rng = np.random.default_rng(3)
     u = haar_unitary(5, rng)
-    fl = rank_one_flow(u, unit_vector(rng, 5), unit_vector(rng, 5))
+    xi, eta = unit_vector(rng, 5), unit_vector(rng, 5)
+    fl = ad_flow(u, np.outer(eta, eta.conj()), np.outer(xi, xi.conj()))
     vals = values(fl, 0, 50)
     assert np.max(np.abs(vals.imag)) < 1e-14
     assert vals.real.min() > -1e-14

@@ -1013,6 +1013,21 @@ def test_cache_rejects_code_3_in_a_padding_slot(tmp_path, n_max):
         _assert_code_3_is_refused(path, k)
 
 
+def test_cache_with_a_wrong_mu_30_under_a_valid_checksum_fails_the_spot_check(tmp_path):
+    # mu(30) = -1 is the spot check's last known value: a check cut short of
+    # n = 30 would load this table
+    path = tmp_path / "mu.ncf"
+    save_table(build_table(100), path)
+    raw = bytearray(path.read_bytes())
+    slot = 2 * (29 % 4)
+    assert raw[16 + 29 // 4] >> slot & 3 == 0  # code mu + 1 of mu(30) = -1
+    raw[16 + 29 // 4] |= 2 << slot  # mu(30) = +1
+    crc = zlib.crc32(bytes(raw[16:]))
+    path.write_bytes(bytes(raw[:12]) + crc.to_bytes(4, "little") + bytes(raw[16:]))
+    with pytest.raises(ValueError, match="failed spot check at n = 30"):
+        load_table(path)
+
+
 def test_cache_rejects_bad_magic(tmp_path, table_10k):
     path = tmp_path / "mu.ncf"
     save_table(table_10k, path)
