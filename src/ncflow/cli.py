@@ -450,16 +450,15 @@ def _run_car_demo(cfg, table, workers):
 def _run_counterexample(cfg, table, workers):
     L = int(cfg.params["L"])
     flows = counterexample_flow(L, table)
-    cps = _checkpoints(cfg, L)
+    cps = sorted({*_checkpoints(cfg, L), L})  # the certificate is read at N = L
+    bh, car = (
+        average_series(f, table, cps, workers=workers) for f in (flows.bh_flow, flows.car_flow)
+    )
     header = ("flow",) + CSV_COLUMNS
-    rows = []
-    payload = {}
-    for flow in (flows.bh_flow, flows.car_flow):
-        series = average_series(flow, table, cps, workers=workers)
-        rows.extend((flow.label,) + r for r in series.csv_rows())
-        payload[flow.label] = _series_payload(series)
-    bh_abs = payload[flows.bh_flow.label]["final_abs"]
-    density = prefix_counts(table, [L])[0][1] / L
+    rows = [(s.label,) + r for s in (bh, car) for r in s.csv_rows()]
+    payload = {s.label: _series_payload(s) for s in (bh, car)}
+    bh_abs = payload[bh.label]["final_abs"]
+    density = bh.abs_mu_counts[-1] / L
     result = {
         "L": L,
         "dim": flows.dim,

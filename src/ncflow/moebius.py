@@ -42,13 +42,14 @@ one call, and it is the one place that weights by mu.  n = 1..max(checkpoints)
 is cut into runs at the multiples of ``_SUM_RUN`` and into pieces at each
 checkpoint.  f is evaluated once per run, at its squarefree n only (mu(n) = 0
 for about 39% of n), and each piece is one numpy pairwise reduction of its
-slice of the run's mu-weighted values; each average is a balanced binary
-fold of the piece sums up to its checkpoint.  The layout depends only on the
-checkpoints, never on the worker count: threads take whole runs, so every
-evaluation covers the same n at any worker count, and memory does not grow
-with N.  Evaluators whose per-n work is a matrix row take their n
-``_ROW_TILE`` at a time (``by_row_tiles``), so their scratch does not grow
-with the run.
+slice of the run's mu-weighted values; each average is one more
+``np.add.reduce``, of the complex128 array of piece sums up to its
+checkpoint, so numpy's pairwise kernel is the only summation.  The layout
+depends only on the checkpoints, never on the worker count: threads take
+whole runs, so every evaluation covers the same n at any worker count, and
+memory does not grow with N.  Evaluators whose per-n work is a matrix row
+take their n ``_ROW_TILE`` at a time (``by_row_tiles``), so their scratch
+does not grow with the run.
 
 Phase evaluation
 ----------------
@@ -500,21 +501,6 @@ def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
         start = stop
 
 
-def fold_pairwise(parts: Sequence):
-    """Balanced binary fold, deterministic in the sequence order."""
-    vals = list(parts)
-    if not vals:
-        raise ValueError("nothing to fold")
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 def weighted_average(
     table: MoebiusTable, checkpoints: Iterable[int], values_at: Callable, *, workers: int = 1
 ) -> list:
@@ -525,10 +511,10 @@ def weighted_average(
     and at each checkpoint into pieces.  values_at is called once per run,
     at its squarefree n only; each piece's sum is one np.add.reduce of its
     slice of the run's mu-weighted values, cut where np.searchsorted puts
-    the checkpoints among the squarefree n.  Each average is fold_pairwise
-    of the piece sums up to its checkpoint, over N.  With workers > 1
-    threads take whole runs, so every values_at call covers the same n at
-    any worker count.
+    the checkpoints among the squarefree n.  Each average is one
+    np.add.reduce of the complex128 array of piece sums up to its
+    checkpoint, over N.  With workers > 1 threads take whole runs, so every
+    values_at call covers the same n at any worker count.
     """
     cps = checked_checkpoints(table.n_max, checkpoints)
     edges = sorted({*range(0, cps[-1], _SUM_RUN), *cps})
@@ -551,8 +537,9 @@ def weighted_average(
             sums = [s for part in pool.map(run, runs) for s in part]
     else:
         sums = [s for group in runs for s in run(group)]
+    sums = np.array(sums, dtype=np.complex128)
     ends = {hi: k + 1 for k, (_, hi) in enumerate(pieces)}
-    return [complex(fold_pairwise(sums[: ends[N]])) / N for N in cps]
+    return [complex(np.add.reduce(sums[: ends[N]])) / N for N in cps]
 
 
 def exp_sum(table: MoebiusTable, coeffs: Sequence[float], N: int) -> complex:

@@ -8,8 +8,9 @@ imports them.
   moment-cumulant recursion of ncflow.free_words is checked.
 - Moebius sums: tree_sum, the summation layout that
   ncflow.moebius.weighted_average must keep bit for bit, restated piece by
-  piece; and the exact Mertens sum M(N) and squarefree count Q(N), one at
-  a time, against ncflow.moebius.prefix_counts.
+  piece, with each checkpoint's piece sums folded by one complex128
+  np.add.reduce; and the exact Mertens sum M(N) and squarefree count Q(N),
+  one at a time, against ncflow.moebius.prefix_counts.
 - Moebius tables as whole int8 arrays: mu_array(table) unpacks mu(0..n_max)
   through MoebiusTable.window, and table_of(mu) packs an array into a table
   through the sieve's own pack helper, for mu that no sieve made.
@@ -24,7 +25,7 @@ import numpy as np
 
 from ncflow.free_words import NC_ORDER_CAP
 from ncflow import moebius
-from ncflow.moebius import _SUM_RUN, MoebiusTable, fold_pairwise
+from ncflow.moebius import _SUM_RUN, MoebiusTable
 
 # ---------------------------------------------------------------------------
 # reduced words and word sums
@@ -226,7 +227,9 @@ def tree_sum(mu: np.ndarray, values: np.ndarray, checkpoints) -> list:
     next multiple of _SUM_RUN or the next checkpoint, whichever comes first.
     A piece's sum is one np.add.reduce of mu(n) f(n) over its squarefree n
     in ascending order, with mu(n) as float64, and each checkpoint's sum is
-    fold_pairwise of the piece sums up to it.
+    one np.add.reduce of the complex128 array of the piece sums up to it.
+    numpy's complex pairwise sum interleaves the real and imaginary parts in
+    its blocks, so even for real values the fold must reduce complex128.
     """
     cps = [int(N) for N in checkpoints]
     sums, out, lo = [], [], 0
@@ -237,7 +240,7 @@ def tree_sum(mu: np.ndarray, values: np.ndarray, checkpoints) -> list:
             ns = ns[mu[ns] != 0]
             sums.append(np.add.reduce(mu[ns].astype(np.float64) * values[ns]))
             lo = hi
-        out.append(fold_pairwise(sums))
+        out.append(np.add.reduce(np.array(sums, dtype=np.complex128)))
     return out
 
 

@@ -74,6 +74,29 @@ def test_counterexample_average_matches_density(tmp_path):
     assert float(symbol_rows[-1][4]) == density
 
 
+def test_counterexample_checkpoints_short_of_L_still_certify_at_L(tmp_path):
+    # the certificate compares |s_L| with Q(L)/L, so the series runs to N = L
+    # even when the configured checkpoints stop short of it
+    cfg = {
+        "schema_version": 1,
+        "experiment": "counterexample",
+        "params": {"L": 10**4},
+        "checkpoints": [100, 1000],
+        "out_dir": str(tmp_path / "ce"),
+    }
+    cfg_path = tmp_path / "ce.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path)]) == 0
+    result = read_sidecar(tmp_path / "ce" / "counterexample.json")["result"]
+    density = squarefree_count(build_table(10**4), 10**4) / 10**4
+    assert result["squarefree_density_at_L"] == density
+    assert result["bh_abs_at_L"] == density
+    assert result["bh_abs_matches_density_exactly"] is True
+    assert result["series"]["shift_symbol(L=10000)"]["final_N"] == 10**4
+    rows = read_csv(tmp_path / "ce" / "counterexample.csv")
+    assert [int(r[1]) for r in rows[1:] if r[0].startswith("shift_symbol")] == [100, 1000, 10**4]
+
+
 def test_rerun_is_reproducible(tmp_path):
     args = ["matrix-flow", "--seed", "7", "--n-max", "10000"]
     out1, out2 = tmp_path / "a", tmp_path / "b"

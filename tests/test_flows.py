@@ -473,6 +473,18 @@ def test_bsz_ratio_just_past_one_fails():
     assert not rep.hypothesis_holds
 
 
+def test_bsz_moebius_sum_just_past_the_analytic_bound_is_reported():
+    # f = mu: |sum_{n<=N} mu(n)^2| = Q(10^5) = 60794, against the analytic
+    # bound 2 sqrt(0.02 log 50) 10^5 = 55943, a ratio of 1.087
+    table = build_table(10**5)
+    mu = mu_array(table)
+    flow = Flow(values_at=lambda ns: mu[ns].astype(np.complex128), declared_bound=1.0, label="mu")
+    rep = bsz_check(flow, table, 0.02, 100, 10**5)
+    assert rep.mobius_sum_abs == pytest.approx(squarefree_count(table, 10**5))
+    assert rep.mobius_sum_abs / rep.analytic_bound == pytest.approx(1.087, abs=1e-3)
+    assert not rep.within_analytic_bound
+
+
 def test_bsz_rejects_bad_epsilon(table_10k):
     with pytest.raises(ValueError):
         bsz_check(constant_flow(1.0), table_10k, 1.5, 10, 10**4)

@@ -618,6 +618,16 @@ def test_quantize_keeps_grid_collisions_separate(table_10k):
     assert fb.dominates
 
 
+@pytest.mark.parametrize("past, dominates", [(1e-10, False), (1e-13, True)])
+def test_dominates_takes_rounding_and_refuses_1e_10_past_the_bound(past, dominates):
+    # |s_N| and the bound may cross by ulps where they meet, not by 1e-10
+    fb = matrix_dynamics.FiniteAverageBound(
+        s_n=complex(0.5 + past), s_n_quantized=0.5, epsilon_term=0.1,
+        exp_term=0.4, bound=0.5, max_exp_sum_abs=1.0,
+    )
+    assert fb.dominates is dominates
+
+
 def test_quantize_refuses_oversized_grid():
     u = haar_unitary(3, 1)
     with pytest.raises(ValueError, match="grid size"):

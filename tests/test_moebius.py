@@ -22,7 +22,6 @@ from ncflow.moebius import (
     cache_path,
     characters,
     exp_sum,
-    fold_pairwise,
     load_or_build_table,
     load_table,
     phase_values,
@@ -519,6 +518,20 @@ def test_turn_tables_are_within_an_ulp_of_mpmath():
                     assert err <= math.ulp(abs(float(exact))), (bits, k)
 
 
+def test_turns_error_comes_within_a_factor_8_of_turns_err():
+    # TURNS_ERR holds over 4000 seeded r, and is not loose: the worst error
+    # against 40-digit mpmath reaches an eighth of it (about a quarter here)
+    r = np.random.default_rng(11).integers(0, 2**64, size=4000, dtype=np.uint64)
+    got = moebius._turns(r)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for k, z in zip(r.tolist(), got.tolist()):
+            turns = mpmath.mpf(k) / 2**63
+            exact = mpmath.mpc(mpmath.cospi(turns), mpmath.sinpi(turns))
+            worst = max(worst, float(abs(mpmath.mpc(z) - exact)))
+    assert moebius.TURNS_ERR / 8 <= worst <= moebius.TURNS_ERR
+
+
 def test_characters_match_stacked_phase_values():
     rng = np.random.default_rng(7)
     angles = np.concatenate([rng.random(5), [0.0, 1e-9, -3e-7, 2.5, -0.75]])
@@ -849,8 +862,10 @@ def test_tree_sum_matches_fsum(table_1m):
 
 
 def test_tree_sum_is_runwise_stable(table_1m):
-    # the sum at N folds one reduce per _SUM_RUN window of squarefree terms,
-    # by construction, and a checkpoint splits only the run it falls in
+    # the sum at N is one complex128 reduce of one reduce per _SUM_RUN window
+    # of squarefree terms, by construction, and a checkpoint splits only the
+    # run it falls in; x is real, and the fold still reduces complex128,
+    # whose pairwise blocks interleave the real and imaginary parts
     rng = np.random.default_rng(4)
     run = moebius._SUM_RUN
     N = 3 * run + 123
@@ -861,17 +876,14 @@ def test_tree_sum_is_runwise_stable(table_1m):
         terms = mu[lo + 1 : hi + 1] * x[lo + 1 : hi + 1]
         return np.add.reduce(terms[mu[lo + 1 : hi + 1] != 0])
 
+    def fold(sums):
+        return np.add.reduce(np.array(sums, dtype=np.complex128))
+
     parts = [piece(lo, min(lo + run, N)) for lo in range(0, N, run)]
-    assert tree_sum(mu, x, [N]) == [fold_pairwise(parts)]
+    assert tree_sum(mu, x, [N]) == [fold(parts)]
     cut = run + 99
     split = parts[:1] + [piece(run, cut), piece(cut, 2 * run)] + parts[2:]
-    assert tree_sum(mu, x, [cut, N]) == [fold_pairwise(split[:2]), fold_pairwise(split)]
-
-
-def test_fold_pairwise_order():
-    # balanced fold: ((a+b)+(c+d)), not a linear scan
-    assert fold_pairwise([1.0, 2.0, 3.0, 4.0]) == (1.0 + 2.0) + (3.0 + 4.0)
-    assert fold_pairwise([5.0]) == 5.0
+    assert tree_sum(mu, x, [cut, N]) == [fold(split[:2]), fold(split)]
 
 
 def test_cache_round_trip(tmp_path, table_10k):

@@ -79,6 +79,29 @@ MUTANTS = (
          "test_input_checks_take_rounding_and_refuse_1e_9_past_the_limit[TraceProductSpec]",),
         "TraceProductSpec takes a contraction of norm 1 + 1e-9",
     ),
+    Mutant(
+        "matrix_dynamics.py",
+        "DOMINATES_SLACK = 1e-12",
+        "DOMINATES_SLACK = 1e-2",
+        ("tests/test_matrix_dynamics.py::"
+         "test_dominates_takes_rounding_and_refuses_1e_10_past_the_bound",),
+        "the finite-dimensional bound chain dominates an |s_N| 1e-10 past its bound",
+    ),
+    Mutant(
+        "flows.py",
+        "return self.mobius_sum_abs <= self.analytic_bound",
+        "return self.mobius_sum_abs <= 2 * self.analytic_bound",
+        ("tests/test_flows.py::"
+         "test_bsz_moebius_sum_just_past_the_analytic_bound_is_reported",),
+        "bsz-check puts a Moebius sum 1.087 times its analytic bound within it",
+    ),
+    Mutant(
+        "moebius.py",
+        "TURNS_ERR = 11 * 2.0**-53",
+        "TURNS_ERR = 1100 * 2.0**-53",
+        ("tests/test_moebius.py::test_turns_error_comes_within_a_factor_8_of_turns_err",),
+        "the stated phase-kernel error bound loosened 100-fold",
+    ),
 )
 
 
