@@ -439,24 +439,23 @@ def counterexample_flow(L: int, table: MoebiusTable) -> CounterexampleFlows:
         raise ValueError(f"L must be >= 1, got {L}")
     if L > table.n_max:
         raise ValueError(f"L = {L} exceeds the sieve range {table.n_max}")
-    dim = 2 * L + 1
-    # index of basis vector xi_k is k + L for k in [-L, L]
-    tdiag = np.zeros(dim, dtype=np.int64)
-    tdiag[:L] = table.window(1, L + 1)[::-1]  # position L - k holds mu(k)
+    # T's diagonal entry at xi_{-n}, n <= L = valid_n, is its entry L - n of
+    # 2L + 1, so only the first L are read: mu(L), ..., mu(1), as int8
+    tdiag = table.window(1, L + 1)[::-1]
 
     bh = Flow(
-        values_at=lambda ns: tdiag[np.mod(L - ns, dim)].astype(np.complex128),
+        values_at=lambda ns: tdiag[L - ns].astype(np.complex128),
         declared_bound=1.0,
         label=f"shift_symbol(L={L})",
         valid_n=L,
     )
     car = Flow(
-        values_at=lambda ns: (tdiag[np.mod(L - ns, dim)] + 1).astype(np.complex128) / 2,
+        values_at=lambda ns: (tdiag[L - ns] + 1).astype(np.complex128) / 2,
         declared_bound=1.0,
         label=f"shift_quasifree(L={L})",
         valid_n=L,
     )
-    return CounterexampleFlows(bh_flow=bh, car_flow=car, dim=dim)
+    return CounterexampleFlows(bh_flow=bh, car_flow=car, dim=2 * L + 1)
 
 
 # ---------------------------------------------------------------------------

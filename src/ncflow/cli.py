@@ -71,9 +71,10 @@ SCHEMA_VERSION = 1
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # at _MAX_DIM, k = 32, a 1024-row tile of k x k complex matrices is 16 MiB, and
-# ad_flow holds one tile of walked matrices and one trace tile: matrix-flow to
-# n_max 10^5 at seed 0 peaked at 48 MiB by tracemalloc and 86 MiB of RSS in
-# process, and one trace product (d = 2) at 66 MiB by tracemalloc
+# ad_flow holds its table of 1024 steps R_s and gathers one tile of R_s and
+# one of B_a^T: matrix-flow to n_max 10^5 at seed 0 peaked at 51 MiB by
+# tracemalloc and 89 MiB of RSS in process, and one trace product (d = 2) at
+# 66 MiB by tracemalloc
 _MAX_DIM = 32
 
 # the bsz-check flows by name; the bsz-check record refuses any other name

@@ -125,9 +125,10 @@ def average_series(
 ) -> AverageSeries:
     """Moebius-weighted average of a flow at ascending checkpoints, single pass.
 
-    One moebius.weighted_average call at all the checkpoints: each run is
-    evaluated through flow.at at its squarefree n only, and threads take
-    whole runs, so the bits are the same for any worker count.
+    One moebius.weighted_average call at all the checkpoints, which also
+    counts the squarefree n up to each: each run is evaluated through
+    flow.at at its squarefree n only, and threads take whole runs, so the
+    bits are the same for any worker count.
     """
     cps = moebius.checked_checkpoints(table.n_max, checkpoints)
     if flow.valid_n is not None and cps[-1] > flow.valid_n:
@@ -135,14 +136,13 @@ def average_series(
             f"flow {flow.label!r} is only defined for n <= {flow.valid_n}, "
             f"requested series up to N = {cps[-1]}"
         )
-    values = moebius.weighted_average(table, cps, flow.at, workers=workers)
-    counts = [q for _, q in moebius.prefix_counts(table, cps)]
+    values, counts = zip(*moebius.weighted_average(table, cps, flow.at, workers=workers))
     return AverageSeries(
         label=flow.label,
         declared_bound=flow.declared_bound,
         checkpoints=tuple(cps),
         values=np.asarray(values, dtype=np.complex128),
-        abs_mu_counts=tuple(counts),
+        abs_mu_counts=counts,
     )
 
 

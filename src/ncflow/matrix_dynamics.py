@@ -8,19 +8,17 @@ is a spectral_flow: with U = sum_j e(theta_j) q_j q_j* from
 linalg.schur_unitary (np.linalg.eig, then the unitary polar factor q of its
 eigenvectors and the phases of diag(q* U q)), it is the quadratic form
 z(n)^T C conj(z(n)) in z_j(n) = e(theta_j n), with C built once, and values
-at any n are computed directly.  ad_flow walks powers (one multiply per
-step) from exact binary powers at the fixed anchors 1 + WALK_GRID j, so its
-value at n depends on n alone; the seed-0 matrix-flow reference in
-perfbench pins its decay-fit constant to a walk's rounding, which a
-spectral evaluation would move past the reference tolerance.  A call walks the tiles of up to one run's anchors
-(_SUM_RUN / WALK_GRID) in lockstep, in chunks of at most _ROW_TILE walked W,
-and takes the trace tr(rho W A W*) of the W each chunk holds for it, as
-sum_ab (rho W)_ab (conj(W) A^T)_ab in three numpy calls, so it holds at most
-_ROW_TILE walked matrices and one trace tile.  Exact powers come in batches
-from unitary_power, here and in the trace-product direct path, and both
-trace-product paths are pointwise traces in n, each averaged by one
-moebius.weighted_average call that evaluates it per run at its squarefree
-n, _ROW_TILE n per call.
+at any n are computed directly.  ad_flow splits n at the fixed anchors
+a = 1 + WALK_GRID j into a step s < WALK_GRID, and takes tr(R_s B_a) from a
+table of R_s = U*^s rho U^s, walked once from the identity when the flow is
+built, and B_a = U^a A U*^a from the exact powers of a call's anchors, so
+its value at n depends on n alone; the seed-0 matrix-flow reference in
+perfbench pins its decay-fit constant to this walk's rounding, which a
+spectral evaluation would move past the reference tolerance.  Exact powers
+come in batches from unitary_power, here and in the trace-product direct
+path, and both trace-product paths are pointwise traces in n, each averaged
+by one moebius.weighted_average call that evaluates it per run at its
+squarefree n, _ROW_TILE n per call.
 quantize_unitary rounds the eigenphase of each eigenvector column to its
 grid; columns that land on the same grid point stay separate rank-one
 projections, and the bound chain sums exponential sums against coefficients
@@ -49,8 +47,9 @@ from .moebius import MoebiusTable, characters
 
 TRACE_AGREE_TOL = 1e-9  # the CLI's two-path gaps sit near 1e-14: past 1e-9 is a defect
 QUANTIZE_GRID_CAP = 10**8  # keeps epsilon >= 2 pi N 1e-8, far above float power drift
-# ad_flow's anchors 1 + WALK_GRID j: the seed-0 matrix-flow reference pins
-# the walk's rounding to them, so they stay put whatever the summation runs
+# ad_flow's anchors 1 + WALK_GRID j and the length of its table of steps:
+# the seed-0 matrix-flow reference pins the rounding of the walked steps, so
+# the grid stays put whatever the summation runs
 WALK_GRID = 1024
 CONTRACTION_SLACK = 1e-10  # op_norm (an SVD) of an A_j scaled to norm 1 may pass 1 by ulps
 DOMINATES_SLACK = 1e-12  # |s_N| and the bound are rounded: they may cross by ulps where they meet
@@ -72,68 +71,46 @@ def _schur_projections(q: np.ndarray) -> np.ndarray:
 def ad_flow(u, a, rho) -> Flow:
     """Flow n -> trace(rho U^n A U*^n), a pointwise function of n.
 
-    W(n) is walked W <- U W from the exact binary power U^a(n) at the anchor
-    a(n) = 1 + L floor((n - 1) / L), L = WALK_GRID, so its bits depend on n
-    alone.  Each product adds at most sqrt(2) (k + 2) k 2^-53 in operator
-    norm, and at most L - 1 walk steps and 2 log2 n binary-power products
-    lie between W(n) and U^n, so the value is within
-    2 ||A|| (L - 1 + 2 log2 n) sqrt(2) (k + 2) k 2^-53 of the exact trace,
-    to first order.
+    n splits at its anchor a(n) = 1 + L floor((n - 1) / L), L = WALK_GRID,
+    into the step s = n - a < L, and U^n = U^s U^a, so the value is
+    tr(R_s B_a) = sum_ij R_s[i, j] B_a[j, i], with R_s = T_s* rho T_s and
+    B_a = E_a A E_a*.  T_s is U^s walked T <- U T from the identity, once,
+    when the flow is built, and the flow holds the read-only table of the L
+    matrices R_s.  E_a is the exact binary power U^a (unitary_power): a call
+    takes those of its distinct anchors in one batch and then evaluates each
+    row tile (moebius.by_row_tiles) as one row-wise contraction of the
+    gathered R_s with the gathered B_a^T, k^2 products per n, so the bits of
+    a value depend on its n alone.
 
-    A call groups its distinct n by anchor and takes up to _SUM_RUN / L
-    anchors at a time, one run's worth, with their exact powers from one
-    unitary_power call.  It walks a group's tiles in lockstep, one stacked
-    product per step up to the largest step asked of the group, in chunks of
-    at most _ROW_TILE walked matrices (64 steps of 16 anchors), carrying each
-    chunk's last step into the next.  A searchsorted per anchor on the
-    sorted distinct n finds a chunk's n, and their W are gathered and traced
-    at once (moebius.by_row_tiles).  One buffer holds every group's walk, so
-    a call holds at most _ROW_TILE walked matrices and one trace tile: the
-    gathered W and the two products of the fused trace, where tr(rho W A W*)
-    is the sum over a, b of (rho W)_ab (conj(W) A^T)_ab, one stacked product
-    conj(W) A^T, one stacked rho W and one row-wise contraction.  An
-    isolated n costs up to L - 1 steps of its tile; the Moebius averages ask
-    for the squarefree n of whole _SUM_RUN windows, whose tiles are walked
-    anyway.
+    Each product adds at most sqrt(2) (k + 2) k 2^-53 in operator norm, and
+    at most L - 1 walk steps and 2 log2 n binary-power products lie between
+    W = T_s E_a and U^n, so the value is within
+    2 ||A|| (L - 1 + 2 log2 n) sqrt(2) (k + 2) k 2^-53 of the exact trace,
+    to first order, besides the rounding of the two sandwiches R_s, B_a and
+    of the k^2-term sum, which does not grow with n: the tests hold the
+    value within 1e-15 of tr(rho W A W*) at k <= 13.
     """
     u = check_unitary(u)
     a = check_matrix(a)
     rho = check_density(rho)
-
-    def trace(ws):
-        # conj(W) A^T before rho W: the smaller peak of the two orders
-        y = np.conj(ws) @ a.T
-        return np.einsum("nab,nab->n", rho @ ws, y)
+    walk = np.empty((WALK_GRID,) + u.shape, dtype=np.complex128)
+    walk[0] = np.eye(u.shape[0])
+    for s in range(1, WALK_GRID):
+        np.matmul(u, walk[s - 1], out=walk[s])
+    steps = np.conj(walk).transpose(0, 2, 1) @ rho @ walk  # R_s
+    steps.flags.writeable = False
 
     def values_at(ns):
-        todo, back = np.unique(ns, return_inverse=True)
-        anchors = np.unique(todo - (todo - 1) % WALK_GRID)
-        # each tile is walked up to the largest step asked of it
-        reach = todo[np.searchsorted(todo, anchors + WALK_GRID) - 1] - anchors + 1
-        per_group = moebius._SUM_RUN // WALK_GRID  # one run's anchors
-        size = min(moebius._ROW_TILE, int(reach.max(initial=0)) * min(per_group, anchors.size))
-        held = np.empty((size,) + u.shape, dtype=np.complex128)  # every group's walk
-        vals = np.empty(todo.shape, dtype=np.complex128)
-        for g in range(0, anchors.size, per_group):
-            grid = anchors[g : g + per_group]
-            top = int(reach[g : g + per_group].max())
-            span = min(moebius._ROW_TILE // grid.size, top)  # steps per chunk
-            walk = held[: span * grid.size].reshape((span, grid.size) + u.shape)
-            walk[0] = unitary_power(u, grid)
-            for s in range(0, top, span):
-                stop = min(s + span, top)
-                if s:  # carry the last step into the next chunk
-                    np.matmul(u, walk[-1], out=walk[0])
-                for i in range(1, stop - s):
-                    np.matmul(u, walk[i - 1], out=walk[i])
-                lo = np.searchsorted(todo, grid + s)
-                hi = np.searchsorted(todo, grid + stop)
-                if not (hi > lo).any():
-                    continue
-                at = np.concatenate([np.arange(*cut) for cut in zip(lo, hi)])
-                col = np.repeat(np.arange(grid.size), hi - lo)
-                vals[at] = moebius.by_row_tiles(trace, walk[todo[at] - grid[col] - s, col])
-        return vals[back].reshape(ns.shape)
+        anchors = np.unique((ns - 1) // WALK_GRID)
+        powers = unitary_power(u, 1 + WALK_GRID * anchors)
+        # B_a^T = conj(E_a) A^T E_a^T, contiguous like the gathered R_s
+        sandwiches = np.conj(powers) @ a.T @ powers.transpose(0, 2, 1)
+
+        def trace(tile):
+            at = np.searchsorted(anchors, (tile - 1) // WALK_GRID)
+            return np.einsum("nij,nij->n", steps[(tile - 1) % WALK_GRID], sandwiches[at])
+
+        return moebius.by_row_tiles(trace, ns)
 
     return Flow(
         values_at=values_at,
@@ -232,7 +209,7 @@ def trace_product_sum(spec: TraceProductSpec, table: MoebiusTable, N: int) -> Tr
         return np.trace(m, axis1=1, axis2=2) / spec.k
 
     def average(trace):
-        (value,) = moebius.weighted_average(
+        ((value, _),) = moebius.weighted_average(
             table, [N], lambda ns: moebius.by_row_tiles(trace, ns)
         )
         return value

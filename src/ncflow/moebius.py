@@ -16,7 +16,8 @@ sieved.  Memory is the ``(n_max + 3) // 4`` code bytes plus two int32 and two
 int8 arrays of one segment and the pattern: 10 bytes per segment entry and
 172 KiB, inside the 12 ``_SIEVE_SEGMENT`` bytes the tests hold it to.
 ``prefix_counts`` reads M(N) and Q(N), the squarefree count, at many N in one
-pass over the table, ``_COUNT_BLOCK`` n at a time.
+pass over the table, ``_COUNT_BLOCK`` n at a time, for the sieve experiment;
+the averages take Q(N) from their own pass (``weighted_average``).
 
 Table and cache
 ---------------
@@ -44,10 +45,11 @@ checkpoint.  f is evaluated once per run, at its squarefree n only (mu(n) = 0
 for about 39% of n), and each piece is one numpy pairwise reduction of its
 slice of the run's mu-weighted values; each average is one more
 ``np.add.reduce``, of the complex128 array of piece sums up to its
-checkpoint, so numpy's pairwise kernel is the only summation.  The layout
-depends only on the checkpoints, never on the worker count: threads take
-whole runs, so every evaluation covers the same n at any worker count, and
-memory does not grow with N.  Evaluators whose per-n work is a matrix row
+checkpoint, so numpy's pairwise kernel is the only summation.  Each average
+comes with Q(N), the summed lengths of the same pieces.  The layout depends
+only on the checkpoints, never on the worker count: threads take whole
+runs, so every evaluation covers the same n at any worker count, and memory
+does not grow with N.  Evaluators whose per-n work is a matrix row
 take their n ``_ROW_TILE`` at a time (``by_row_tiles``), so their scratch
 does not grow with the run.
 
@@ -98,7 +100,7 @@ import numpy as np
 N_MAX_CAP = 10**8
 
 _SUM_RUN = 16384  # n per values_at call and per summation window: bounds a run's scratch
-_ROW_TILE = 1024  # rows per matrix-row evaluator call: bounds its scratch, as ad_flow's walk buffer
+_ROW_TILE = 1024  # rows per matrix-row evaluator call: bounds its scratch, as ad_flow's gathered steps
 _SIEVE_SEGMENT = 1 << 19
 _COUNT_BLOCK = 1 << 18  # n per unpacked block in prefix_counts: bounds its scratch
 # cache bytes per pass of load_table's code-3 check.  Under glibc, freeing
@@ -504,17 +506,19 @@ def by_row_tiles(values_at: Callable, rows: np.ndarray) -> np.ndarray:
 def weighted_average(
     table: MoebiusTable, checkpoints: Iterable[int], values_at: Callable, *, workers: int = 1
 ) -> list:
-    """[(1/N) sum_{n<=N} mu(n) f(n)] at each checkpoint N, where values_at(ns)
-    is f at an int64 array ns, pointwise.
+    """[((1/N) sum_{n<=N} mu(n) f(n), Q(N))] at each checkpoint N, where
+    values_at(ns) is f at an int64 array ns, pointwise, and Q(N) is the
+    squarefree count sum_{n<=N} |mu(n)|, exact.
 
     n = 1..max(checkpoints) is cut at the multiples of _SUM_RUN into runs
     and at each checkpoint into pieces.  values_at is called once per run,
     at its squarefree n only; each piece's sum is one np.add.reduce of its
     slice of the run's mu-weighted values, cut where np.searchsorted puts
-    the checkpoints among the squarefree n.  Each average is one
-    np.add.reduce of the complex128 array of piece sums up to its
-    checkpoint, over N.  With workers > 1 threads take whole runs, so every
-    values_at call covers the same n at any worker count.
+    the checkpoints among the squarefree n, and its length counts its
+    squarefree n.  Each average is one np.add.reduce of the complex128
+    array of piece sums up to its checkpoint, over N, and Q(N) the sum of
+    those pieces' lengths.  With workers > 1 threads take whole runs, so
+    every values_at call covers the same n at any worker count.
     """
     cps = checked_checkpoints(table.n_max, checkpoints)
     edges = sorted({*range(0, cps[-1], _SUM_RUN), *cps})
@@ -529,7 +533,7 @@ def weighted_average(
         vals = values_at(at + (start + 1))  # before the weights: a lower peak
         terms = mu[at].astype(np.float64) * vals  # out of place: values_at may keep vals
         cuts = np.searchsorted(at, [hi - start for _, hi in group[:-1]])
-        return [np.add.reduce(part) for part in np.split(terms, cuts)]
+        return [(np.add.reduce(part), part.size) for part in np.split(terms, cuts)]
 
     workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
@@ -537,15 +541,17 @@ def weighted_average(
             sums = [s for part in pool.map(run, runs) for s in part]
     else:
         sums = [s for group in runs for s in run(group)]
+    sums, sizes = zip(*sums)
     sums = np.array(sums, dtype=np.complex128)
+    counts = list(itertools.accumulate(sizes))
     ends = {hi: k + 1 for k, (_, hi) in enumerate(pieces)}
-    return [complex(np.add.reduce(sums[: ends[N]])) / N for N in cps]
+    return [(complex(np.add.reduce(sums[: ends[N]])) / N, counts[ends[N] - 1]) for N in cps]
 
 
 def exp_sum(table: MoebiusTable, coeffs: Sequence[float], N: int) -> complex:
     """(1/N) sum_{n<=N} mu(n) e(phi(n)) for the phase phi with ascending
     coefficients coeffs, as one weighted_average of phase_values at N."""
-    (value,) = weighted_average(table, [N], lambda ns: phase_values(coeffs, ns))
+    ((value, _),) = weighted_average(table, [N], lambda ns: phase_values(coeffs, ns))
     return value
 
 

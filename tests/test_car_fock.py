@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -377,6 +378,28 @@ def test_counterexample_window_checks(table_10k):
     flows = counterexample_flow(100, table_10k)
     with pytest.raises(ValueError):
         average_series(flows.car_flow, table_10k, [101])
+
+
+def test_counterexample_peaks_below_4_bytes_per_n_of_L(table_1m):
+    # the flows hold mu(1..L) reversed as int8 and average_series holds one
+    # run at a time: both series at L = 10^6 peak at 3.0 bytes per n of L,
+    # the window's unpacking scratch included (19.0 with an int64 diagonal
+    # of all 2L + 1 entries)
+    L = 10**6
+
+    def both_series():
+        flows = counterexample_flow(L, table_1m)
+        for flow in (flows.bh_flow, flows.car_flow):
+            average_series(flow, table_1m, [L // 10, L])
+
+    both_series()  # numpy's one-time imports stay out of the measure
+    tracemalloc.start()
+    try:
+        both_series()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * L, peak / L
 
 
 def test_pure_point_flow_matches_bogoliubov_oracle():

@@ -74,6 +74,30 @@ def test_counterexample_average_matches_density(tmp_path):
     assert float(symbol_rows[-1][4]) == density
 
 
+def test_counterexample_certificate_is_exact_equality(tmp_path, monkeypatch):
+    # bh_abs equals Q(L) / L exactly; a bh flow scaled by 1 - 2^-20 misses it
+    # by about 7e-7 at the default L = 10, and the certificate must read false
+    made = cli.counterexample_flow
+
+    def scaled(L, table):
+        flows = made(L, table)
+        bh = flows.bh_flow
+        off = ncflow.Flow(
+            values_at=lambda ns: bh.values_at(ns) * (1 - 2.0**-20),
+            declared_bound=bh.declared_bound,
+            label=bh.label,
+            valid_n=bh.valid_n,
+        )
+        return replace(flows, bh_flow=off)
+
+    monkeypatch.setattr(cli, "counterexample_flow", scaled)
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--out", str(out)]) == 0
+    result = read_sidecar(out / "counterexample.json")["result"]
+    assert 0 < abs(result["bh_abs_at_L"] - result["squarefree_density_at_L"]) < 1e-6
+    assert result["bh_abs_matches_density_exactly"] is False
+
+
 def test_counterexample_checkpoints_short_of_L_still_certify_at_L(tmp_path):
     # the certificate compares |s_L| with Q(L)/L, so the series runs to N = L
     # even when the configured checkpoints stop short of it

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_ad_flow_diagonal_equals_rotation(table_10k):
 
 
 def test_ad_flow_long_run_restarts_from_exact_powers():
-    # one run of 30001 n is walked in tiles of at most WALK_GRID steps, each
+    # over one run of 30001 n, every U^n is at most WALK_GRID - 1 table steps
     # from an exact binary power, so the walk error never builds up past one
     u = haar_unitary(8, 1)
     rng = np.random.default_rng(2)
@@ -70,50 +71,60 @@ def test_ad_flow_long_run_restarts_from_exact_powers():
         assert abs(vals[n - 1] - direct) < 1e-10
 
 
-def anchored_walk(u, ns):
-    """W(n) for each n of an ascending run: matrix_power(u, a(n)) at each
-    grid anchor a(n) = 1 + L floor((n - 1) / L), then w -> u @ w."""
-    out = []
-    for n in ns:
-        anchor = 1 + WALK_GRID * ((n - 1) // WALK_GRID)
-        if not out or n == anchor:
-            w = np.linalg.matrix_power(u, anchor)
-            for _ in range(n - anchor):
-                w = u @ w
-        else:
-            w = u @ w
-        out.append(w)
-    return out
+def step_factors(u, ns):
+    """(T_s, E_a) for each n of ns: the step T_s = U^s, s = n - a(n), walked
+    t -> u @ t from the identity, and E_a = matrix_power(u, a(n)) at the grid
+    anchor a(n) = 1 + L floor((n - 1) / L)."""
+    walk = [np.eye(len(u), dtype=np.complex128)]
+    for _ in range(WALK_GRID - 1):
+        walk.append(u @ walk[-1])
+    anchors = {1 + WALK_GRID * ((n - 1) // WALK_GRID) for n in ns}
+    powers = {anchor: np.linalg.matrix_power(u, anchor) for anchor in anchors}
+    return [
+        (walk[(n - 1) % WALK_GRID], powers[1 + WALK_GRID * ((n - 1) // WALK_GRID)])
+        for n in ns
+    ]
+
+
+def step_table_traces(u, a, rho, ns):
+    """ad_flow at each n of ns, in any order, restated one n at a time:
+    sum_ij R_s[i, j] B_a^T[i, j] with R_s = T_s* rho T_s and
+    B_a^T = conj(E_a) A^T E_a^T."""
+    return np.array(
+        [
+            np.einsum("ij,ij->", t.conj().T @ rho @ t, e.conj() @ a.T @ e.T)
+            for t, e in step_factors(u, ns)
+        ],
+        dtype=np.complex128,
+    )
 
 
 def test_ad_flow_block_is_the_plain_walk():
     # a 4096-point block that starts off the anchor grid: bit for bit the
-    # walk w -> u @ w from matrix_power(u, a(n)), restarted at each anchor,
-    # one fused trace sum_ab (rho w)_ab (conj(w) a^T)_ab per step
+    # contraction of R_s, from the walk t -> u @ t out of the identity, with
+    # B_a^T, from matrix_power(u, a(n)), one n at a time
     u = haar_unitary(8, 5)
     rng = np.random.default_rng(6)
     a = hermitian_contraction(rng, 8)
     rho = random_density(8, rng)
     lo = 3 * 4096 + 700
-    want = [
-        np.einsum("ab,ab->", rho @ w, w.conj() @ a.T)
-        for w in anchored_walk(u, range(lo + 1, lo + 4097))
-    ]
+    want = step_table_traces(u, a, rho, range(lo + 1, lo + 4097))
     got = values(ad_flow(u, a, rho), lo, lo + 4096)
-    assert got.tobytes() == np.array(want).tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 13])
 def test_ad_flow_is_within_1e_15_of_the_product_trace(dim):
-    # the fused trace against trace(rho w a w^H) on the same anchored walk,
-    # across the anchor at 4097
+    # the step-table contraction against trace(rho w a w^H) for the same
+    # factors, w = T_s E_a, across the anchor at 4097
     u = haar_unitary(dim, dim)
     rng = np.random.default_rng(dim + 1)
     a = hermitian_contraction(rng, dim)
     rho = random_density(dim, rng)
     lo = 4096 - 50
     want = [
-        np.trace(rho @ w @ a @ w.conj().T) for w in anchored_walk(u, range(lo + 1, lo + 101))
+        np.trace(rho @ w @ a @ w.conj().T)
+        for w in (t @ e for t, e in step_factors(u, range(lo + 1, lo + 101)))
     ]
     got = values(ad_flow(u, a, rho), lo, lo + 100)
     assert np.max(np.abs(got - np.array(want))) <= 1e-15
@@ -205,21 +216,8 @@ def test_ad_flow_walks_each_run_of_consecutive_n():
     assert np.array_equal(fl.at(ns[:3]), values(fl, 6, 9))
 
 
-def walked_traces(u, a, rho, ns):
-    """The fused trace of anchored_walk's W(n) at each n of ns, in any order,
-    each tile walked from its anchor up to the largest n asked of it."""
-    want, asked = {}, set(ns)
-    for anchor in sorted({1 + WALK_GRID * ((n - 1) // WALK_GRID) for n in asked}):
-        top = max(n for n in asked if anchor <= n < anchor + WALK_GRID)
-        for n, w in zip(range(anchor, top + 1), anchored_walk(u, range(anchor, top + 1))):
-            if n in asked:
-                want[n] = np.einsum("ab,ab->", rho @ w, w.conj() @ a.T)
-    return np.array([want[n] for n in ns], dtype=np.complex128)
-
-
-# 35 anchors: two full groups of _SUM_RUN / WALK_GRID = 16, then a group of
-# three, whose chunks of 1024 // 3 = 341 steps do not divide a tile; the
-# steps sit at chunk edges of each group size and at a tile's last step
+# 35 anchors, each at the first and last step of the table and between,
+# more anchors than one summation run holds
 SPREAD = [
     int(anchor + step)
     for anchor in 1 + WALK_GRID * np.arange(35)
@@ -233,12 +231,12 @@ SPREAD = [
     ids=["35 anchors", "1 and 10^6", "repeated and unsorted", "one n"],
 )
 def test_ad_flow_is_the_anchored_walk_bit_for_bit(ns):
-    # however the n fall on anchors, groups and chunks, each value has the
-    # bits of its own anchored walk and fused trace
+    # however the n fall on anchors and row tiles, each value has the bits
+    # of its own step-table contraction
     rng = np.random.default_rng(11)
     u, a, rho = haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng)
     got = ad_flow(u, a, rho).values_at(np.array(ns, dtype=np.int64))
-    assert got.tobytes() == walked_traces(u, a, rho, ns).tobytes()
+    assert got.tobytes() == step_table_traces(u, a, rho, ns).tobytes()
 
 
 def test_ad_flow_of_no_n_is_empty():
@@ -260,11 +258,11 @@ def traced_peak(call, ns):
 
 
 def test_ad_flow_peak_does_not_grow_with_the_groups_of_a_call():
-    # a call holds one walk buffer of at most _ROW_TILE matrices for all its
-    # groups of anchors, and traces each chunk's W as it is walked, so a call
+    # a call holds the exact power and B_a^T of each of its anchors, one per
+    # WALK_GRID n, and the gathered R_s and B_a^T of one row tile, so a call
     # over four runs of n peaks above a call over four row tiles only by its
-    # per-n index and value arrays, far below one chunk's walked matrices
-    # (1024 matrices of 8 x 8, 1 MiB)
+    # per-n index and value arrays and its anchors' matrices: 18 bytes per n
+    # at k = 8 (32 with the lockstep walk this evaluation replaced)
     rng = np.random.default_rng(6)
     flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
     sizes = (4 * _ROW_TILE, 4 * _SUM_RUN)
@@ -273,9 +271,9 @@ def test_ad_flow_peak_does_not_grow_with_the_groups_of_a_call():
 
 
 def test_ad_flow_call_over_one_run_of_n_peaks_below_5_5_mib():
-    # 16384 consecutive n at k = 8: _ROW_TILE walked matrices (1 MiB), the
-    # gathered W of one chunk and the trace's two products over them (3 MiB),
-    # and the per-n arrays
+    # 16384 consecutive n at k = 8: the gathered R_s and B_a^T of one row
+    # tile (2 MiB) and the per-n arrays peak at 2.3 MiB; the table of R_s is
+    # built with the flow, not in the call
     rng = np.random.default_rng(6)
     flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
     peak = traced_peak(flow.values_at, np.arange(1, _SUM_RUN + 1, dtype=np.int64))
@@ -283,10 +281,9 @@ def test_ad_flow_call_over_one_run_of_n_peaks_below_5_5_mib():
 
 
 def test_ad_flow_holds_at_most_a_row_tile_of_walked_matrices():
-    # the last step of 64 tiles: every tile is walked to its end, while the
-    # 64 traces and their index arrays take a few KiB, so the peak is the
-    # walk; a group's exact powers and a chunk's gathered W are under 128
-    # matrices more
+    # the last step of 64 anchors: the 64 exact powers, their B_a^T and the
+    # products between, with one tile of 64 gathered R_s and B_a^T, peak at
+    # 262 matrices of 8 x 8, while the table of R_s is built with the flow
     rng = np.random.default_rng(13)
     flow = ad_flow(haar_unitary(8, rng), hermitian_contraction(rng, 8), random_density(8, rng))
     ns = WALK_GRID * np.arange(1, 65, dtype=np.int64)
@@ -626,6 +623,35 @@ def test_dominates_takes_rounding_and_refuses_1e_10_past_the_bound(past, dominat
         exp_term=0.4, bound=0.5, max_exp_sum_abs=1.0,
     )
     assert fb.dominates is dominates
+
+
+def test_quantize_refuses_a_drift_of_1_8_epsilon(monkeypatch):
+    # a grid a quarter of the size quantize_grid_size asks for: at the
+    # seed-0 quantize config (dim 8, epsilon 0.1, horizon 10^4) the powers
+    # drift by 1.79 epsilon at n = 10^4, which the built-in check must refuse
+    exact = matrix_dynamics.quantize_grid_size
+    monkeypatch.setattr(
+        matrix_dynamics, "quantize_grid_size", lambda eps, h: math.ceil(exact(eps, h) / 4)
+    )
+    u = haar_unitary(8, np.random.default_rng(0))
+    with pytest.raises(ArithmeticError, match="drifted"):
+        quantize_unitary(u, 0.1, 10**4)
+
+
+def test_bound_chain_refuses_a_gap_of_twice_its_epsilon_term(table_10k):
+    # the seed-0 quantize config has the gap |s_N - s_N(V)| = 7.1e-6; with
+    # epsilon = gap / 4 the chain allows 2 eps ||T|| = gap / 2 and must refuse
+    rng = np.random.default_rng(0)
+    u = haar_unitary(8, rng)
+    q = quantize_unitary(u, 0.1, 10**4)
+    t = hermitian_contraction(rng, 8)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    fb = finite_vn_average_bound(u, q, t, g, table_10k, 10**4)
+    gap = abs(fb.s_n - fb.s_n_quantized)
+    assert 1e-6 < gap <= fb.epsilon_term
+    coarse = dataclasses.replace(q, epsilon=gap / 4)
+    with pytest.raises(ArithmeticError, match="quantization gap"):
+        finite_vn_average_bound(u, coarse, t, g, table_10k, 10**4)
 
 
 def test_quantize_refuses_oversized_grid():

@@ -660,15 +660,18 @@ def test_weighted_average_is_worker_invariant_and_matches_tree_sum(n_max, raw_cp
             assert sorted(calls) == _window_calls(table, n_max)
     assert len(runs[0]) == len(cps)
     for run in runs[1:]:
-        assert all(_same_bits(a, b) for a, b in zip(run, runs[0]))
+        assert all(_same_bits(a, b) and p == q for (a, p), (b, q) in zip(run, runs[0]))
+    averages, counts = zip(*runs[0])
+    # each count is the squarefree count Q(N), exact
+    assert list(counts) == [int(np.count_nonzero(mu[1 : N + 1])) for N in cps]
     # at one checkpoint the pieces are the runs
-    (total,) = moebius.weighted_average(table, [n_max], lambda ns: x[ns])
+    ((total, _),) = moebius.weighted_average(table, [n_max], lambda ns: x[ns])
     assert _same_bits(total, complex(tree_sum(mu, x, [n_max])[0]) / n_max)
     # the first checkpoint cuts only the run it falls in, so its prefix is tree_sum's
-    assert _same_bits(runs[0][0], complex(tree_sum(mu, x, cps[:1])[0]) / cps[0])
+    assert _same_bits(averages[0], complex(tree_sum(mu, x, cps[:1])[0]) / cps[0])
     # and every checkpoint is tree_sum's fold of the pieces up to it
     want = [complex(s) / N for s, N in zip(tree_sum(mu, x, cps), cps)]
-    assert all(_same_bits(a, b) for a, b in zip(runs[0], want))
+    assert all(_same_bits(a, b) for a, b in zip(averages, want))
 
 
 def test_weighted_average_calls_do_not_depend_on_workers(monkeypatch):
@@ -687,10 +690,11 @@ def test_weighted_average_calls_do_not_depend_on_workers(monkeypatch):
             seen.append(tuple(ns.tolist()))
             return x[ns] + ns.size * 2.0**-60
 
-        sums.append(moebius.weighted_average(table, [n_max], values_at, workers=workers))
+        ((total, _),) = moebius.weighted_average(table, [n_max], values_at, workers=workers)
+        sums.append(total)
         calls.append(sorted(seen))
     for got, spans in zip(sums[1:], calls[1:]):
-        assert _same_bits(got[0], sums[0][0])
+        assert _same_bits(got, sums[0])
         assert spans == calls[0]
 
 
@@ -745,7 +749,7 @@ def test_weighted_average_where_mu_vanishes_is_the_tree_sum_of_zeros(table_1m, l
     for coeffs in [(0.0,), (0.3,), (0.6,), (0.85,)] + [tuple(rng.random(3)) for _ in range(4)]:
         want = tree_sum(mu, phase_values(coeffs, ns), cps)
         got = moebius.weighted_average(table, cps, lambda n: phase_values(coeffs, n))
-        for N, part, total in zip(cps, got, want):
+        for N, (part, _), total in zip(cps, got, want):
             assert _same_bits(part, complex(total) / N), (N, coeffs)
 
 

@@ -102,6 +102,28 @@ MUTANTS = (
         ("tests/test_moebius.py::test_turns_error_comes_within_a_factor_8_of_turns_err",),
         "the stated phase-kernel error bound loosened 100-fold",
     ),
+    Mutant(
+        "matrix_dynamics.py",
+        "if drift > epsilon:",
+        "if drift > 10 * epsilon:",
+        ("tests/test_matrix_dynamics.py::test_quantize_refuses_a_drift_of_1_8_epsilon",),
+        "quantize takes a power drift of 1.79 epsilon",
+    ),
+    Mutant(
+        "matrix_dynamics.py",
+        "if abs(s_n - s_v) > eps_term + QUANTIZE_GAP_SLACK:",
+        "if abs(s_n - s_v) > 10 * eps_term + QUANTIZE_GAP_SLACK:",
+        ("tests/test_matrix_dynamics.py::"
+         "test_bound_chain_refuses_a_gap_of_twice_its_epsilon_term",),
+        "the bound chain takes a quantization gap of twice 2 eps ||T||",
+    ),
+    Mutant(
+        "cli.py",
+        '"bh_abs_matches_density_exactly": bh_abs == density,',
+        '"bh_abs_matches_density_exactly": abs(bh_abs - density) < 1e-3,',
+        ("tests/test_cli.py::test_counterexample_certificate_is_exact_equality",),
+        "the counterexample certificate takes a bh average 7e-7 off the density",
+    ),
 )
 
 
