@@ -394,10 +394,13 @@ def finite_vn_average_bound(
     angles = quantized.angles
     r = len(angles)
     s_mat = np.empty((r, r), dtype=np.complex128)
+    sums = {}  # one exp_sum per distinct angle: the r diagonal angles are all 0
     for i in range(r):
         for j in range(r):
-            theta = (angles[j] - angles[i]) % 1.0
-            s_mat[i, j] = moebius.exp_sum(table, (0.0, float(theta)), N)
+            theta = float((angles[j] - angles[i]) % 1.0)
+            if theta not in sums:
+                sums[theta] = moebius.exp_sum(table, (0.0, theta), N)
+            s_mat[i, j] = sums[theta]
     # tr_k(P_i T P_j AA*) = tr(AA* P_i T P_j) / k
     coeffs = _sandwich_coefficients(quantized.projections, t, aa)
     s_v = (s_mat * coeffs).sum() / (u.shape[0] * denom)

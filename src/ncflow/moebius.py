@@ -9,15 +9,20 @@ signed cofactor; the one prime factor above ``sqrt(n_max)`` that n can have
 shows up as the cofactor falling short of n.  A segment starts from a copy of
 a pre-sieved wheel: the cofactor pattern of the primes up to 7 (squares
 included), one period of 2^2 3^2 5^2 7^2 = 44100 entries, built per call.
-The sign flip for the large prime is arithmetic, sign(cofactor) times
-1 - 2 [|cofactor| != n] in int8, with no masked ufunc.  Each segment
-starts at n = 1 mod 4 and is packed into the table's codes as soon as it is
-sieved.  Memory is the ``(n_max + 3) // 4`` code bytes plus two int32 and two
-int8 arrays of one segment and the pattern: 10 bytes per segment entry and
-172 KiB, inside the 12 ``_SIEVE_SEGMENT`` bytes the tests hold it to.
-``prefix_counts`` reads M(N) and Q(N), the squarefree count, at many N in one
-pass over the table, ``_COUNT_BLOCK`` n at a time, for the sieve experiment;
-the averages take Q(N) from their own pass (``weighted_average``).
+Each prime's pass multiplies its strided view in place, and a p^2 pass runs
+only where a multiple of p^2 falls in the segment.  The large prime is at
+least reach = isqrt(n_max) + 1, so on a stretch [a, b) with b <= a reach
+the cofactor falls short of n exactly where it is below a in absolute
+value: the sign flip is arithmetic, sign(cofactor) times
+1 - 2 [|cofactor| < a] in int8, with no array of n and no masked ufunc.
+Each segment starts at n = 1 mod 4 and is packed into the table's codes as
+soon as it is sieved.  Memory is the ``(n_max + 3) // 4`` code bytes plus one
+int32 and two int8 arrays of one segment and the pattern: 6 bytes per
+segment entry and 172 KiB, inside the 7 ``_SIEVE_SEGMENT`` bytes the tests
+hold it to.  ``prefix_counts`` reads M(N) and Q(N), the squarefree count, at
+many N in one pass over the table for the sieve experiment, by popcounts of
+whole 32-n code words; the averages take Q(N) from their own pass
+(``weighted_average``).
 
 Table and cache
 ---------------
@@ -28,7 +33,8 @@ is a quarter of an int8 table: 24 MiB at the 10^8 cap.  No reader unpacks
 the whole table: ``MoebiusTable.window(lo, hi)`` unpacks mu(lo..hi - 1) from
 just the bytes that hold it, one ``np.take`` of a 256-entry table of four
 int8 mu per byte, and never returns a padding slot.  ``weighted_average``
-unpacks one run at a time and ``prefix_counts`` one block.  The cache file
+unpacks one run at a time, and ``prefix_counts`` only the last N mod 32 n
+before each checkpoint N.  The cache file
 is a 16-byte header (magic ``NCF2``, n_max, the crc32 of the payload) and
 then ``codes`` byte for byte: ``save_table`` writes them, and ``load_table``
 reads them into one read-only array, checks the checksum, refuses any code 3
@@ -91,7 +97,6 @@ import os
 import struct
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -102,7 +107,8 @@ N_MAX_CAP = 10**8
 _SUM_RUN = 16384  # n per values_at call and per summation window: bounds a run's scratch
 _ROW_TILE = 1024  # rows per matrix-row evaluator call: bounds its scratch, as ad_flow's gathered steps
 _SIEVE_SEGMENT = 1 << 19
-_COUNT_BLOCK = 1 << 18  # n per unpacked block in prefix_counts: bounds its scratch
+_COUNT_WORDS = 1 << 13  # code words of 32 n per prefix_counts popcount: bounds its scratch
+_LOW_BITS = np.uint64(0x5555555555555555)  # the low bit of each 2-bit code in a word
 # cache bytes per pass of load_table's code-3 check.  Under glibc, freeing
 # this mapped scratch also raises malloc's mmap and trim thresholds to 1 and
 # 2 MiB, so the few hundred KiB of per-run scratch that the sums after a load
@@ -173,21 +179,27 @@ def build_table(n_max: int) -> MoebiusTable:
     on multiples of p^2.  The small primes up to _WHEEL_PRIME_MAX are applied
     once, to a pattern of one period prod p^2 indexed by n mod the period,
     which each segment copies in; the other small primes are sieved per
-    segment.  The cofactor's sign is then mu of the small-prime
-    part of n, and where its absolute value falls short of n the remaining
-    cofactor is exactly one prime above sqrt(n_max), which flips the sign
-    once more: mu = sign(cofactor) (1 - 2 [|cofactor| != n]) in int8, with n
-    from one int32 array that advances a segment per step.  Each segment's
-    mu is packed into its whole code bytes of the table as it is done.
-    Scratch is the cofactor and n arrays, two int8 segments and the pattern,
-    so memory is the (n_max + 3) // 4 code bytes plus 10 bytes per segment
-    entry and 172 KiB.
+    segment, each multiply in place on its strided view, and each p^2 pass
+    only where a multiple of p^2 falls in the segment.  The cofactor's sign
+    is then mu of the small-prime part of n, and where its absolute value
+    falls short of n the remaining cofactor is exactly one prime of at least
+    reach = isqrt(n_max) + 1, which flips the sign once more.  So on a
+    stretch [a, b) with b <= a reach, n has that prime exactly where
+    |cofactor| < a (a zero cofactor has mu 0 either way): every later
+    segment is one such stretch and the first at most two, and mu =
+    sign(cofactor) (1 - 2 [|cofactor| < a]) in int8, with no array of n.
+    Each segment's mu is packed into its whole code bytes of the table as
+    it is done.  Scratch is the cofactor array, two int8 segments and the
+    pattern, so memory is the (n_max + 3) // 4 code bytes plus 6 bytes per
+    segment entry and 172 KiB.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > N_MAX_CAP:
         raise ValueError(f"n_max = {n_max} exceeds hard cap {N_MAX_CAP}")
-    small = primes_upto(math.isqrt(n_max)).tolist()
+    root = math.isqrt(n_max)
+    reach = root + 1  # every prime factor the small primes miss is at least this
+    small = primes_upto(root).tolist()
     wheel = [p for p in small if p <= _WHEEL_PRIME_MAX]
     # the cofactor pattern of the wheel primes, indexed by n mod its period
     period = math.prod(p * p for p in wheel)
@@ -202,30 +214,36 @@ def build_table(n_max: int) -> MoebiusTable:
     mu = np.empty(size, dtype=np.int8)
     # |cofactor| divides n <= N_MAX_CAP < 2^31, so int32 cannot overflow.
     cofactor = np.empty(size, dtype=np.int32)
-    ns = np.arange(1, size + 1, dtype=np.int32)  # n over the segment
     flip = np.empty(size, dtype=np.int8)
     for lo in range(1, n_max + 1, step):
         hi = min(lo + step, n_max + 1)
-        seg, cof, f = mu[: hi - lo], cofactor[: hi - lo], flip[: hi - lo]
+        seg, cof = mu[: hi - lo], cofactor[: hi - lo]
         at, start = 0, lo % period
         while at < cof.size:
             part = pattern[start : start + cof.size - at]
             cof[at : at + part.size] = part
             at, start = at + part.size, 0
         for p in small[len(wheel) :]:
-            cof[-lo % p :: p] *= -p
-            cof[-lo % (p * p) :: p * p] = 0
+            v = cof[-lo % p :: p]
+            np.multiply(v, -p, out=v)
+            first = -lo % (p * p)
+            if first < cof.size:
+                cof[first :: p * p] = 0
         np.sign(cof, out=seg, casting="unsafe")
         np.abs(cof, out=cof)
-        # mu = sign(cofactor) * (1 - 2 [|cofactor| != n]), all in int8
-        np.not_equal(cof, ns[: hi - lo], out=f.view(bool))
-        np.multiply(f, -2, out=f)
-        np.add(f, 1, out=f)
-        np.multiply(seg, f, out=seg)
+        a = lo
+        while a < hi:
+            b = min(hi, a * reach)
+            # mu = sign(cofactor) * (1 - 2 [|cofactor| < a]), all in int8
+            f = flip[a - lo : b - lo]
+            np.less(cof[a - lo : b - lo], a, out=f.view(bool))
+            np.multiply(f, -2, out=f)
+            np.add(f, 1, out=f)
+            a = b
+        np.multiply(seg, flip[: seg.size], out=seg)
         whole = -(-seg.size // 4) * 4
         mu[seg.size : whole] = -1  # the padding slots past n_max
         _pack_codes(mu[:whole], codes[(lo - 1) // 4 : (lo - 1 + whole) // 4])
-        ns += step
     codes.flags.writeable = False
     return MoebiusTable(n_max=n_max, codes=codes)
 
@@ -537,6 +555,9 @@ def weighted_average(
 
     workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so a one-worker process never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sums = [s for part in pool.map(run, runs) for s in part]
     else:
@@ -557,24 +578,29 @@ def exp_sum(table: MoebiusTable, coeffs: Sequence[float], N: int) -> complex:
 
 def prefix_counts(table: MoebiusTable, checkpoints: Iterable[int]) -> list:
     """[(M(N), Q(N))] at ascending checkpoints, exact: the Mertens sum and
-    the squarefree count sum_{n<=N} |mu(n)|.  One pass: the table is unpacked
-    _COUNT_BLOCK n at a time, each stretch of a block between two
-    checkpoints is summed and counted once, in integers, and added to the
-    running totals, so nothing is recounted from n = 1."""
+    the squarefree count sum_{n<=N} |mu(n)|.  One pass over the whole
+    uint64 words of the codes, 32 n each, up to each N: in each 2-bit slot
+    the low bit marks mu = 0 and the high bit mu = 1 (code 3 never occurs,
+    and a whole word below N holds no padding), so np.bitwise_count of a
+    word and of its low bits counts its mu >= 0 and its mu = 0.  The words
+    are counted _COUNT_WORDS at a time and added to running totals, so
+    nothing is recounted from n = 1, and only the last N mod 32 n before
+    each N are unpacked."""
     cps = checked_checkpoints(table.n_max, checkpoints)
-    edges = sorted({*range(0, cps[-1], _COUNT_BLOCK), *cps})
-    ends = set(cps)
-    out, m, q = [], 0, 0
-    for lo, hi in zip(edges, edges[1:]):
-        base = lo - lo % _COUNT_BLOCK
-        if lo == base:
-            block = table.window(base + 1, min(base + _COUNT_BLOCK, cps[-1]) + 1)
-        part = block[lo - base : hi - base]
-        # a block of _COUNT_BLOCK < 2^31 values in {-1, 0, 1} sums in int32
-        m += int(np.add.reduce(part, dtype=np.int32))
-        q += int(np.count_nonzero(part))
-        if hi in ends:
-            out.append((m, q))
+    words = table.codes[: cps[-1] // 32 * 8].view(np.uint64)
+    out, marked, zeros, done = [], 0, 0, 0  # over the words before done
+    for N in cps:
+        whole = N // 32
+        for lo in range(done, whole, _COUNT_WORDS):
+            part = words[lo : min(lo + _COUNT_WORDS, whole)]
+            marked += int(np.add.reduce(np.bitwise_count(part), dtype=np.int64))
+            low = np.bitwise_and(part, _LOW_BITS)
+            zeros += int(np.add.reduce(np.bitwise_count(low), dtype=np.int64))
+        done = whole
+        tail = table.window(32 * whole + 1, N + 1)
+        # n <= 32 whole hold marked - zeros mu = 1 and 32 whole - marked mu = -1
+        m = 2 * marked - zeros - 32 * whole + int(np.add.reduce(tail, dtype=np.int64))
+        out.append((m, 32 * whole - zeros + int(np.count_nonzero(tail))))
     return out
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -120,7 +121,8 @@ def test_series_worker_count_is_clamped(table_1m, monkeypatch, cpus, pool_size):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(moebius, "ThreadPoolExecutor", Recorder)
+    # weighted_average imports the pool from concurrent.futures only to start one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(moebius.os, "cpu_count", lambda: cpus)
     flow = rotation_flow(GOLDEN)
     N = 2 * moebius._SUM_RUN + 9000

@@ -133,7 +133,9 @@ def test_sieve_with_drawn_segments_matches_every_prime_oracle(n_max, segment):
 
 
 def test_sieve_memory_is_the_table_plus_one_segment():
-    # the table is its 2-bit codes, each segment packed as it is sieved
+    # the table is its 2-bit codes, each segment packed as it is sieved from
+    # one int32 and two int8 arrays: 6 bytes per segment entry and the wheel
+    # pattern
     n_max = 8 * 10**6
     tracemalloc.start()
     try:
@@ -141,7 +143,7 @@ def test_sieve_memory_is_the_table_plus_one_segment():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (n_max + 3) // 4 + 12 * moebius._SIEVE_SEGMENT, peak
+    assert peak <= (n_max + 3) // 4 + 7 * moebius._SIEVE_SEGMENT, peak
 
 
 def test_sieve_multiplicative_on_coprime_pairs(table_1m):
@@ -186,6 +188,25 @@ def test_prefix_counts_are_mertens_and_squarefree_count(table_10k, inner):
     counts = prefix_counts(table_10k, cps)
     assert counts == [(mertens(table_10k, N), squarefree_count(table_10k, N)) for N in cps]
     assert all(type(v) is int for pair in counts for v in pair)
+
+
+@pytest.mark.parametrize("n_max", [10**4 + 1, 10**4 + 2, 10**4 + 3, 32 * 313])
+def test_prefix_counts_at_each_word_edge_match_the_oracles(tmp_path, n_max):
+    # N = 0, 1 and 31 mod 32 put N at, just past and just before the end of
+    # a whole 32-n code word; n_max = 1, 2, 3 mod 4 leaves padding slots of
+    # code 0 in the last byte, which the counts must never read as mu = -1;
+    # and a loaded table holds its codes in the bytes read from the file
+    built = build_table(n_max)
+    save_table(built, tmp_path / "mu.ncf")
+    cps = sorted({N for k in (1, 2, 100, n_max // 32) for N in (32 * k - 1, 32 * k, 32 * k + 1)}
+                 | {1, n_max - 1, n_max})
+    cps = [N for N in cps if N <= n_max]
+    assert {N % 32 for N in cps} >= {0, 1, 31}
+    want = [(mertens(built, N), squarefree_count(built, N)) for N in cps]
+    for table in (built, load_table(tmp_path / "mu.ncf")):
+        assert prefix_counts(table, cps) == want
+        # each N alone, so its own tail is the last read
+        assert [prefix_counts(table, [N])[0] for N in cps] == want
 
 
 def test_prefix_counts_refuses_bad_checkpoints(table_10k):
@@ -594,7 +615,8 @@ def test_phase_sum_memory_is_flat_in_n(table_1m):
 
 def test_weighted_average_and_prefix_counts_memory_is_flat_in_n_max():
     # a run unpacks only its own _SUM_RUN window of the codes, and
-    # prefix_counts one _COUNT_BLOCK at a time: no array grows with n_max
+    # prefix_counts counts _COUNT_WORDS code words at a time: no array grows
+    # with n_max
     ones = lambda ns: np.ones(ns.size, dtype=np.complex128)
     steps = {
         "weighted_average": lambda t: moebius.weighted_average(t, [t.n_max], ones),
@@ -613,9 +635,9 @@ def test_weighted_average_and_prefix_counts_memory_is_flat_in_n_max():
             peaks[name].append(peak)
     wa, pc = peaks["weighted_average"], peaks["prefix_counts"]
     assert wa[1] <= wa[0] + 2**16, wa  # the lists of runs and piece sums: 61 runs, not 7
-    # a block's mu and np.take's intp copy of its code bytes, while the last
-    # block is still held: 4 bytes per n of a block
-    assert pc[1] <= 4 * moebius._COUNT_BLOCK + 2**14, pc
+    # a chunk's masked words, its popcounts and the int64 reduction's cast
+    # buffer: about 140 KiB
+    assert pc[1] <= pc[0] + 2**18 and pc[1] <= 32 * moebius._COUNT_WORDS, pc
 
 
 def _window_calls(table, n_max):
@@ -696,6 +718,26 @@ def test_weighted_average_calls_do_not_depend_on_workers(monkeypatch):
     for got, spans in zip(sums[1:], calls[1:]):
         assert _same_bits(got, sums[0])
         assert spans == calls[0]
+
+
+def test_one_worker_process_never_loads_the_thread_pool():
+    # the pool is imported only where workers > 1 takes it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import ncflow.cli\n"
+        "from ncflow import moebius\n"
+        "table = moebius.build_table(3 * moebius._SUM_RUN)\n"
+        "ones = lambda ns: np.ones(ns.size, dtype=np.complex128)\n"
+        "moebius.weighted_average(table, [100, table.n_max], ones, workers=1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moebius.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"], done.stdout
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,14 @@ MUTANTS = (
         "the cache spot check cut to n = 1 loads a table with a wrong mu(30)",
     ),
     Mutant(
+        "moebius.py",
+        "b = min(hi, a * reach)",
+        "b = hi",
+        ("tests/test_moebius.py::test_sieve_with_short_segments_matches_trial_division",),
+        "the first sieve segment is one stretch, so its n from reach on keep the"
+        " sign of their small primes",
+    ),
+    Mutant(
         "flows.py",
         "hypothesis_holds=ratio <= 1.0,",
         "hypothesis_holds=ratio <= 2.0,",
